@@ -39,6 +39,14 @@ def _pack(bits: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
+# _BYTE_SCORE[b] = 1 + the largest popcount(j) over set bits j of byte b,
+# 0 for the empty byte
+_BYTE_SCORE = (
+    (np.arange(256, dtype=np.uint8)[:, None] >> np.arange(8, dtype=np.uint8) & 1)
+    * (1 + np.bitwise_count(np.arange(8, dtype=np.uint8)))
+).max(axis=1)
+
+
 def _parity(arr: np.ndarray) -> np.ndarray:
     # bitwise parity of each uint32 entry
     v = arr.astype(np.uint32)
@@ -118,13 +126,25 @@ class AnfForm:
 
     @property
     def degree(self) -> int:
-        # zero polynomial has degree 0 by convention; walk set bits only
-        deg, c = 0, self.coeffs
-        while c:
-            low = c & -c
-            deg = max(deg, (low.bit_length() - 1).bit_count())
-            c ^= low
-        return deg
+        """Largest popcount of a monomial with a nonzero coefficient; the
+        zero polynomial has degree 0 by convention.
+
+        Monomial u is bit u % 8 of byte u // 8 of the little-endian
+        coefficient bytes and popcount(u) = popcount(u // 8) +
+        popcount(u % 8), so the bytes are scored in place with a 256-entry
+        table.  Viewed as rows of 256 bytes, a byte index splits the same
+        way again, so no index array of the table's length is formed.
+        """
+        if not self.coeffs:
+            return 0
+        raw = np.frombuffer(self.coeffs.to_bytes(max(1, (1 << self.n) // 8), "little"), np.uint8)
+        rows = raw.reshape(-1, min(raw.size, 256))
+        score = _BYTE_SCORE[rows]
+        score += np.bitwise_count(np.arange(rows.shape[1], dtype=np.uint8))
+        score[rows == 0] = 0
+        best = score.max(axis=1).astype(np.int64)
+        best[best > 0] += np.bitwise_count(np.arange(best.size, dtype=np.uint32))[best > 0]
+        return int(best.max()) - 1
 
     def function(self) -> "BooleanFunction":
         # the Moebius transform is an involution
@@ -170,9 +190,7 @@ def _butterfly(v: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _covector_permutation(spec: gf2n.FieldSpec) -> np.ndarray:
-    perm = np.zeros(1, np.int64)
-    for image in gf2n._covector_images(spec):
-        perm = np.concatenate([perm, perm ^ image])
+    perm = gf2n.linear_table(gf2n._covector_images(spec))
     perm.flags.writeable = False
     return perm
 
@@ -202,9 +220,11 @@ def is_bent(f: BooleanFunction) -> bool:
 
 def dual(f: BooleanFunction, spec: gf2n.FieldSpec | None = None) -> BooleanFunction:
     """The dual f~ with W[mu] = 2^(n/2) * (-1)^f~(mu); raises NotBent otherwise."""
-    spectrum = wht(f, spec)
+    if spec is not None and spec.n != f.n:
+        raise ArityMismatch(f"field degree {spec.n} != function arity {f.n}")
     if f.n % 2:
         raise NotBent(f"no bent functions on {f.n} (odd) variables")
+    spectrum = wht(f, spec)
     half = 1 << (f.n // 2)
     if not np.all(np.abs(spectrum.values) == half):
         raise NotBent("spectrum is not flat")
@@ -270,13 +290,8 @@ def linear_form(spec: gf2n.FieldSpec, mu: int) -> BooleanFunction:
 
 def from_trace_monomial(spec: gf2n.FieldSpec, lam: int, e: int) -> BooleanFunction:
     """x -> Tr(lam * x^e) over the field's domain."""
-    bits = np.fromiter(
-        (gf2n.trace_abs(gf2n.mul(lam, gf2n.power(x, e, spec), spec), spec)
-         for x in range(1 << spec.n)),
-        np.uint8,
-        1 << spec.n,
-    )
-    return BooleanFunction(spec.n, _pack(bits))
+    powers = gf2n.power_array(np.arange(1 << spec.n, dtype=np.uint32), e, spec)
+    return BooleanFunction(spec.n, _pack(gf2n.trace_array(powers, spec, lam)))
 
 
 def to_text(f: BooleanFunction) -> str:

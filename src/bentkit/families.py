@@ -24,6 +24,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import gf2n
 from .boolfun import (
     BooleanFunction,
@@ -38,9 +40,12 @@ from .constructions import ConstructionReport, _degeneracy_warnings, _finish
 from .errors import ArityMismatch, NotBent, NotBentAdmissible, SideConditionFailed, ZeroDenominator
 
 
-@functools.lru_cache(maxsize=8)
-def _power_table(spec: gf2n.FieldSpec, e: int) -> tuple[int, ...]:
-    return tuple(gf2n.power(x, e, spec) for x in range(1 << spec.n))
+def _domain(spec: gf2n.FieldSpec) -> np.ndarray:
+    return np.arange(1 << spec.n, dtype=np.uint32)
+
+
+def _basis(spec: gf2n.FieldSpec) -> list[int]:
+    return [1 << j for j in range(spec.n)]
 
 
 # ---------------------------------------------------------------- Gold
@@ -70,9 +75,8 @@ class GoldParams:
 def gold_function(p: GoldParams) -> BooleanFunction:
     """x -> Tr(lam * x^(2^t + 1))."""
     spec = p.spec
-    powers = _power_table(spec, p.exponent)
-    bits = [gf2n.trace_abs(gf2n.mul(p.lam, powers[x], spec), spec) for x in range(1 << spec.n)]
-    return BooleanFunction.from_bits(spec.n, bits)
+    powers = gf2n.mul_array(_domain(spec), gf2n.frobenius_table(p.t, spec), spec)
+    return BooleanFunction.from_bits(spec.n, gf2n.trace_array(powers, spec, p.lam))
 
 
 def gold_in_S(p: GoldParams) -> bool:
@@ -89,8 +93,7 @@ def gold_power_image(spec: gf2n.FieldSpec, t: int) -> frozenset[int]:
     kept around so gold_in_S has an independent cross-check."""
     if spec.n > 12:
         raise ValueError("image enumeration is capped at degree 12")
-    e = (1 << t) + 1
-    return frozenset(gf2n.power(x, e, spec) for x in range(1 << spec.n))
+    return frozenset(gf2n.power_array(_domain(spec), (1 << t) + 1, spec).tolist())
 
 
 def gold_bent_admissible(p: GoldParams) -> bool:
@@ -110,12 +113,12 @@ def gold_dual(p: GoldParams) -> BooleanFunction:
             f"gold parameters n={spec.n}, t={p.t}, lam={p.lam:x} are not bent"
         )
     const = (spec.n // 2 // p.d) % 2
-    frob_t = _power_table(spec, 1 << p.t)
-    bits = []
-    for x in range(1 << spec.n):
-        x0 = gf2n.solve_linearized(p.lam, p.t, frob_t[x], spec)
-        bits.append(gf2n.trace_abs(gf2n.mul(p.lam, gf2n.mul(frob_t[x0], x0, spec), spec), spec) ^ const)
-    return BooleanFunction.from_bits(spec.n, bits)
+    # x -> x0 is GF(2)-linear: solve once per basis vector, then tabulate
+    x0 = gf2n.linear_table(
+        [gf2n.solve_linearized(p.lam, p.t, gf2n.frobenius(b, p.t, spec), spec) for b in _basis(spec)]
+    )
+    powers = gf2n.mul_array(x0, gf2n.frobenius_table(p.t, spec)[x0], spec)
+    return BooleanFunction.from_bits(spec.n, gf2n.trace_array(powers, spec, p.lam) ^ const)
 
 
 def _gold_pair_condition(p: GoldParams, a: int, b: int) -> int:
@@ -127,16 +130,15 @@ def _gold_pair_condition(p: GoldParams, a: int, b: int) -> int:
 
 
 def _gold_companion(p: GoldParams, mu: int) -> BooleanFunction:
-    # x -> Tr(lam * (mu x^(2^t) + mu^(2^t) x + mu^(2^t + 1)))
+    # x -> Tr(lam * (mu x^(2^t) + mu^(2^t) x + mu^(2^t + 1))); the part
+    # inside the trace is affine in x
     spec = p.spec
-    frob_t = _power_table(spec, 1 << p.t)
-    mu_t = frob_t[mu]
-    const_term = gf2n.mul(mu_t, mu, spec)
-    bits = []
-    for x in range(1 << spec.n):
-        v = gf2n.mul(mu, frob_t[x], spec) ^ gf2n.mul(mu_t, x, spec) ^ const_term
-        bits.append(gf2n.trace_abs(gf2n.mul(p.lam, v, spec), spec))
-    return BooleanFunction.from_bits(spec.n, bits)
+    mu_t = gf2n.frobenius(mu, p.t, spec)
+    v = gf2n.linear_table(
+        [gf2n.mul(mu, gf2n.frobenius(b, p.t, spec), spec) ^ gf2n.mul(mu_t, b, spec) for b in _basis(spec)]
+    )
+    v ^= gf2n.mul(mu_t, mu, spec)
+    return BooleanFunction.from_bits(spec.n, gf2n.trace_array(v, spec, p.lam))
 
 
 def _check_trace_pairs(p: GoldParams, mus, conds) -> None:
@@ -228,12 +230,15 @@ def cort_m_build(
                 raise SideConditionFailed(name)
             conds.append((name, True))
     _check_alpha(spec, alpha, mus, conds)
-    norm = _power_table(spec, (1 << m) + 1)
-    size = 1 << spec.n
+    norm = gf2n.mul_array(_domain(spec), gf2n.frobenius_table(m, spec), spec)
     one = BooleanFunction.const(spec.n, 1)
-    f = BooleanFunction.from_bits(
-        spec.n, [gf2n.trace_abs_in(gf2n.mul(theta, norm[x], spec), m, spec) for x in range(size)]
-    ) ^ one
+
+    def norm_form(coeff: int) -> BooleanFunction:
+        # x -> Tr_m(coeff * x^(2^m + 1)), scaling through the tabulated map
+        scale = gf2n.linear_table([gf2n.mul(coeff, b, spec) for b in _basis(spec)])
+        return BooleanFunction.from_bits(spec.n, gf2n.trace_abs_in_array(scale[norm], m, spec))
+
+    f = norm_form(theta) ^ one
 
     def affine_slot(coeff: int, const_elt: int) -> BooleanFunction:
         base = linear_form(spec, coeff)
@@ -241,16 +246,14 @@ def cort_m_build(
         return base ^ one if c else base
 
     slot1 = affine_slot(gf2n.mul(theta, gf2n.frobenius(alpha, m, spec), spec),
-                        gf2n.mul(theta, norm[alpha], spec))
+                        gf2n.mul(theta, int(norm[alpha]), spec))
     slots_h = (slot1, *(linear_form(spec, mu) for mu in mus))
-    h_star_base = BooleanFunction.from_bits(
-        spec.n, [gf2n.trace_abs_in(gf2n.mul(th_inv, norm[x], spec), m, spec) for x in range(size)]
-    )
+    h_star_base = norm_form(th_inv)
     slots_dual = (
         linear_form(spec, alpha),
         *(
             affine_slot(gf2n.mul(th_inv, gf2n.frobenius(mu, m, spec), spec),
-                        gf2n.mul(th_inv, norm[mu], spec))
+                        gf2n.mul(th_inv, int(norm[mu]), spec))
             for mu in mus
         ),
     )
@@ -347,34 +350,23 @@ def _subfield_embedding(spec: gf2n.FieldSpec, r: int):
     The smallest root beta of the degree-r default modulus inside the
     subfield induces the field isomorphism z -> sum z_i beta^i, so power
     maps act the same whether applied to r-bit indices or to embedded
-    elements.  Returns (emb, inv) with emb[z] the n-bit element and inv
-    its inverse dict.
+    elements.  Returns (emb, inv): emb is the read-only uint32 array with
+    emb[z] the n-bit element, inv its inverse dict.
     """
-    elems = gf2n.subfield_elements(r, spec)
+    elems = np.array(gf2n.subfield_elements(r, spec), np.uint32)
     pmod = gf2n.default_modulus(r)
-    beta = None
-    for cand in elems:
-        acc, rest, i = 0, pmod, 0
-        while rest:
-            if rest & 1:
-                acc ^= gf2n.power(cand, i, spec)
-            rest >>= 1
-            i += 1
-        if acc == 0:
-            beta = cand
-            break
-    assert beta is not None, "subfield contains a root of every divisor-degree irreducible"
-    pows = [gf2n.power(beta, i, spec) for i in range(r)]
-    emb = []
-    for z in range(1 << r):
-        e = 0
-        for i in range(r):
-            if z >> i & 1:
-                e ^= pows[i]
-        emb.append(e)
-    inv = {e: z for z, e in enumerate(emb)}
-    assert len(inv) == 1 << r and set(emb) == set(elems)
-    return tuple(emb), inv
+    # the modulus at every subfield element at once, by Horner
+    acc = np.zeros_like(elems)
+    for i in range(r, -1, -1):
+        acc = gf2n.mul_array(acc, elems, spec) ^ np.uint32(pmod >> i & 1)
+    roots = elems[acc == 0]
+    assert roots.size, "subfield contains a root of every divisor-degree irreducible"
+    beta = int(roots[0])
+    emb = gf2n.linear_table([gf2n.power(beta, i, spec) for i in range(r)])
+    inv = {e: z for z, e in enumerate(emb.tolist())}
+    assert len(inv) == 1 << r and np.array_equal(np.sort(emb), elems)
+    emb.flags.writeable = False
+    return emb, inv
 
 
 @functools.lru_cache(maxsize=None)
@@ -393,45 +385,41 @@ def _smallest_omega(spec: gf2n.FieldSpec) -> int:
     return min(w ^ s for s in gf2n.subfield_elements(m, spec))
 
 
-def _pi_maps(p: MMParams):
-    """pi and its inverse as dicts over embedded subfield elements."""
-    spec, m = p.spec, p.m
-    emb, _ = _subfield_embedding(spec, m)
+def _pi_index(p: MMParams) -> np.ndarray:
+    """pi as a permutation of subfield indices.
+
+    A power map is taken in GF(2^m) on the indices themselves: the
+    embedding is a field isomorphism, so it commutes with powers.
+    """
     if isinstance(p.pi, int):
-        fwd = {s: gf2n.power(s, p.pi, spec) for s in emb}
-    else:
-        fwd = {emb[i]: emb[p.pi[i]] for i in range(1 << m)}
-    return fwd, {v: k for k, v in fwd.items()}
+        return gf2n.power_array(np.arange(1 << p.m), p.pi, gf2n.make_field(p.m))
+    return np.array(p.pi, np.uint32)
 
 
-def _g_bits(p: MMParams) -> dict[int, int]:
-    emb, _ = _subfield_embedding(p.spec, p.m)
-    return {emb[z]: p.g_sub(z) for z in range(1 << p.m)}
+def _subfield_index_table(p: MMParams, image) -> np.ndarray:
+    # x -> subfield index of image(x), for a GF(2)-linear image landing in
+    # GF(2^m); the embedding is linear, so so is the index
+    _, inv = _subfield_embedding(p.spec, p.m)
+    return gf2n.linear_table([inv[image(b)] for b in _basis(p.spec)])
 
 
 def mm_function(p: MMParams) -> BooleanFunction:
     spec, m = p.spec, p.m
-    frob_m = _power_table(spec, 1 << m)
-    frob_t = _power_table(spec, 1 << p.t)
-    fwd, _ = _pi_maps(p)
-    gb = _g_bits(p)
-    bits = []
-    for x in range(1 << spec.n):
-        z = x ^ frob_m[x]
-        prod = gf2n.mul(gf2n.mul(p.lam, frob_t[x], spec), fwd[z], spec)
-        bits.append(gf2n.trace_abs(prod, spec) ^ gb[z])
-    return BooleanFunction.from_bits(spec.n, bits)
+    emb, _ = _subfield_embedding(spec, m)
+    z = _subfield_index_table(p, lambda b: b ^ gf2n.frobenius(b, m, spec))
+    prod = gf2n.mul_array(gf2n.frobenius_table(p.t, spec), emb[_pi_index(p)][z], spec)
+    return BooleanFunction.from_bits(spec.n, gf2n.trace_array(prod, spec, p.lam) ^ p.g_sub.bits()[z])
 
 
-def _mm_u_table(p: MMParams) -> list[int]:
-    # u(x) = pi^(-1)(Lam^(-1) * (x + x^(2^m))^(2^t)), shared by the dual
-    # and the companions
+def _mm_u_table(p: MMParams) -> np.ndarray:
+    # subfield index of u(x) = pi^(-1)(Lam^(-1) * (x + x^(2^m))^(2^t)),
+    # shared by the dual and the companions
     spec, m = p.spec, p.m
     lam_inv = gf2n.inverse(p.lam ^ gf2n.frobenius(p.lam, m, spec), spec)
-    frob_m = _power_table(spec, 1 << m)
-    frob_t = _power_table(spec, 1 << p.t)
-    _, back = _pi_maps(p)
-    return [back[gf2n.mul(lam_inv, frob_t[x ^ frob_m[x]], spec)] for x in range(1 << spec.n)]
+    v = _subfield_index_table(
+        p, lambda b: gf2n.mul(lam_inv, gf2n.frobenius(b ^ gf2n.frobenius(b, m, spec), p.t, spec), spec)
+    )
+    return np.argsort(_pi_index(p)).astype(np.uint32)[v]
 
 
 def mm_dual(p: MMParams, omega: int | None = None) -> BooleanFunction:
@@ -450,21 +438,14 @@ def mm_dual(p: MMParams, omega: int | None = None) -> BooleanFunction:
         omega = _smallest_omega(spec)
     elif omega ^ gf2n.frobenius(omega, m, spec) != 1:
         raise ValueError(f"omega={omega:x} does not satisfy omega + omega^(2^m) = 1")
-    frob_t = _power_table(spec, 1 << p.t)
-    fwd, _ = _pi_maps(p)
-    gb = _g_bits(p)
-    big_g = {
-        u: gf2n.trace_abs(
-            gf2n.mul(gf2n.mul(p.lam, frob_t[gf2n.mul(omega, u, spec)], spec), fwd[u], spec), spec
-        )
-        ^ gb[u]
-        for u in fwd
-    }
-    u_tab = _mm_u_table(p)
-    bits = [
-        gf2n.trace_abs(gf2n.mul(gf2n.mul(omega, x, spec), u_tab[x], spec), spec) ^ big_g[u_tab[x]]
-        for x in range(1 << spec.n)
-    ]
+    emb, _ = _subfield_embedding(spec, m)
+    # G over subfield indices; z -> (omega z)^(2^t) is linear in the index
+    omega_t = gf2n.linear_table(
+        [gf2n.frobenius(gf2n.mul(omega, int(emb[1 << k]), spec), p.t, spec) for k in range(m)]
+    )
+    big_g = gf2n.trace_array(gf2n.mul_array(omega_t, emb[_pi_index(p)], spec), spec, p.lam) ^ p.g_sub.bits()
+    u = _mm_u_table(p)
+    bits = gf2n.trace_array(gf2n.mul_array(_domain(spec), emb[u], spec), spec, omega) ^ big_g[u]
     return BooleanFunction.from_bits(spec.n, bits)
 
 
@@ -571,14 +552,12 @@ def thmm_build(
             conds.append((name, True))
     if omega is None:
         omega = _smallest_omega(spec)
-    u_tab = _mm_u_table(p)
-    size = 1 << spec.n
+    emb, _ = _subfield_embedding(spec, m)
+    u = _mm_u_table(p)
 
     def companion(mu: int) -> BooleanFunction:
-        c = gf2n.mul(omega, mu, spec)
-        return BooleanFunction.from_bits(
-            spec.n, [gf2n.trace_abs(gf2n.mul(c, u_tab[x], spec), spec) for x in range(size)]
-        )
+        # x -> Tr(omega mu u(x)), read off the subfield through u's index
+        return BooleanFunction.from_bits(spec.n, gf2n.trace_array(emb, spec, gf2n.mul(omega, mu, spec))[u])
 
     slots_h = (f ^ translate(f, alpha), *(linear_form(spec, mu) for mu in mus))
     slots_dual = (linear_form(spec, alpha), *(companion(mu) for mu in mus))

@@ -10,12 +10,26 @@ Degrees 1..24 are supported.  When no modulus is supplied the
 lexicographically smallest irreducible bitmask of that degree is used, found
 by an ascending scan with trial division, so results are reproducible
 without a shipped table.
+
+Two layers share that representation.  The scalar functions (mul, power,
+frobenius, trace_abs, ...) act on single ints and serve per-element work:
+searches, side conditions, basis images.  The array layer (mul_array,
+power_array, trace_array, trace_abs_in_array, linear_table,
+frobenius_table) acts on numpy uint32 arrays of elements, which hold every
+degree up to 24 with room for the one-bit overflow of a shift; it builds
+the 2^n-sized tables.  Its products are bit-sliced shift-and-reduce, so it
+needs no log tables.  Every GF(2)-linear map (Frobenius powers, x + x^(2^m),
+multiplication by a constant, solved linearized maps) is tabulated from
+its n basis images by doubling instead of being evaluated per element, so
+a table costs one pass of 2^n writes however many squarings the map hides.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NonIrreducible, NotADivisor, SingularMap, UnsupportedDegree
 
@@ -316,6 +330,110 @@ def subfield_elements(r: int, spec: FieldSpec) -> tuple[int, ...]:
         elems += [e ^ b for e in elems]
     assert len(elems) == 1 << r
     return tuple(sorted(elems))
+
+
+# ------------------------------------------------------------ array layer
+
+
+# elements per pass of mul_array: its three working arrays then stay in
+# cache across the n passes, which at n = 20 runs 3x faster than whole-array
+# passes
+_CHUNK = 1 << 15
+
+
+def mul_array(a, b, spec: FieldSpec) -> np.ndarray:
+    """Elementwise product of two uint32 element arrays, or of an array and
+    a scalar: bit-sliced shift-and-reduce, one pass per bit of b."""
+    a, b = np.broadcast_arrays(np.asarray(a, np.uint32), np.asarray(b, np.uint32))
+    r = np.zeros(a.shape, np.uint32)
+    flat_a, flat_b, flat_r = a.reshape(-1), b.reshape(-1), r.reshape(-1)
+    n, mod = spec.n, np.uint32(spec.modulus)
+    buf = np.empty(min(_CHUNK, r.size), np.uint32)
+    for start in range(0, r.size, _CHUNK):
+        x = flat_a[start : start + _CHUNK].copy()
+        y = flat_b[start : start + _CHUNK]
+        acc = flat_r[start : start + _CHUNK]
+        tmp = buf[: x.size]
+        for i in range(n):
+            np.right_shift(y, i, out=tmp)
+            tmp &= 1
+            tmp *= x
+            acc ^= tmp
+            x <<= 1
+            np.right_shift(x, n, out=tmp)
+            tmp *= mod
+            x ^= tmp
+    return r
+
+
+def power_array(a, e: int, spec: FieldSpec) -> np.ndarray:
+    """Elementwise a ** e by square-and-multiply over mul_array."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    a = np.asarray(a, np.uint32)
+    r = np.ones(a.shape, np.uint32)
+    while e:
+        if e & 1:
+            r = mul_array(r, a, spec)
+        e >>= 1
+        if e:
+            a = mul_array(a, a, spec)
+    return r
+
+
+def trace_array(a, spec: FieldSpec, coeff: int = 1) -> np.ndarray:
+    """Elementwise Tr(coeff * a) as uint8 0/1.
+
+    The product never forms: the covector of coeff is the mask whose
+    parity with a gives that trace, and covector(1) is the trace mask.
+    """
+    counts = np.bitwise_count(np.asarray(a, np.uint32) & np.uint32(covector(coeff, spec)))
+    counts &= 1
+    return counts
+
+
+def linear_table(images) -> np.ndarray:
+    """Full table of the GF(2)-linear map sending basis vector j to images[j].
+
+    Entry x is the XOR of images[j] over the set bits j of x; the table is
+    built by doubling, one XOR pass per basis vector, so it costs 2^k
+    writes for k images.
+    """
+    table = np.zeros(1 << len(images), np.uint32)
+    for j, image in enumerate(images):
+        np.bitwise_xor(table[: 1 << j], np.uint32(image), out=table[1 << j : 2 << j])
+    return table
+
+
+def frobenius_table(k: int, spec: FieldSpec) -> np.ndarray:
+    """x -> x ** (2 ** (k mod n)) over the whole field, tabulated."""
+    return linear_table([frobenius(1 << j, k, spec) for j in range(spec.n)])
+
+
+def trace_abs_in_array(a, r: int, spec: FieldSpec) -> np.ndarray:
+    """trace_abs_in over an array, as uint8 0/1.
+
+    Every entry must lie in GF(2^r); the first one that does not raises
+    the scalar function's ValueError.  The sum of the r conjugates is
+    GF(2)-linear and is tabulated, and its landing in GF(2) is asserted
+    over the whole array.
+    """
+    if r < 1 or spec.n % r:
+        raise NotADivisor(f"{r} does not divide {spec.n}")
+    a = np.asarray(a, np.uint32)
+    outside = frobenius_table(r, spec)[a] != a
+    if outside.any():
+        raise ValueError(f"{int(a[outside.argmax()]):#x} is not in GF(2^{r})")
+    images = []
+    for j in range(spec.n):
+        t, x = 0, 1 << j
+        for _ in range(r):
+            t ^= x
+            x = mul(x, x, spec)
+        images.append(t)
+    t = linear_table(images)[a]
+    assert np.all(t <= 1)
+    return t.astype(np.uint8)
 
 
 def to_hex(a: int) -> str:

@@ -1,0 +1,198 @@
+"""The array layer of gf2n and the table builders that run on it.
+
+Array arithmetic is checked against the scalar field functions: every
+pair for n <= 8, and random samples at n = 16, 20 and 24, where a shift
+of a 24-bit element reaches bit 24 of the uint32 word.  Each family table
+is checked byte for byte against the per-element scalar loops kept in
+util as oracles.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from bentkit import gf2n
+from bentkit.boolfun import BooleanFunction, from_trace_monomial
+from bentkit.errors import NotADivisor
+from bentkit.families import (
+    GoldParams,
+    MMParams,
+    _gold_companion,
+    _mm_u_table,
+    _smallest_omega,
+    _subfield_embedding,
+    cort_m_build,
+    gold_bent_admissible,
+    gold_dual,
+    gold_function,
+    mm_dual,
+    mm_function,
+    thmm_build,
+)
+from util import (
+    scalar_cor9_tables,
+    scalar_gold_companion,
+    scalar_gold_dual,
+    scalar_gold_function,
+    scalar_mm_dual,
+    scalar_mm_function,
+    scalar_mm_u_table,
+    scalar_thmm_companion,
+    scalar_trace_monomial,
+)
+
+SMALL = range(1, 9)
+WIDE = (16, 20, 24)
+
+
+def elements(spec):
+    return np.arange(1 << spec.n, dtype=np.uint32)
+
+
+# ------------------------------------------------------------ arithmetic
+
+
+@pytest.mark.parametrize("n", SMALL)
+def test_mul_array_exhaustive(n):
+    spec = gf2n.make_field(n)
+    a, b = np.meshgrid(elements(spec), elements(spec), indexing="ij")
+    expected = [[gf2n.mul(x, y, spec) for y in range(1 << n)] for x in range(1 << n)]
+    assert np.array_equal(gf2n.mul_array(a, b, spec), expected)
+    for c in (0, 1, (1 << n) - 1):
+        assert np.array_equal(gf2n.mul_array(elements(spec), c, spec), expected[c])
+
+
+@pytest.mark.parametrize("n", SMALL)
+def test_power_and_trace_arrays_exhaustive(n):
+    spec = gf2n.make_field(n)
+    xs = elements(spec)
+    for e in (0, 1, 2, 3, 5, (1 << n) - 2, (1 << n) + 6):
+        assert np.array_equal(gf2n.power_array(xs, e, spec), [gf2n.power(x, e, spec) for x in range(1 << n)])
+    for coeff in range(1 << n):
+        expected = [gf2n.trace_abs(gf2n.mul(coeff, x, spec), spec) for x in range(1 << n)]
+        assert np.array_equal(gf2n.trace_array(xs, spec, coeff), expected)
+    with pytest.raises(ValueError):
+        gf2n.power_array(xs, -1, spec)
+
+
+@pytest.mark.parametrize("n", SMALL)
+def test_frobenius_table_exhaustive(n):
+    spec = gf2n.make_field(n)
+    for k in range(n + 2):
+        expected = [gf2n.frobenius(x, k, spec) for x in range(1 << n)]
+        assert np.array_equal(gf2n.frobenius_table(k, spec), expected)
+
+
+@pytest.mark.parametrize("n", WIDE)
+def test_array_layer_random_pairs(n):
+    spec = gf2n.make_field(n)
+    rng = random.Random(n)
+    a = [rng.randrange(1 << n) for _ in range(4096)]
+    b = [rng.randrange(1 << n) for _ in range(4096)]
+    arr_a = np.array(a, np.uint32)
+    assert np.array_equal(gf2n.mul_array(arr_a, np.array(b, np.uint32), spec),
+                          [gf2n.mul(x, y, spec) for x, y in zip(a, b)])
+    e = rng.randrange(1 << n)
+    assert np.array_equal(gf2n.power_array(arr_a, e, spec), [gf2n.power(x, e, spec) for x in a])
+    coeff = b[0]
+    assert np.array_equal(gf2n.trace_array(arr_a, spec, coeff),
+                          [gf2n.trace_abs(gf2n.mul(coeff, x, spec), spec) for x in a])
+    k = rng.randrange(2, n)
+    table = gf2n.frobenius_table(k, spec)
+    assert table.size == 1 << n
+    assert np.array_equal(table[arr_a], [gf2n.frobenius(x, k, spec) for x in a])
+
+
+def test_linear_table_is_xor_of_images():
+    rng = random.Random(7)
+    for k in range(11):
+        images = [rng.randrange(1 << 24) for _ in range(k)]
+        table = gf2n.linear_table(images)
+        for x in [0, (1 << k) - 1, *(rng.randrange(1 << k) for _ in range(50))]:
+            expected = 0
+            for j in range(k):
+                if x >> j & 1:
+                    expected ^= images[j]
+            assert table[x] == expected
+
+
+def test_trace_abs_in_array_checks_the_whole_array(g256):
+    sub = gf2n.subfield_elements(4, g256)
+    assert np.array_equal(gf2n.trace_abs_in_array(sub, 4, g256),
+                          [gf2n.trace_abs_in(a, 4, g256) for a in sub])
+    outsider = next(a for a in range(256) if not gf2n.in_subfield(a, 4, g256))
+    with pytest.raises(ValueError) as scalar_exc:
+        gf2n.trace_abs_in(outsider, 4, g256)
+    with pytest.raises(ValueError) as array_exc:
+        gf2n.trace_abs_in_array([*sub, outsider, *sub], 4, g256)
+    assert str(array_exc.value) == str(scalar_exc.value)
+    with pytest.raises(NotADivisor):
+        gf2n.trace_abs_in_array(sub, 3, g256)
+
+
+# ------------------------------------------------------------ family tables
+
+
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
+def test_gold_tables_match_scalar_oracles(n):
+    spec = gf2n.make_field(n)
+    rng = random.Random(100 + n)
+    admissible = 0
+    for t in range(n):
+        for lam in rng.sample(range(1, 1 << n), 2):
+            p = GoldParams(spec, lam, t)
+            assert gold_function(p) == scalar_gold_function(p)
+            mu = rng.randrange(1 << n)
+            assert _gold_companion(p, mu) == scalar_gold_companion(p, mu)
+            if gold_bent_admissible(p):
+                admissible += 1
+                assert gold_dual(p) == scalar_gold_dual(p)
+    assert admissible >= 2
+
+
+@pytest.mark.parametrize("n", (4, 6, 8, 10))
+def test_cor9_tables_match_scalar_oracles(n):
+    spec = gf2n.make_field(n)
+    nonzero = gf2n.subfield_elements(n // 2, spec)[1:]
+    zero_F = BooleanFunction.from_bits(1, [0, 0])
+    for theta in random.Random(200 + n).sample(nonzero, 3):
+        rep = cort_m_build(spec, theta, (), 0, zero_F)
+        assert (rep.h, rep.h_star) == scalar_cor9_tables(spec, theta)
+
+
+def mm_cases(spec, rng):
+    m = spec.n // 2
+    outside = [v for v in range(1 << spec.n) if not gf2n.in_subfield(v, m, spec)]
+    powers = [k for k in range(1, 1 << m) if np.gcd(k, (1 << m) - 1) == 1]
+    for t in sorted({0, 1, m - 1, rng.randrange(spec.n)}):
+        g = BooleanFunction.from_bits(m, [rng.randrange(2) for _ in range(1 << m)])
+        table = list(range(1 << m))
+        rng.shuffle(table)
+        for pi in (rng.choice(powers), tuple(table)):
+            yield MMParams(spec, rng.choice(outside), t, pi, g)
+
+
+@pytest.mark.parametrize("n", (4, 6, 8, 10))
+def test_mm_tables_match_scalar_oracles(n):
+    spec = gf2n.make_field(n)
+    emb, _ = _subfield_embedding(spec, n // 2)
+    omega = _smallest_omega(spec)
+    mu = gf2n.subfield_elements(n // 2, spec)[-1]
+    F_second = BooleanFunction.from_bits(2, [0, 0, 1, 1])  # F(y) = y_2
+    for p in mm_cases(spec, random.Random(300 + n)):
+        assert mm_function(p) == scalar_mm_function(p)
+        assert np.array_equal(emb[_mm_u_table(p)], scalar_mm_u_table(p))
+        f_star = mm_dual(p)
+        assert f_star == scalar_mm_dual(p)
+        rep = thmm_build(p, (mu,), 0, F_second)
+        assert rep.h_star == f_star ^ scalar_thmm_companion(p, mu, omega)
+
+
+def test_trace_monomial_matches_scalar_oracle():
+    rng = random.Random(400)
+    for n in SMALL:
+        spec = gf2n.make_field(n)
+        for e in (0, 1, 3, rng.randrange(1 << n), (1 << n) + 1):
+            lam = rng.randrange(1 << n)
+            assert from_trace_monomial(spec, lam, e) == scalar_trace_monomial(spec, lam, e)

@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from bentkit import gf2n
+from bentkit import boolfun, gf2n
 from bentkit.boolfun import (
     AnfForm,
     BooleanFunction,
@@ -32,6 +32,7 @@ from bentkit.boolfun import (
 )
 from bentkit.errors import ArityMismatch, NotBent
 from util import (
+    anf_degree_walk,
     inner_product_fn,
     random_function,
     random_mm_bent,
@@ -148,6 +149,20 @@ def test_dual_requires_bent():
         dual(dot_form(4, 3))
 
 
+def test_dual_rejects_bad_arity_before_transforming(monkeypatch, g64):
+    def no_butterfly(v):
+        raise AssertionError("the butterfly ran on a rejected input")
+
+    monkeypatch.setattr(boolfun, "_butterfly", no_butterfly)
+    odd = dot_form(5, 3)
+    with pytest.raises(NotBent):
+        dual(odd)
+    with pytest.raises(ArityMismatch):
+        dual(odd, g64)  # the arity check comes first
+    with pytest.raises(ArityMismatch):
+        dual(inner_product_fn(4), g64)
+
+
 def test_derivative_pointwise():
     rng = random.Random(17)
     f = random_function(rng, 6)
@@ -174,6 +189,13 @@ def test_anf_degree_frozen():
     cube = BooleanFunction.from_bits(6, [int(x & 7 == 7) for x in range(64)])
     assert algebraic_degree(cube) == 3  # x1 x2 x3
     assert anf(cube).coeffs == 1 << 7
+    top = BooleanFunction.from_bits(10, [int(x == 1023) for x in range(1024)])
+    assert anf(top).coeffs == 1 << 1023
+    assert algebraic_degree(top) == 10  # x1 ... x10
+    rng = random.Random(21)
+    for n in (1, 2, 3, 9, 14):
+        form = anf(random_function(rng, n))
+        assert form.degree == anf_degree_walk(form.coeffs)
 
 
 def test_anf_roundtrip_is_involution():

@@ -10,6 +10,8 @@ import io
 import subprocess
 import sys
 
+import pytest
+
 from bentkit import gf2n
 from bentkit.boolfun import dual, from_text, is_bent, to_text
 from bentkit.cli import main
@@ -372,6 +374,19 @@ def test_fingerprint_output(tmp_path):
     lines = report_lines(out)
     assert "degree: 2" in lines
     assert any(ln.startswith("derivative-degrees: ") for ln in lines)
+
+
+@pytest.mark.parametrize("shape", ["gold", "mm"])
+def test_construct_at_n20(tmp_path, monkeypatch, shape):
+    monkeypatch.setenv("BENT_MAX_N", "20")
+    code, out, _ = run_cli(
+        ["construct", shape, "--n", "20", "--t", "1", "--lambda", "2",
+         "--out-h", str(tmp_path / "h.tt"), "--out-dual", str(tmp_path / "d.tt")]
+    )
+    assert code == 0
+    lines = report_lines(out)
+    assert "n: 20" in lines
+    assert "bent: true" in lines and "dual-matches: true" in lines
 
 
 def test_degree_cap_env(tmp_path, monkeypatch):

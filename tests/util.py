@@ -5,14 +5,22 @@ package internals: direct sign summation instead of the butterfly,
 Sylvester matrices built by doubling, and the classical half-split
 recipe for bent truth tables.  Frozen constants elsewhere in the suite
 were produced by these helpers.
+
+The scalar_* builders are the per-element table loops the package used
+before its tables moved to the array layer of gf2n, kept unchanged as
+reference oracles: one scalar field call chain per truth-table entry.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from bentkit import gf2n
 from bentkit.boolfun import BooleanFunction
+from bentkit.errors import NotBent, NotBentAdmissible
+from bentkit.families import _smallest_omega, gold_bent_admissible
 
 
 def slow_walsh(f: BooleanFunction, mu: int, spec=None) -> int:
@@ -97,3 +105,192 @@ def random_affine_image(rng, h: BooleanFunction) -> BooleanFunction:
                 y ^= cols[i]
         bits.append(h(y) ^ ((ell & x).bit_count() & 1) ^ e)
     return BooleanFunction.from_bits(n, bits)
+
+
+def anf_degree_walk(coeffs: int) -> int:
+    """Degree of an ANF bitmask by walking its set bits one at a time."""
+    # zero polynomial has degree 0 by convention; walk set bits only
+    deg, c = 0, coeffs
+    while c:
+        low = c & -c
+        deg = max(deg, (low.bit_length() - 1).bit_count())
+        c ^= low
+    return deg
+
+
+# ------------------------------------------------ scalar table oracles
+
+
+@functools.lru_cache(maxsize=8)
+def _power_table(spec: gf2n.FieldSpec, e: int) -> tuple[int, ...]:
+    return tuple(gf2n.power(x, e, spec) for x in range(1 << spec.n))
+
+
+def scalar_trace_monomial(spec: gf2n.FieldSpec, lam: int, e: int) -> BooleanFunction:
+    """x -> Tr(lam * x^e) over the field's domain."""
+    bits = np.fromiter(
+        (gf2n.trace_abs(gf2n.mul(lam, gf2n.power(x, e, spec), spec), spec)
+         for x in range(1 << spec.n)),
+        np.uint8,
+        1 << spec.n,
+    )
+    return BooleanFunction.from_bits(spec.n, bits)
+
+
+def scalar_gold_function(p) -> BooleanFunction:
+    """x -> Tr(lam * x^(2^t + 1))."""
+    spec = p.spec
+    powers = _power_table(spec, p.exponent)
+    bits = [gf2n.trace_abs(gf2n.mul(p.lam, powers[x], spec), spec) for x in range(1 << spec.n)]
+    return BooleanFunction.from_bits(spec.n, bits)
+
+
+def scalar_gold_dual(p) -> BooleanFunction:
+    spec = p.spec
+    if not gold_bent_admissible(p):
+        raise NotBentAdmissible(
+            f"gold parameters n={spec.n}, t={p.t}, lam={p.lam:x} are not bent"
+        )
+    const = (spec.n // 2 // p.d) % 2
+    frob_t = _power_table(spec, 1 << p.t)
+    bits = []
+    for x in range(1 << spec.n):
+        x0 = gf2n.solve_linearized(p.lam, p.t, frob_t[x], spec)
+        bits.append(gf2n.trace_abs(gf2n.mul(p.lam, gf2n.mul(frob_t[x0], x0, spec), spec), spec) ^ const)
+    return BooleanFunction.from_bits(spec.n, bits)
+
+
+def scalar_gold_companion(p, mu: int) -> BooleanFunction:
+    # x -> Tr(lam * (mu x^(2^t) + mu^(2^t) x + mu^(2^t + 1)))
+    spec = p.spec
+    frob_t = _power_table(spec, 1 << p.t)
+    mu_t = frob_t[mu]
+    const_term = gf2n.mul(mu_t, mu, spec)
+    bits = []
+    for x in range(1 << spec.n):
+        v = gf2n.mul(mu, frob_t[x], spec) ^ gf2n.mul(mu_t, x, spec) ^ const_term
+        bits.append(gf2n.trace_abs(gf2n.mul(p.lam, v, spec), spec))
+    return BooleanFunction.from_bits(spec.n, bits)
+
+
+def scalar_cor9_tables(spec: gf2n.FieldSpec, theta: int):
+    """(f, base of h~) of the cor9 build: Tr_m(theta N(x)) + 1 and
+    Tr_m(theta^(-1) N(x)) for the norm N(x) = x^(2^m + 1)."""
+    m = spec.n // 2
+    th_inv = gf2n.inverse(theta, spec)
+    norm = _power_table(spec, (1 << m) + 1)
+    size = 1 << spec.n
+    one = BooleanFunction.const(spec.n, 1)
+    f = BooleanFunction.from_bits(
+        spec.n, [gf2n.trace_abs_in(gf2n.mul(theta, norm[x], spec), m, spec) for x in range(size)]
+    ) ^ one
+    h_star_base = BooleanFunction.from_bits(
+        spec.n, [gf2n.trace_abs_in(gf2n.mul(th_inv, norm[x], spec), m, spec) for x in range(size)]
+    )
+    return f, h_star_base
+
+
+@functools.lru_cache(maxsize=None)
+def _subfield_embedding(spec: gf2n.FieldSpec, r: int):
+    elems = gf2n.subfield_elements(r, spec)
+    pmod = gf2n.default_modulus(r)
+    beta = None
+    for cand in elems:
+        acc, rest, i = 0, pmod, 0
+        while rest:
+            if rest & 1:
+                acc ^= gf2n.power(cand, i, spec)
+            rest >>= 1
+            i += 1
+        if acc == 0:
+            beta = cand
+            break
+    assert beta is not None, "subfield contains a root of every divisor-degree irreducible"
+    pows = [gf2n.power(beta, i, spec) for i in range(r)]
+    emb = []
+    for z in range(1 << r):
+        e = 0
+        for i in range(r):
+            if z >> i & 1:
+                e ^= pows[i]
+        emb.append(e)
+    inv = {e: z for z, e in enumerate(emb)}
+    assert len(inv) == 1 << r and set(emb) == set(elems)
+    return tuple(emb), inv
+
+
+def _pi_maps(p):
+    """pi and its inverse as dicts over embedded subfield elements."""
+    spec, m = p.spec, p.m
+    emb, _ = _subfield_embedding(spec, m)
+    if isinstance(p.pi, int):
+        fwd = {s: gf2n.power(s, p.pi, spec) for s in emb}
+    else:
+        fwd = {emb[i]: emb[p.pi[i]] for i in range(1 << m)}
+    return fwd, {v: k for k, v in fwd.items()}
+
+
+def _g_bits(p) -> dict[int, int]:
+    emb, _ = _subfield_embedding(p.spec, p.m)
+    return {emb[z]: p.g_sub(z) for z in range(1 << p.m)}
+
+
+def scalar_mm_function(p) -> BooleanFunction:
+    spec, m = p.spec, p.m
+    frob_m = _power_table(spec, 1 << m)
+    frob_t = _power_table(spec, 1 << p.t)
+    fwd, _ = _pi_maps(p)
+    gb = _g_bits(p)
+    bits = []
+    for x in range(1 << spec.n):
+        z = x ^ frob_m[x]
+        prod = gf2n.mul(gf2n.mul(p.lam, frob_t[x], spec), fwd[z], spec)
+        bits.append(gf2n.trace_abs(prod, spec) ^ gb[z])
+    return BooleanFunction.from_bits(spec.n, bits)
+
+
+def scalar_mm_u_table(p) -> list[int]:
+    """u(x) = pi^(-1)(Lam^(-1) * (x + x^(2^m))^(2^t)) as field elements."""
+    spec, m = p.spec, p.m
+    lam_inv = gf2n.inverse(p.lam ^ gf2n.frobenius(p.lam, m, spec), spec)
+    frob_m = _power_table(spec, 1 << m)
+    frob_t = _power_table(spec, 1 << p.t)
+    _, back = _pi_maps(p)
+    return [back[gf2n.mul(lam_inv, frob_t[x ^ frob_m[x]], spec)] for x in range(1 << spec.n)]
+
+
+def scalar_mm_dual(p, omega: int | None = None) -> BooleanFunction:
+    spec, m = p.spec, p.m
+    if gf2n.in_subfield(p.lam, m, spec):
+        raise NotBent(f"lam={p.lam:x} lies in GF(2^{m}), the shape is not bent")
+    if omega is None:
+        omega = _smallest_omega(spec)
+    elif omega ^ gf2n.frobenius(omega, m, spec) != 1:
+        raise ValueError(f"omega={omega:x} does not satisfy omega + omega^(2^m) = 1")
+    frob_t = _power_table(spec, 1 << p.t)
+    fwd, _ = _pi_maps(p)
+    gb = _g_bits(p)
+    big_g = {
+        u: gf2n.trace_abs(
+            gf2n.mul(gf2n.mul(p.lam, frob_t[gf2n.mul(omega, u, spec)], spec), fwd[u], spec), spec
+        )
+        ^ gb[u]
+        for u in fwd
+    }
+    u_tab = scalar_mm_u_table(p)
+    bits = [
+        gf2n.trace_abs(gf2n.mul(gf2n.mul(omega, x, spec), u_tab[x], spec), spec) ^ big_g[u_tab[x]]
+        for x in range(1 << spec.n)
+    ]
+    return BooleanFunction.from_bits(spec.n, bits)
+
+
+def scalar_thmm_companion(p, mu: int, omega: int) -> BooleanFunction:
+    """x -> Tr(omega mu u(x)), the thm12 dual slot for mu."""
+    spec = p.spec
+    u_tab = scalar_mm_u_table(p)
+    size = 1 << spec.n
+    c = gf2n.mul(omega, mu, spec)
+    return BooleanFunction.from_bits(
+        spec.n, [gf2n.trace_abs(gf2n.mul(c, u_tab[x], spec), spec) for x in range(size)]
+    )
