@@ -6,17 +6,30 @@ at the end proves the installed entry point works.
 """
 
 import contextlib
+import hashlib
 import io
+import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from bentkit import gf2n
-from bentkit.boolfun import dual, from_text, is_bent, to_text
+from bentkit.boolfun import (
+    BooleanFunction,
+    dot_form,
+    dual,
+    from_text,
+    from_trace_monomial,
+    is_bent,
+    to_text,
+    translate,
+)
 from bentkit.cli import main
 from bentkit.families import GoldParams, gold_function, permutation_to_text
-from util import inner_product_fn, random_function
+from util import inner_product_fn, random_function, random_mm_bent
 
 import random
 
@@ -408,3 +421,143 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert "modulus: 13" in proc.stdout
+
+
+# --------------------------------------------------------------- golden
+#
+# Every construct shape, passing and failing, pinned in full: the report
+# lines (minus elapsed-ms), the exit code, stderr (whose first token after
+# "error:" names the failed condition) and a hash of each written table.
+# Seed files are written into the working directory, so reports echo
+# stable relative paths.  Regenerate with `python tests/test_cli.py` only
+# when a report change is intended.
+
+GOLDEN_PATH = Path(__file__).with_name("construct_golden.json")
+
+GOLDEN_CASES = [
+    "gold --n 6 --t 1 --lambda 2a",
+    "gold --n 8 --t 2 --lambda 6 --modulus 11d",
+    "gold --n 6 --t 1 --lambda 1",
+    "gold --n 6 --t 2 --lambda 2a",
+    "gold-dual --n 6 --t 1 --lambda 2a",
+    "gold-dual --n 6 --t 1 --lambda 1",
+    "thm8 --n 6 --t 1 --lambda 2a --mus 1 --alpha 0 --F 0110",
+    "thm8 --n 6 --t 1 --lambda 2a --mus 1,4 --alpha 2 --F 00010111",
+    "thm8 --n 6 --t 1 --lambda 2a --mus 1,2 --alpha 0 --F 00010111",
+    "thm8 --n 6 --t 1 --lambda 2a --mus 1,4 --alpha 8 --F 00010111",
+    "thm8 --n 6 --t 1 --lambda 1 --mus 1 --alpha 0 --F 0110",
+    "cor9 --n 6 --theta e --mus 1,4 --alpha 1 --F 00010111",
+    "cor9 --n 6 --theta 2 --mus 1 --alpha 0 --F 0110",
+    "cor9 --n 6 --theta e --mus 1,2 --alpha 0 --F 00010111",
+    "cor9 --n 6 --theta e --mus 1,4 --alpha 20 --F 00010111",
+    "cor9 --n 5 --theta 1 --mus 1 --alpha 0 --F 0110",
+    "cor10 --n 8 --lambda 5c --mus '' --alpha 0 --F 00",
+    "cor10 --n 8 --lambda 3 --mus 1,6 --alpha 1 --F 00010111",
+    "cor10 --n 8 --lambda 1 --mus 1 --alpha 0 --F 0110",
+    "cor10 --n 6 --lambda 3 --mus 1 --alpha 0 --F 0110",
+    "mm --n 6 --t 1 --lambda 2",
+    "mm --n 6 --t 1 --lambda 2 --pi-file pi.perm --g-bits 01100101",
+    "mm --n 6 --t 2 --lambda 3 --pi-power 3 --g-file g3.tt --omega 23",
+    "mm --n 6 --t 1 --lambda e",
+    "mm --n 6 --t 1 --lambda 2 --omega 1",
+    "mm-dual --n 6 --t 1 --lambda 2 --g-bits 01100101",
+    "mm-dual --n 6 --t 1 --lambda e",
+    "thm12 --n 6 --t 0 --lambda 2 --g-bits 00000000 --mus 1 --alpha 1 --F 0110",
+    "thm12 --n 6 --t 1 --lambda 2 --pi-file pi.perm --mus 1,e --alpha c --F 00010111",
+    "thm12 --n 6 --t 0 --lambda 2 --mus 2 --alpha 0 --F 0110",
+    "thm12 --n 6 --t 0 --lambda 2 --mus 1 --alpha 20 --F 0110",
+    "thm12 --n 6 --t 0 --lambda e --mus 1 --alpha 1 --F 0110",
+    "zlj --f f.tt --mus 1,6 --F 0001",
+    "zlj --f gold.tt --mus 7 --F 01 --pairing trace",
+    "zlj --f gold.tt --mus 7 --F 01 --pairing trace --modulus 5b",
+    "zlj --f f.tt --mus 1,8 --F 0001",
+    "zlj --f quart.tt --mus 1 --F 01",
+    "zlj --f missing.tt --mus 1 --F 01",
+    "cornew --f f.tt --g f.tt --mus 1,2 --F 00010110",
+    "cornew --f f.tt --g f_t4.tt --mus 1,2 --F 01101001",
+    "cornew --f f.tt --g mm34.tt --mus 1,2 --F 00000001",
+    "cornew --f f.tt --g quart.tt --mus 1 --F 0110",
+    "cornew --f f.tt --g f.tt --mus 1,8 --F 00010110",
+    "correduced --f f.tt --alpha 6 --mus 1,6 --F 00000001",
+    "correduced --f f.tt --alpha 0 --mus 1,6 --F 00000011 --pairing trace",
+    "correduced --f f.tt --alpha 1 --mus 1,2 --F 00000001",
+    "correduced --f f.tt --alpha 0 --mus 1,8 --F 00000001",
+    "carlet --f1 f.tt --f2 f_d1.tt --f3 f_d2.tt",
+    "carlet --f1 f.tt --f2 f_d1.tt --f3 f_d2.tt --pairing trace",
+    "carlet --f1 quart.tt --f2 f_d1.tt --f3 f_d2.tt",
+    "carlet --f1 f.tt --f2 f.tt --f3 mm34.tt",
+    "mesnager1 --f f.tt --a 1 --b 2",
+    "mesnager1 --f gold.tt --a 1 --b 2 --pairing trace",
+    "mesnager1 --f f.tt --a 1 --b 8",
+    "mesnager2 --f1 f.tt --f2 f_d2.tt --a 1",
+    "mesnager2 --f1 f.tt --f2 f_d8.tt --a 1",
+    "generic --f f.tt --phi p1.tt p6.tt --F 0110",
+    "generic --f f.tt --phi p1.tt p6.tt --F 0110 --pairing trace",
+    "generic --f f.tt --phi quart.tt --F 01",
+    "generic --f f.tt --phi p1.tt --F 0110",
+]
+
+
+def write_golden_seeds(workdir: Path) -> None:
+    fns = {
+        "f.tt": F6,
+        "f_d1.tt": F6 ^ dot_form(6, 1),
+        "f_d2.tt": F6 ^ dot_form(6, 2),
+        "f_d8.tt": F6 ^ dot_form(6, 8),
+        "f_t4.tt": translate(F6, 4),
+        "mm34.tt": random_mm_bent(random.Random(34), 6),
+        "quart.tt": BooleanFunction.from_bits(6, [int(x & 15 == 15) for x in range(64)]),
+        "p1.tt": dot_form(6, 1),
+        "p6.tt": dot_form(6, 6),
+        "gold.tt": from_trace_monomial(gf2n.make_field(6), 0x2A, 3),
+        "g3.tt": from_text("n=3\n6b\n"),
+    }
+    for name, f in fns.items():
+        write_fn(workdir / name, f)
+    (workdir / "pi.perm").write_text(permutation_to_text(3, [3, 6, 0, 5, 1, 7, 2, 4]))
+
+
+def golden_record(case: str) -> dict:
+    outs = [Path("h.tt"), Path("d.tt")]
+    for p in outs:
+        p.unlink(missing_ok=True)
+    code, out, err = run_cli(["construct", *shlex.split(case), "--out-h", "h.tt", "--out-dual", "d.tt"])
+    tables = [hashlib.sha256(p.read_bytes()).hexdigest()[:16] if p.exists() else None for p in outs]
+    return {"code": code, "report": report_lines(out), "stderr": err, "tables": tables}
+
+
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("golden")
+    write_golden_seeds(workdir)
+    return workdir
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_construct_golden(case, golden, golden_dir, monkeypatch):
+    monkeypatch.chdir(golden_dir)
+    assert golden_record(case) == golden[case]
+
+
+def test_golden_passes_and_fails_every_shape(golden):
+    shapes = {case.split()[0] for case in GOLDEN_CASES}
+    assert len(shapes) == 15 and set(golden) == set(GOLDEN_CASES)
+    for shape in shapes:
+        codes = {rec["code"] for case, rec in golden.items() if case.split()[0] == shape}
+        assert 0 in codes and codes - {0}, shape
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        write_golden_seeds(Path(tmp))
+        records = {case: golden_record(case) for case in GOLDEN_CASES}
+    GOLDEN_PATH.write_text(json.dumps(records, indent=1) + "\n")
