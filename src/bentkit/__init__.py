@@ -33,12 +33,12 @@ from .constructions import (
     PrCertificate,
     build_generic,
     carlet_build,
-    check_odd_sum_condition,
     check_property_pr,
     cornew_build,
     correduced_build,
     mesnager2_build,
     mesnager_build,
+    shifted_build,
     zlj_build,
 )
 from .errors import (
@@ -73,11 +73,8 @@ from .families import (
 )
 from .gf2n import FieldSpec, default_modulus, make_field
 from .search import (
-    BatchSummary,
     EaFingerprint,
     MuSearchSpec,
-    batch_verify,
-    brute_force_bent_check,
     ea_fingerprint,
     find_alphas,
     find_gold_lambdas,

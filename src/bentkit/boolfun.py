@@ -47,17 +47,6 @@ _BYTE_SCORE = (
 ).max(axis=1)
 
 
-def _parity(arr: np.ndarray) -> np.ndarray:
-    # bitwise parity of each uint32 entry
-    v = arr.astype(np.uint32)
-    v ^= v >> 16
-    v ^= v >> 8
-    v ^= v >> 4
-    v ^= v >> 2
-    v ^= v >> 1
-    return (v & 1).astype(np.uint8)
-
-
 @dataclass(frozen=True)
 class BooleanFunction:
     n: int
@@ -280,7 +269,7 @@ def dot_form(n: int, mask: int) -> BooleanFunction:
     """Linear form x -> parity(mask & x) under the dot pairing."""
     if not 0 <= mask < 1 << n:
         raise ValueError(f"mask {mask:#x} outside the domain")
-    return BooleanFunction(n, _pack(_parity(np.arange(1 << n, dtype=np.int64) & mask)))
+    return BooleanFunction(n, _pack(np.bitwise_count(np.arange(1 << n, dtype=np.uint32) & mask) & 1))
 
 
 def linear_form(spec: gf2n.FieldSpec, mu: int) -> BooleanFunction:

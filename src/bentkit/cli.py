@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import gf2n
 from .boolfun import (
@@ -165,12 +166,6 @@ def _field_for(f: BooleanFunction, args) -> gf2n.FieldSpec | None:
     return None
 
 
-def _field_lines(rep: Report, spec: gf2n.FieldSpec, pairing: str) -> None:
-    rep.add("n", spec.n)
-    rep.add("modulus", _hx(spec.modulus))
-    rep.add("pairing", pairing)
-
-
 def _pairing_lines(rep: Report, n: int, spec: gf2n.FieldSpec | None, pairing: str) -> None:
     rep.add("n", n)
     if spec is not None:
@@ -205,13 +200,11 @@ def _emit_construction(rep: Report, cons, args) -> int:
     rep.add("dual-matches", _b(cons.dual_matches))
     dh, ds = report_degrees(cons)
     rep.add("degree-h", dh)
-    if ds is not None:
-        rep.add("degree-dual", ds)
+    rep.add("degree-dual", ds)
     _write_fn(args.out_h, cons.h)
     rep.add("out-h", args.out_h)
-    if cons.h_star is not None:
-        _write_fn(args.out_dual, cons.h_star)
-        rep.add("out-dual", args.out_dual)
+    _write_fn(args.out_dual, cons.h_star)
+    rep.add("out-dual", args.out_dual)
     rep.emit()
     return 0 if cons.ok else EXIT_NOT_BENT
 
@@ -260,55 +253,6 @@ def cmd_fn(args) -> int:
     return 0
 
 
-def cmd_c_gold(args) -> int:
-    spec = _field(args.n, args.modulus)
-    rep = Report(f"construct {args.shape}")
-    _field_lines(rep, spec, "trace")
-    rep.add("lambda", _hx(args.lam))
-    rep.add("t", args.t)
-    build = gold_dual_build if args.shape == "gold-dual" else gold_build
-    return _emit_construction(rep, build(GoldParams(spec, args.lam, args.t)), args)
-
-
-def cmd_c_thm8(args) -> int:
-    spec = _field(args.n, args.modulus)
-    rep = Report("construct thm8")
-    _field_lines(rep, spec, "trace")
-    rep.add("lambda", _hx(args.lam))
-    rep.add("t", args.t)
-    rep.add("mus", ",".join(map(_hx, args.mus)))
-    rep.add("alpha", _hx(args.alpha))
-    rep.add("F", args.F)
-    F = parse_bitstring(args.F)
-    cons = thfromgold_build(GoldParams(spec, args.lam, args.t), args.mus, args.alpha, F)
-    return _emit_construction(rep, cons, args)
-
-
-def cmd_c_cor9(args) -> int:
-    spec = _field(args.n, args.modulus)
-    rep = Report("construct cor9")
-    _field_lines(rep, spec, "trace")
-    rep.add("theta", _hx(args.theta))
-    rep.add("mus", ",".join(map(_hx, args.mus)))
-    rep.add("alpha", _hx(args.alpha))
-    rep.add("F", args.F)
-    cons = cort_m_build(spec, args.theta, args.mus, args.alpha, parse_bitstring(args.F))
-    return _emit_construction(rep, cons, args)
-
-
-def cmd_c_cor10(args) -> int:
-    spec = _field(args.n, args.modulus)
-    rep = Report("construct cor10")
-    _field_lines(rep, spec, "trace")
-    rep.add("lambda", _hx(args.lam))
-    rep.add("mus", ",".join(map(_hx, args.mus)))
-    rep.add("alpha", _hx(args.alpha))
-    rep.add("F", args.F)
-    cons = corn4t_build(spec, args.lam, args.mus, args.alpha, parse_bitstring(args.F))
-    rep.add("p-lambda", _hx(cons.params["p_lam"]))
-    return _emit_construction(rep, cons, args)
-
-
 def _mm_params(args, spec: gf2n.FieldSpec, rep: Report) -> MMParams:
     m = spec.n // 2
     rep.add("lambda", _hx(args.lam))
@@ -334,119 +278,121 @@ def _mm_params(args, spec: gf2n.FieldSpec, rep: Report) -> MMParams:
     return MMParams(spec, args.lam, args.t, pi, g)
 
 
-def cmd_c_mm(args) -> int:
-    spec = _field(args.n, args.modulus)
-    rep = Report(f"construct {args.shape}")
-    _field_lines(rep, spec, "trace")
-    p = _mm_params(args, spec, rep)
-    if args.omega is not None:
-        rep.add("omega", _hx(args.omega))
-    build = mm_dual_build if args.shape == "mm-dual" else mm_build
-    return _emit_construction(rep, build(p, args.omega), args)
-
-
-def cmd_c_thm12(args) -> int:
-    spec = _field(args.n, args.modulus)
-    rep = Report("construct thm12")
-    _field_lines(rep, spec, "trace")
-    p = _mm_params(args, spec, rep)
-    if args.omega is not None:
-        rep.add("omega", _hx(args.omega))
-    rep.add("mus", ",".join(map(_hx, args.mus)))
-    rep.add("alpha", _hx(args.alpha))
-    rep.add("F", args.F)
-    cons = thmm_build(p, args.mus, args.alpha, parse_bitstring(args.F), args.omega)
-    return _emit_construction(rep, cons, args)
-
-
-def cmd_c_zlj(args) -> int:
-    f = _read_fn(args.f)
-    spec = _field_for(f, args)
-    rep = Report("construct zlj")
-    _pairing_lines(rep, f.n, spec, args.pairing)
-    rep.add("f", args.f)
-    rep.add("mus", ",".join(map(_hx, args.mus)))
-    rep.add("F", args.F)
-    cons = zlj_build(f, args.mus, parse_bitstring(args.F), spec)
-    return _emit_construction(rep, cons, args)
-
-
-def cmd_c_cornew(args) -> int:
-    f, g = _read_fn(args.f), _read_fn(args.g)
-    spec = _field_for(f, args)
-    rep = Report("construct cornew")
-    _pairing_lines(rep, f.n, spec, args.pairing)
-    rep.add("f", args.f)
-    rep.add("g", args.g)
-    rep.add("mus", ",".join(map(_hx, args.mus)))
-    rep.add("F", args.F)
-    cons = cornew_build(f, g, args.mus, parse_bitstring(args.F), spec)
-    return _emit_construction(rep, cons, args)
-
-
-def cmd_c_correduced(args) -> int:
-    f = _read_fn(args.f)
-    spec = _field_for(f, args)
-    rep = Report("construct correduced")
-    _pairing_lines(rep, f.n, spec, args.pairing)
-    rep.add("f", args.f)
-    rep.add("alpha", _hx(args.alpha))
-    rep.add("mus", ",".join(map(_hx, args.mus)))
-    rep.add("F", args.F)
-    cons = correduced_build(f, args.alpha, args.mus, parse_bitstring(args.F), spec)
-    return _emit_construction(rep, cons, args)
-
-
-def cmd_c_carlet(args) -> int:
-    f1, f2, f3 = _read_fn(args.f1), _read_fn(args.f2), _read_fn(args.f3)
-    spec = _field_for(f1, args)
-    rep = Report("construct carlet")
-    _pairing_lines(rep, f1.n, spec, args.pairing)
-    rep.add("f1", args.f1)
-    rep.add("f2", args.f2)
-    rep.add("f3", args.f3)
-    return _emit_construction(rep, carlet_build(f1, f2, f3, spec), args)
-
-
-def cmd_c_mesnager1(args) -> int:
-    f = _read_fn(args.f)
-    spec = _field_for(f, args)
-    rep = Report("construct mesnager1")
-    _pairing_lines(rep, f.n, spec, args.pairing)
-    rep.add("f", args.f)
-    rep.add("a", _hx(args.a))
-    rep.add("b", _hx(args.b))
-    return _emit_construction(rep, mesnager_build(f, args.a, args.b, spec), args)
-
-
-def cmd_c_mesnager2(args) -> int:
-    f1, f2 = _read_fn(args.f1), _read_fn(args.f2)
-    spec = _field_for(f1, args)
-    rep = Report("construct mesnager2")
-    _pairing_lines(rep, f1.n, spec, args.pairing)
-    rep.add("f1", args.f1)
-    rep.add("f2", args.f2)
-    rep.add("a", _hx(args.a))
-    return _emit_construction(rep, mesnager2_build(f1, f2, args.a, spec), args)
-
-
-def cmd_c_generic(args) -> int:
-    f = _read_fn(args.f)
-    spec = _field_for(f, args)
+def _generic(args, spec: gf2n.FieldSpec | None, fns: dict):
     phi = VectorialFunction.from_components(tuple(_read_fn(p) for p in args.phi))
-    rep = Report("construct generic")
-    _pairing_lines(rep, f.n, spec, args.pairing)
-    rep.add("f", args.f)
-    rep.add("phi", ",".join(args.phi))
-    rep.add("F", args.F)
     F = parse_bitstring(args.F, phi.r)
-    cert = check_property_pr(f, phi, spec)
+    cert = check_property_pr(fns["f"], phi, spec)
     if not cert.holds:
         detail = f"companion property fails at omega={cert.witness_omega:x}"
         if cert.witness_x is not None:
             detail += f", x={cert.witness_x:x}"
         raise CertificateInvalid(detail)
-    return _emit_construction(rep, build_generic(f, F, phi, cert), args)
+    return build_generic(fns["f"], F, phi, cert)
+
+
+_HEX_ARG = ({"type": _hex}, _hx)
+_FILE_ARG = ({"metavar": "FILE"}, str)
+# echoed argument -> (argparse keywords beyond --<key> and required, report form)
+_ARGS: dict[str, tuple[dict, Callable]] = {
+    "t": ({"type": int}, str),
+    "lambda": ({"dest": "lam", "type": _hex}, _hx),
+    **dict.fromkeys(("theta", "alpha", "a", "b"), _HEX_ARG),
+    "mus": ({"type": _hex_tuple, "metavar": "HEX,HEX,..."}, lambda v: ",".join(map(_hx, v))),
+    "F": ({"metavar": "BITS", "help": "truth table of F as a binary string"}, str),
+    "phi": ({"nargs": "+", "metavar": "FILE"}, ",".join),
+    **dict.fromkeys(("f", "g", "f1", "f2", "f3"), _FILE_ARG),
+}
+
+
+class Shape(NamedTuple):
+    """One construct shape; it drives both the parser and the report.
+
+    kind: "field" (--n, --modulus), "mm" (those plus the MM flags that
+    _mm_params reads) or "seed" (the truth-table files named in echo,
+    plus --pairing).  echo: the shape's own arguments in report order,
+    each a required flag.  build(args, spec, inputs): the builder call,
+    inputs being None, the MMParams or the seed tables by name.  after:
+    (report key, param) pairs echoed in hex once the build returns.
+    """
+
+    kind: str
+    echo: tuple[str, ...]
+    build: Callable
+    after: tuple[tuple[str, str], ...] = ()
+
+
+CONSTRUCTIONS: dict[str, Shape] = {
+    "gold": Shape("field", ("lambda", "t"), lambda a, spec, _: gold_build(GoldParams(spec, a.lam, a.t))),
+    "gold-dual": Shape(
+        "field", ("lambda", "t"), lambda a, spec, _: gold_dual_build(GoldParams(spec, a.lam, a.t))
+    ),
+    "thm8": Shape(
+        "field", ("lambda", "t", "mus", "alpha", "F"),
+        lambda a, spec, _: thfromgold_build(
+            GoldParams(spec, a.lam, a.t), a.mus, a.alpha, parse_bitstring(a.F)
+        ),
+    ),
+    "cor9": Shape(
+        "field", ("theta", "mus", "alpha", "F"),
+        lambda a, spec, _: cort_m_build(spec, a.theta, a.mus, a.alpha, parse_bitstring(a.F)),
+    ),
+    "cor10": Shape(
+        "field", ("lambda", "mus", "alpha", "F"),
+        lambda a, spec, _: corn4t_build(spec, a.lam, a.mus, a.alpha, parse_bitstring(a.F)),
+        after=(("p-lambda", "p_lam"),),
+    ),
+    "mm": Shape("mm", (), lambda a, spec, p: mm_build(p, a.omega)),
+    "mm-dual": Shape("mm", (), lambda a, spec, p: mm_dual_build(p, a.omega)),
+    "thm12": Shape(
+        "mm", ("mus", "alpha", "F"),
+        lambda a, spec, p: thmm_build(p, a.mus, a.alpha, parse_bitstring(a.F), a.omega),
+    ),
+    "zlj": Shape(
+        "seed", ("f", "mus", "F"), lambda a, spec, fs: zlj_build(fs["f"], a.mus, parse_bitstring(a.F), spec)
+    ),
+    "cornew": Shape(
+        "seed", ("f", "g", "mus", "F"),
+        lambda a, spec, fs: cornew_build(fs["f"], fs["g"], a.mus, parse_bitstring(a.F), spec),
+    ),
+    "correduced": Shape(
+        "seed", ("f", "alpha", "mus", "F"),
+        lambda a, spec, fs: correduced_build(fs["f"], a.alpha, a.mus, parse_bitstring(a.F), spec),
+    ),
+    "carlet": Shape(
+        "seed", ("f1", "f2", "f3"), lambda a, spec, fs: carlet_build(fs["f1"], fs["f2"], fs["f3"], spec)
+    ),
+    "mesnager1": Shape("seed", ("f", "a", "b"), lambda a, spec, fs: mesnager_build(fs["f"], a.a, a.b, spec)),
+    "mesnager2": Shape(
+        "seed", ("f1", "f2", "a"), lambda a, spec, fs: mesnager2_build(fs["f1"], fs["f2"], a.a, spec)
+    ),
+    "generic": Shape("seed", ("f", "phi", "F"), _generic),
+}
+
+
+def cmd_construct(args) -> int:
+    """Echo the shape's inputs in report order, build, then write h and its dual."""
+    shape = CONSTRUCTIONS[args.shape]
+    rep = Report(f"construct {args.shape}")
+    inputs = None
+    if shape.kind == "seed":
+        inputs = {k: _read_fn(getattr(args, k)) for k in shape.echo if _ARGS[k] is _FILE_ARG}
+        first = next(iter(inputs.values()))
+        spec = _field_for(first, args)
+        _pairing_lines(rep, first.n, spec, args.pairing)
+    else:
+        spec = _field(args.n, args.modulus)
+        _pairing_lines(rep, spec.n, spec, "trace")
+        if shape.kind == "mm":
+            inputs = _mm_params(args, spec, rep)
+            if args.omega is not None:
+                rep.add("omega", _hx(args.omega))
+    for key in shape.echo:
+        kwargs, form = _ARGS[key]
+        rep.add(key, form(getattr(args, kwargs.get("dest", key))))
+    cons = shape.build(args, spec, inputs)
+    for key, param in shape.after:
+        rep.add(key, _hx(cons.params[param]))
+    return _emit_construction(rep, cons, args)
 
 
 def cmd_search_mus(args) -> int:
@@ -534,11 +480,16 @@ def _add_pairing(sp) -> None:
     sp.add_argument("--modulus", type=_hex, help="field modulus when --pairing trace")
 
 
-def _add_mus_alpha_F(sp, alpha: bool = True) -> None:
-    sp.add_argument("--mus", type=_hex_tuple, required=True, metavar="HEX,HEX,...")
-    if alpha:
-        sp.add_argument("--alpha", type=_hex, required=True)
-    sp.add_argument("--F", required=True, metavar="BITS", help="truth table of F as a binary string")
+def _add_mm_flags(sp) -> None:
+    sp.add_argument("--t", type=int, required=True)
+    sp.add_argument("--lambda", dest="lam", type=_hex, required=True)
+    pi = sp.add_mutually_exclusive_group()
+    pi.add_argument("--pi-power", type=int, default=1, metavar="K")
+    pi.add_argument("--pi-file", metavar="PATH")
+    g = sp.add_mutually_exclusive_group()
+    g.add_argument("--g-bits", metavar="BITS")
+    g.add_argument("--g-file", metavar="PATH")
+    sp.add_argument("--omega", type=_hex, help="override the canonical omega")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -565,120 +516,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_con = sub.add_parser("construct", help="run one construction and verify it")
     csub = p_con.add_subparsers(dest="shape", required=True)
 
-    for shape in ("gold", "gold-dual"):
-        sp = csub.add_parser(shape)
-        sp.add_argument("--n", type=int, required=True)
-        sp.add_argument("--modulus", type=_hex)
-        sp.add_argument("--t", type=int, required=True)
-        sp.add_argument("--lambda", dest="lam", type=_hex, required=True)
+    for name, shape in CONSTRUCTIONS.items():
+        sp = csub.add_parser(name)
+        if shape.kind == "seed":
+            _add_pairing(sp)
+        else:
+            sp.add_argument("--n", type=int, required=True)
+            sp.add_argument("--modulus", type=_hex)
+            if shape.kind == "mm":
+                _add_mm_flags(sp)
+        for key in shape.echo:
+            sp.add_argument(f"--{key}", required=True, **_ARGS[key][0])
         _add_out(sp)
-        sp.set_defaults(func=cmd_c_gold)
-
-    sp = csub.add_parser("thm8")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--modulus", type=_hex)
-    sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--lambda", dest="lam", type=_hex, required=True)
-    _add_mus_alpha_F(sp)
-    _add_out(sp)
-    sp.set_defaults(func=cmd_c_thm8)
-
-    sp = csub.add_parser("cor9")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--modulus", type=_hex)
-    sp.add_argument("--theta", type=_hex, required=True)
-    _add_mus_alpha_F(sp)
-    _add_out(sp)
-    sp.set_defaults(func=cmd_c_cor9)
-
-    sp = csub.add_parser("cor10")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--modulus", type=_hex)
-    sp.add_argument("--lambda", dest="lam", type=_hex, required=True)
-    _add_mus_alpha_F(sp)
-    _add_out(sp)
-    sp.set_defaults(func=cmd_c_cor10)
-
-    def add_mm_flags(sp) -> None:
-        sp.add_argument("--n", type=int, required=True)
-        sp.add_argument("--modulus", type=_hex)
-        sp.add_argument("--t", type=int, required=True)
-        sp.add_argument("--lambda", dest="lam", type=_hex, required=True)
-        pi = sp.add_mutually_exclusive_group()
-        pi.add_argument("--pi-power", type=int, default=1, metavar="K")
-        pi.add_argument("--pi-file", metavar="PATH")
-        g = sp.add_mutually_exclusive_group()
-        g.add_argument("--g-bits", metavar="BITS")
-        g.add_argument("--g-file", metavar="PATH")
-        sp.add_argument("--omega", type=_hex, help="override the canonical omega")
-
-    for shape in ("mm", "mm-dual"):
-        sp = csub.add_parser(shape)
-        add_mm_flags(sp)
-        _add_out(sp)
-        sp.set_defaults(func=cmd_c_mm)
-
-    sp = csub.add_parser("thm12")
-    add_mm_flags(sp)
-    _add_mus_alpha_F(sp)
-    _add_out(sp)
-    sp.set_defaults(func=cmd_c_thm12)
-
-    sp = csub.add_parser("zlj")
-    sp.add_argument("--f", required=True, metavar="FILE")
-    _add_mus_alpha_F(sp, alpha=False)
-    _add_pairing(sp)
-    _add_out(sp)
-    sp.set_defaults(func=cmd_c_zlj)
-
-    sp = csub.add_parser("cornew")
-    sp.add_argument("--f", required=True, metavar="FILE")
-    sp.add_argument("--g", required=True, metavar="FILE")
-    _add_mus_alpha_F(sp, alpha=False)
-    _add_pairing(sp)
-    _add_out(sp)
-    sp.set_defaults(func=cmd_c_cornew)
-
-    sp = csub.add_parser("correduced")
-    sp.add_argument("--f", required=True, metavar="FILE")
-    sp.add_argument("--alpha", type=_hex, required=True)
-    sp.add_argument("--mus", type=_hex_tuple, required=True, metavar="HEX,HEX,...")
-    sp.add_argument("--F", required=True, metavar="BITS")
-    _add_pairing(sp)
-    _add_out(sp)
-    sp.set_defaults(func=cmd_c_correduced)
-
-    sp = csub.add_parser("carlet")
-    sp.add_argument("--f1", required=True, metavar="FILE")
-    sp.add_argument("--f2", required=True, metavar="FILE")
-    sp.add_argument("--f3", required=True, metavar="FILE")
-    _add_pairing(sp)
-    _add_out(sp)
-    sp.set_defaults(func=cmd_c_carlet)
-
-    sp = csub.add_parser("mesnager1")
-    sp.add_argument("--f", required=True, metavar="FILE")
-    sp.add_argument("--a", type=_hex, required=True)
-    sp.add_argument("--b", type=_hex, required=True)
-    _add_pairing(sp)
-    _add_out(sp)
-    sp.set_defaults(func=cmd_c_mesnager1)
-
-    sp = csub.add_parser("mesnager2")
-    sp.add_argument("--f1", required=True, metavar="FILE")
-    sp.add_argument("--f2", required=True, metavar="FILE")
-    sp.add_argument("--a", type=_hex, required=True)
-    _add_pairing(sp)
-    _add_out(sp)
-    sp.set_defaults(func=cmd_c_mesnager2)
-
-    sp = csub.add_parser("generic")
-    sp.add_argument("--f", required=True, metavar="FILE")
-    sp.add_argument("--phi", required=True, nargs="+", metavar="FILE")
-    sp.add_argument("--F", required=True, metavar="BITS")
-    _add_pairing(sp)
-    _add_out(sp)
-    sp.set_defaults(func=cmd_c_generic)
+        sp.set_defaults(func=cmd_construct)
 
     p_search = sub.add_parser("search", help="parameter enumeration, one result per line")
     ssub = p_search.add_subparsers(dest="sub", required=True)

@@ -8,11 +8,27 @@ so the checker derives the only possible companion and then verifies every
 omega against it.  Under a valid certificate, h = f + F(phi) is bent for
 every F on r inputs with dual h~ = f~ + F(phi').
 
-The specialized builders below (three-function majority, one- and
-two-linear-factor corrections, linear-form tuples, and their shifted
-variants) each check the hypotheses of their construction, raise
-SideConditionFailed naming the violated clause otherwise, and always
-verify the built pair spectrally before reporting.
+The shifted-tuple builders are instances of one theorem.  Let f be bent
+and let mu_1, ..., mu_k have vanishing pairwise second derivatives
+D_mu_i D_mu_j f~, so each linear form l_mu_i has the companion
+f~ + f~(x + mu_i).  With an optional head slot psi whose companion psi'
+meets the builder's own side conditions, for every F
+
+    h  = f  + F(psi,  l_mu_1, ..., l_mu_k)
+    h~ = f~ + F(psi', f~ + f~(x + mu_1), ..., f~ + f~(x + mu_k)).
+
+`shifted_build` assembles and verifies both sides; each builder supplies
+its seed, head and side conditions.  zlj has no head; cornew's head is
+f + g with companion f~ + g~ under the dual-shift condition (B);
+correduced's is D_alpha f with companion l_alpha for alpha orthogonal to
+every mu.  The field families (thm8, cor9, cor10, thm12 in `families`)
+give seed, dual and companions in closed form, the second-derivative
+condition becoming a trace condition where the dual is quadratic.
+
+The other builders (three-function majority, one- and two-linear-factor
+corrections, the certified generic build) check their own hypotheses.
+Every builder raises SideConditionFailed naming the violated clause and
+verifies the built pair spectrally before reporting.
 
 Every entry point takes an optional FieldSpec selecting the trace pairing
 for linear forms, complements, and duals; the default is the dot pairing
@@ -22,6 +38,9 @@ on plain bit vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
+
+import numpy as np
 
 from . import gf2n
 from .boolfun import (
@@ -29,6 +48,7 @@ from .boolfun import (
     VectorialFunction,
     algebraic_degree,
     compose,
+    derivative,
     dot_form,
     dual,
     is_bent,
@@ -50,7 +70,7 @@ class PrCertificate:
 @dataclass
 class ConstructionReport:
     h: BooleanFunction
-    h_star: BooleanFunction | None
+    h_star: BooleanFunction
     side_conditions: list[tuple[str, bool]]
     params: dict
     warnings: list[str] = field(default_factory=list)
@@ -120,9 +140,72 @@ def _finish(h, h_star, conds, params, warnings, spec) -> ConstructionReport:
         spec=spec,
     )
     report.bent = is_bent(h)
-    if h_star is not None:
-        report.dual_matches = report.bent and dual(h, spec) == h_star
+    report.dual_matches = report.bent and dual(h, spec) == h_star
     return report
+
+
+def _check_shape(F: BooleanFunction, n: int, mus, heads: int, *extra: int) -> tuple[int, ...]:
+    """F's arity against the head and mu slots, then every element (extra
+    ones such as alpha first) inside the n-variable domain."""
+    mus = tuple(mus)
+    if F.n != len(mus) + heads:
+        raise ArityMismatch(f"F takes {F.n} inputs, expected {len(mus) + heads}")
+    _check_domain(n, "element", *extra, *mus)
+    return mus
+
+
+def _pairwise(label: str, mus, first: int, fails) -> list[tuple[str, bool]]:
+    """The conditions label[i,j] over every pair of the mu tuple, slots
+    numbered from `first`; raises at the first pair where fails(mu_i, mu_j)."""
+    conds = []
+    for (i, a), (j, b) in combinations(enumerate(mus, first), 2):
+        name = f"{label}[{i},{j}]"
+        if fails(a, b):
+            raise SideConditionFailed(name)
+        conds.append((name, True))
+    return conds
+
+
+def _d2_nonzero(f_star: BooleanFunction):
+    """(a, b) -> whether the second derivative D_a D_b f_star is nonzero
+    somewhere; the pairwise hypothesis of the shifted-tuple theorem."""
+    bits = f_star.bits()
+    idx = np.arange(bits.size)
+
+    def fails(a: int, b: int) -> bool:
+        return bool((bits ^ bits[idx ^ a] ^ bits[idx ^ b] ^ bits[idx ^ a ^ b]).any())
+
+    return fails
+
+
+def _alpha_complement(alpha: int, mus, spec, detail="<alpha, mu_{i}> = 1 (alpha={alpha:x}, mu={mu:x})"):
+    # alpha pairs to zero with every mu, so l_alpha kills the mu shifts
+    for i, mu in enumerate(mus, 2):
+        if _pair_bit(alpha, mu, spec):
+            raise SideConditionFailed("alpha-complement", detail.format(i=i, alpha=alpha, mu=mu))
+    return [("alpha-complement", True)]
+
+
+def _bent_conditions(**fns: BooleanFunction) -> list[tuple[str, bool]]:
+    conds = []
+    for name, g in fns.items():
+        if not is_bent(g):
+            raise SideConditionFailed(f"{name}-bent")
+        conds.append((f"{name}-bent", True))
+    return conds
+
+
+def shifted_build(
+    f: BooleanFunction, f_star: BooleanFunction, F: BooleanFunction, head: tuple, head_dual: tuple,
+    mus: tuple[int, ...], companions, conds: list, params: dict, spec: gf2n.FieldSpec | None,
+) -> ConstructionReport:
+    """h = f + F(head, l_mu...) with h~ = f~ + F(head_dual, companions),
+    verified spectrally; the caller has checked every side condition."""
+    phi = VectorialFunction(f.n, F.n, (*head, *(_lin(f.n, mu, spec) for mu in mus)))
+    varphi = VectorialFunction(f.n, F.n, (*head_dual, *companions))
+    h = f ^ compose(F, phi)
+    h_star = f_star ^ compose(F, varphi)
+    return _finish(h, h_star, conds, params, _degeneracy_warnings(mus, f.n), spec)
 
 
 def check_property_pr(
@@ -164,42 +247,6 @@ def check_property_pr(
     return PrCertificate(True, varphi, spec=spec)
 
 
-def check_odd_sum_condition(
-    f: BooleanFunction,
-    gs: list[BooleanFunction] | tuple[BooleanFunction, ...],
-    spec: gf2n.FieldSpec | None = None,
-) -> bool:
-    """Every odd-size subset of {f, g_1, ..., g_r} sums to a bent function
-    whose dual is the sum of the members' duals.
-
-    Equivalent to the companion property of (f, phi) with phi_i = f + g_i;
-    the two checkers are tested against each other.
-    """
-    fns = [f, *gs]
-    for g in fns:
-        if g.n != f.n:
-            raise ArityMismatch("mixed arities in the odd-sum family")
-        if not is_bent(g):
-            return False
-    duals = [dual(g, spec) for g in fns]
-    k = len(fns)
-    for mask in range(1, 1 << k):
-        if mask.bit_count() % 2 == 0 or mask.bit_count() == 1:
-            continue
-        s_tab = 0
-        d_tab = 0
-        for i in range(k):
-            if mask >> i & 1:
-                s_tab ^= fns[i].table
-                d_tab ^= duals[i].table
-        s = BooleanFunction(f.n, s_tab)
-        if not is_bent(s):
-            return False
-        if dual(s, spec).table != d_tab:
-            return False
-    return True
-
-
 def build_generic(
     f: BooleanFunction,
     F: BooleanFunction,
@@ -227,11 +274,7 @@ def carlet_build(
     spec: gf2n.FieldSpec | None = None,
 ) -> ConstructionReport:
     """Majority of three bent functions whose sum is bent with additive dual."""
-    conds = []
-    for name, g in (("f1-bent", f1), ("f2-bent", f2), ("f3-bent", f3)):
-        if not is_bent(g):
-            raise SideConditionFailed(name)
-        conds.append((name, True))
+    conds = _bent_conditions(f1=f1, f2=f2, f3=f3)
     s = f1 ^ f2 ^ f3
     if not is_bent(s):
         raise SideConditionFailed("sum-bent")
@@ -254,13 +297,11 @@ def mesnager_build(
     """h = f + l_a l_b, bent iff the second derivative of the dual by (a, b)
     vanishes; the dual is the majority of f~ and its two shifts."""
     _check_domain(f.n, "shift", a, b)
-    if not is_bent(f):
-        raise SideConditionFailed("f-bent")
+    conds = _bent_conditions(f=f)
     f_star = dual(f, spec)
-    second = f_star ^ translate(f_star, a) ^ translate(f_star, b) ^ translate(f_star, a ^ b)
-    if second.table != 0:
+    if _d2_nonzero(f_star)(a, b):
         raise SideConditionFailed("second-derivative", f"D_a D_b of the dual is nonzero (a={a:x}, b={b:x})")
-    conds = [("f-bent", True), ("second-derivative", True)]
+    conds.append(("second-derivative", True))
     h = f ^ (_lin(f.n, a, spec) & _lin(f.n, b, spec))
     h_star = _maj(f_star, translate(f_star, a), translate(f_star, b))
     return _finish(h, h_star, conds, {"a": a, "b": b}, [], spec)
@@ -274,18 +315,14 @@ def mesnager2_build(
 ) -> ConstructionReport:
     """h = f1 + l_a (f1 + f2) for bent f1, f2 with D_a(f1~ + f2~) = 0."""
     _check_domain(f1.n, "shift", a)
-    conds = []
-    for name, g in (("f1-bent", f1), ("f2-bent", f2)):
-        if not is_bent(g):
-            raise SideConditionFailed(name)
-        conds.append((name, True))
+    conds = _bent_conditions(f1=f1, f2=f2)
     d1, d2 = dual(f1, spec), dual(f2, spec)
     sd = d1 ^ d2
-    if (sd ^ translate(sd, a)).table != 0:
+    if derivative(sd, a).table != 0:
         raise SideConditionFailed("derivative-sum", f"D_a(f1~ + f2~) is nonzero (a={a:x})")
     conds.append(("derivative-sum", True))
     h = f1 ^ (_lin(f1.n, a, spec) & (f1 ^ f2))
-    h_star = d1 ^ (sd & (d1 ^ translate(d1, a)))
+    h_star = d1 ^ (sd & derivative(d1, a))
     return _finish(h, h_star, conds, {"a": a}, [], spec)
 
 
@@ -297,28 +334,13 @@ def zlj_build(
 ) -> ConstructionReport:
     """h = f + F(l_mu1, ..., l_mur) under vanishing pairwise second
     derivatives of the dual; companions are the dual's derivatives."""
-    mus = tuple(mus)
-    if len(mus) != F.n:
-        raise ArityMismatch(f"F takes {F.n} inputs, got {len(mus)} elements")
-    _check_domain(f.n, "element", *mus)
-    if not is_bent(f):
-        raise SideConditionFailed("f-bent")
-    conds = [("f-bent", True)]
+    mus = _check_shape(F, f.n, mus, 0)
+    conds = _bent_conditions(f=f)
     f_star = dual(f, spec)
-    shifted = [translate(f_star, mu) for mu in mus]
-    for i in range(len(mus)):
-        for j in range(i + 1, len(mus)):
-            second = f_star ^ shifted[i] ^ shifted[j] ^ translate(f_star, mus[i] ^ mus[j])
-            name = f"second-derivative[{i + 1},{j + 1}]"
-            if second.table != 0:
-                raise SideConditionFailed(name)
-            conds.append((name, True))
-    phi = VectorialFunction(f.n, F.n, tuple(_lin(f.n, mu, spec) for mu in mus))
-    varphi = VectorialFunction(f.n, F.n, tuple(f_star ^ s for s in shifted))
-    h = f ^ compose(F, phi)
-    h_star = f_star ^ compose(F, varphi)
+    conds += _pairwise("second-derivative", mus, 1, _d2_nonzero(f_star))
+    companions = [derivative(f_star, mu) for mu in mus]
     params = {"mus": mus, "F": F.table}
-    return _finish(h, h_star, conds, params, _degeneracy_warnings(mus, f.n), spec)
+    return shifted_build(f, f_star, F, (), (), mus, companions, conds, params, spec)
 
 
 def cornew_build(
@@ -337,26 +359,13 @@ def cornew_build(
                                  [+ f~(x) when omega' has odd weight],
     at a cost of 2^(r-1) table comparisons with early exit.
     """
-    mus = tuple(mus)
-    if F.n != len(mus) + 1:
-        raise ArityMismatch(f"F takes {F.n} inputs, expected {len(mus) + 1}")
+    mus = _check_shape(F, f.n, mus, 1)
     if g.n != f.n:
         raise ArityMismatch("f and g disagree on arity")
-    _check_domain(f.n, "element", *mus)
-    conds = []
-    for name, fn in (("f-bent", f), ("g-bent", g)):
-        if not is_bent(fn):
-            raise SideConditionFailed(name)
-        conds.append((name, True))
+    conds = _bent_conditions(f=f, g=g)
     f_star, g_star = dual(f, spec), dual(g, spec)
+    conds += _pairwise("second-derivative", mus, 2, _d2_nonzero(f_star))
     shifted = [translate(f_star, mu) for mu in mus]
-    for i in range(len(mus)):
-        for j in range(i + 1, len(mus)):
-            second = f_star ^ shifted[i] ^ shifted[j] ^ translate(f_star, mus[i] ^ mus[j])
-            name = f"second-derivative[{i + 2},{j + 2}]"
-            if second.table != 0:
-                raise SideConditionFailed(name)
-            conds.append((name, True))
     for omega in range(1, 1 << len(mus)):
         s = 0
         rhs = g_star.table
@@ -374,16 +383,9 @@ def cornew_build(
                 "dual-shift", f"fails at omega'={omega:x}, x={x:x}", witness=(omega, x)
             )
     conds.append(("dual-shift", True))
-    phi = VectorialFunction(
-        f.n, F.n, (f ^ g, *(_lin(f.n, mu, spec) for mu in mus))
-    )
-    varphi = VectorialFunction(
-        f.n, F.n, (f_star ^ g_star, *(f_star ^ s for s in shifted))
-    )
-    h = f ^ compose(F, phi)
-    h_star = f_star ^ compose(F, varphi)
+    companions = [f_star ^ s for s in shifted]
     params = {"mus": mus, "F": F.table}
-    return _finish(h, h_star, conds, params, _degeneracy_warnings(mus, f.n), spec)
+    return shifted_build(f, f_star, F, (f ^ g,), (f_star ^ g_star,), mus, companions, conds, params, spec)
 
 
 def correduced_build(
@@ -395,42 +397,18 @@ def correduced_build(
 ) -> ConstructionReport:
     """h = f + F(D_alpha f, l_mu2, ..., l_mur) with alpha orthogonal to the
     mu tuple; the dual swaps the first slot to l_alpha."""
-    mus = tuple(mus)
-    if F.n != len(mus) + 1:
-        raise ArityMismatch(f"F takes {F.n} inputs, expected {len(mus) + 1}")
-    _check_domain(f.n, "element", alpha, *mus)
-    if not is_bent(f):
-        raise SideConditionFailed("f-bent")
-    conds = [("f-bent", True)]
-    for i, mu in enumerate(mus):
-        if _pair_bit(alpha, mu, spec):
-            raise SideConditionFailed(
-                "alpha-complement", f"<alpha, mu_{i + 2}> = 1 (alpha={alpha:x}, mu={mu:x})"
-            )
-    conds.append(("alpha-complement", True))
+    mus = _check_shape(F, f.n, mus, 1, alpha)
+    conds = _bent_conditions(f=f)
+    conds += _alpha_complement(alpha, mus, spec)
     f_star = dual(f, spec)
-    shifted = [translate(f_star, mu) for mu in mus]
-    for i in range(len(mus)):
-        for j in range(i + 1, len(mus)):
-            second = f_star ^ shifted[i] ^ shifted[j] ^ translate(f_star, mus[i] ^ mus[j])
-            name = f"second-derivative[{i + 2},{j + 2}]"
-            if second.table != 0:
-                raise SideConditionFailed(name)
-            conds.append((name, True))
-    phi = VectorialFunction(
-        f.n, F.n, (f ^ translate(f, alpha), *(_lin(f.n, mu, spec) for mu in mus))
-    )
-    varphi = VectorialFunction(
-        f.n, F.n, (_lin(f.n, alpha, spec), *(f_star ^ s for s in shifted))
-    )
-    h = f ^ compose(F, phi)
-    h_star = f_star ^ compose(F, varphi)
+    conds += _pairwise("second-derivative", mus, 2, _d2_nonzero(f_star))
+    companions = [derivative(f_star, mu) for mu in mus]
     params = {"alpha": alpha, "mus": mus, "F": F.table}
-    return _finish(h, h_star, conds, params, _degeneracy_warnings(mus, f.n), spec)
+    return shifted_build(
+        f, f_star, F, (derivative(f, alpha),), (_lin(f.n, alpha, spec),), mus, companions, conds, params, spec
+    )
 
 
-def report_degrees(report: ConstructionReport) -> tuple[int, int | None]:
-    """(degree of h, degree of h~ or None); used by the CLI report writer."""
-    dh = algebraic_degree(report.h)
-    ds = algebraic_degree(report.h_star) if report.h_star is not None else None
-    return dh, ds
+def report_degrees(report: ConstructionReport) -> tuple[int, int]:
+    """(degree of h, degree of h~); used by the CLI report writer."""
+    return algebraic_degree(report.h), algebraic_degree(report.h_star)

@@ -13,9 +13,12 @@ Two sources feed the generic machinery of `constructions`:
   satisfying omega + omega^(2^m) = 1.
 
 All spectral statements here use the trace pairing of the ambient field.
-The builders mirror the shifted-tuple construction: h = f + F(D_alpha f,
-Tr(mu_2 x), ...) with the dual swapping in Tr(alpha x) and the closed-form
-companions.  Every report is verified spectrally before it is returned.
+The shifted-tuple builders (thm8, cor9, cor10, thm12) are instances of
+`constructions.shifted_build`: h = f + F(D_alpha f, Tr(mu_2 x), ...) with
+the dual swapping in Tr(alpha x) (an affine slot for cor9) and the
+closed-form companions.  Each supplies its seed, dual, companions and its
+own side conditions; every report is verified spectrally before it is
+returned.
 """
 
 from __future__ import annotations
@@ -27,17 +30,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2n
-from .boolfun import (
-    BooleanFunction,
-    VectorialFunction,
-    compose,
-    dual,
-    is_bent,
-    linear_form,
-    translate,
+from .boolfun import BooleanFunction, derivative, linear_form
+from .constructions import (
+    ConstructionReport,
+    _alpha_complement,
+    _check_shape,
+    _d2_nonzero,
+    _finish,
+    _pairwise,
+    shifted_build,
 )
-from .constructions import ConstructionReport, _degeneracy_warnings, _finish
-from .errors import ArityMismatch, NotBent, NotBentAdmissible, SideConditionFailed, ZeroDenominator
+from .errors import NotBent, NotBentAdmissible, SideConditionFailed, ZeroDenominator
+
+# the alpha-complement clause under the trace pairing of the family's field
+_TR_ALPHA = "Tr(alpha*mu) = 1 for alpha={alpha:x}, mu={mu:x}"
 
 
 def _domain(spec: gf2n.FieldSpec) -> np.ndarray:
@@ -88,14 +94,6 @@ def gold_in_S(p: GoldParams) -> bool:
     return gf2n.power(p.lam, order // g, p.spec) == 1
 
 
-def gold_power_image(spec: gf2n.FieldSpec, t: int) -> frozenset[int]:
-    """The image of x -> x^(2^t + 1) by enumeration; small-degree oracle
-    kept around so gold_in_S has an independent cross-check."""
-    if spec.n > 12:
-        raise ValueError("image enumeration is capped at degree 12")
-    return frozenset(gf2n.power_array(_domain(spec), (1 << t) + 1, spec).tolist())
-
-
 def gold_bent_admissible(p: GoldParams) -> bool:
     return (p.spec.n // p.d) % 2 == 0 and not gold_in_S(p)
 
@@ -141,30 +139,11 @@ def _gold_companion(p: GoldParams, mu: int) -> BooleanFunction:
     return BooleanFunction.from_bits(spec.n, gf2n.trace_array(v, spec, p.lam))
 
 
-def _check_trace_pairs(p: GoldParams, mus, conds) -> None:
-    for i in range(len(mus)):
-        for j in range(i + 1, len(mus)):
-            name = f"trace-condition[{i + 2},{j + 2}]"
-            if _gold_pair_condition(p, mus[i], mus[j]):
-                raise SideConditionFailed(name)
-            conds.append((name, True))
-
-
-def _check_alpha(spec: gf2n.FieldSpec, alpha: int, mus, conds) -> None:
-    for mu in mus:
-        if gf2n.trace_abs(gf2n.mul(alpha, mu, spec), spec):
-            raise SideConditionFailed(
-                "alpha-complement", f"Tr(alpha*mu) = 1 for alpha={alpha:x}, mu={mu:x}"
-            )
-    conds.append(("alpha-complement", True))
-
-
-def _family_report(spec, f, slots_h, h_star_base, slots_dual, F, params, mus):
-    phi = VectorialFunction(spec.n, F.n, slots_h)
-    varphi = VectorialFunction(spec.n, F.n, slots_dual)
-    h = f ^ compose(F, phi)
-    h_star = h_star_base ^ compose(F, varphi)
-    return _finish(h, h_star, params.pop("_conds"), params, _degeneracy_warnings(mus, spec.n), spec)
+def _cor9_pair_condition(spec: gf2n.FieldSpec, th_inv: int, a: int, b: int) -> int:
+    # Tr(theta^(-1) * a * b^(2^m)), the pairwise condition of the t = m
+    # specialization
+    m = spec.n // 2
+    return gf2n.trace_abs(gf2n.mul(th_inv, gf2n.mul(a, gf2n.frobenius(b, m, spec), spec), spec), spec)
 
 
 def thfromgold_build(
@@ -181,20 +160,16 @@ def thfromgold_build(
     mu^(2^t) x + mu^(2^t+1))).
     """
     spec = p.spec
-    mus = tuple(mus)
-    if F.n != len(mus) + 1:
-        raise ArityMismatch(f"F takes {F.n} inputs, expected {len(mus) + 1}")
+    mus = _check_shape(F, spec.n, mus, 1, alpha)
     f = gold_dual(p)  # raises NotBentAdmissible for bad parameters
-    conds: list[tuple[str, bool]] = []
-    _check_trace_pairs(p, mus, conds)
-    _check_alpha(spec, alpha, mus, conds)
-    slots_h = (f ^ translate(f, alpha), *(linear_form(spec, mu) for mu in mus))
-    slots_dual = (linear_form(spec, alpha), *(_gold_companion(p, mu) for mu in mus))
-    params = {
-        "lam": p.lam, "t": p.t, "alpha": alpha, "mus": mus, "F": F.table,
-        "_conds": conds,
-    }
-    return _family_report(spec, f, slots_h, gold_function(p), slots_dual, F, params, mus)
+    conds = _pairwise("trace-condition", mus, 2, functools.partial(_gold_pair_condition, p))
+    conds += _alpha_complement(alpha, mus, spec, _TR_ALPHA)
+    companions = [_gold_companion(p, mu) for mu in mus]
+    params = {"lam": p.lam, "t": p.t, "alpha": alpha, "mus": mus, "F": F.table}
+    return shifted_build(
+        f, gold_function(p), F, (derivative(f, alpha),), (linear_form(spec, alpha),),
+        mus, companions, conds, params, spec,
+    )
 
 
 def cort_m_build(
@@ -213,23 +188,13 @@ def cort_m_build(
     if spec.n % 2:
         raise ValueError("needs an even degree")
     m = spec.n // 2
-    mus = tuple(mus)
-    if F.n != len(mus) + 1:
-        raise ArityMismatch(f"F takes {F.n} inputs, expected {len(mus) + 1}")
-    conds: list[tuple[str, bool]] = []
+    mus = _check_shape(F, spec.n, mus, 1, alpha)
     if theta == 0 or not gf2n.in_subfield(theta, m, spec):
         raise SideConditionFailed("theta-subfield", f"theta={theta:x} not in GF(2^{m})*")
-    conds.append(("theta-subfield", True))
     th_inv = gf2n.inverse(theta, spec)
-    for i in range(len(mus)):
-        for j in range(i + 1, len(mus)):
-            name = f"trace-condition[{i + 2},{j + 2}]"
-            if gf2n.trace_abs(
-                gf2n.mul(th_inv, gf2n.mul(mus[i], gf2n.frobenius(mus[j], m, spec), spec), spec), spec
-            ):
-                raise SideConditionFailed(name)
-            conds.append((name, True))
-    _check_alpha(spec, alpha, mus, conds)
+    conds = [("theta-subfield", True)]
+    conds += _pairwise("trace-condition", mus, 2, functools.partial(_cor9_pair_condition, spec, th_inv))
+    conds += _alpha_complement(alpha, mus, spec, _TR_ALPHA)
     norm = gf2n.mul_array(_domain(spec), gf2n.frobenius_table(m, spec), spec)
     one = BooleanFunction.const(spec.n, 1)
 
@@ -238,27 +203,17 @@ def cort_m_build(
         scale = gf2n.linear_table([gf2n.mul(coeff, b, spec) for b in _basis(spec)])
         return BooleanFunction.from_bits(spec.n, gf2n.trace_abs_in_array(scale[norm], m, spec))
 
-    f = norm_form(theta) ^ one
+    def slot(coeff: int, a: int) -> BooleanFunction:
+        # x -> Tr(coeff a^(2^m) x) + Tr_m(coeff N(a)): the head (coeff theta,
+        # a alpha) and the companions (coeff theta^(-1), a mu)
+        base = linear_form(spec, gf2n.mul(coeff, gf2n.frobenius(a, m, spec), spec))
+        return base ^ one if gf2n.trace_abs_in(gf2n.mul(coeff, int(norm[a]), spec), m, spec) else base
 
-    def affine_slot(coeff: int, const_elt: int) -> BooleanFunction:
-        base = linear_form(spec, coeff)
-        c = gf2n.trace_abs_in(const_elt, m, spec)
-        return base ^ one if c else base
-
-    slot1 = affine_slot(gf2n.mul(theta, gf2n.frobenius(alpha, m, spec), spec),
-                        gf2n.mul(theta, int(norm[alpha]), spec))
-    slots_h = (slot1, *(linear_form(spec, mu) for mu in mus))
-    h_star_base = norm_form(th_inv)
-    slots_dual = (
-        linear_form(spec, alpha),
-        *(
-            affine_slot(gf2n.mul(th_inv, gf2n.frobenius(mu, m, spec), spec),
-                        gf2n.mul(th_inv, int(norm[mu]), spec))
-            for mu in mus
-        ),
+    params = {"theta": theta, "alpha": alpha, "mus": mus, "F": F.table}
+    return shifted_build(
+        norm_form(theta) ^ one, norm_form(th_inv), F, (slot(theta, alpha),), (linear_form(spec, alpha),),
+        mus, [slot(th_inv, mu) for mu in mus], conds, params, spec,
     )
-    params = {"theta": theta, "alpha": alpha, "mus": mus, "F": F.table, "_conds": conds}
-    return _family_report(spec, f, slots_h, h_star_base, slots_dual, F, params, mus)
 
 
 def corn4t_build(
@@ -273,16 +228,13 @@ def corn4t_build(
     if spec.n % 4:
         raise ValueError("needs a degree divisible by 4")
     t, m = spec.n // 4, spec.n // 2
-    mus = tuple(mus)
-    if F.n != len(mus) + 1:
-        raise ArityMismatch(f"F takes {F.n} inputs, expected {len(mus) + 1}")
+    mus = _check_shape(F, spec.n, mus, 1, alpha)
     p = GoldParams(spec, lam, t)
-    conds: list[tuple[str, bool]] = []
     if gold_in_S(p):
         raise SideConditionFailed("lambda-not-in-S", f"lam={lam:x} lies in the power image")
-    conds.append(("lambda-not-in-S", True))
-    _check_trace_pairs(p, mus, conds)
-    _check_alpha(spec, alpha, mus, conds)
+    conds = [("lambda-not-in-S", True)]
+    conds += _pairwise("trace-condition", mus, 2, functools.partial(_gold_pair_condition, p))
+    conds += _alpha_complement(alpha, mus, spec, _TR_ALPHA)
     num = gf2n.power(lam, (1 << (m + 1)) + 1, spec) ^ gf2n.power(
         lam, (1 << t) + (1 << m) + (1 << (3 * t)), spec
     )
@@ -292,13 +244,12 @@ def corn4t_build(
         raise ZeroDenominator(f"dual coefficient undefined at lam={lam:x}")
     p_lam = gf2n.mul(num, gf2n.inverse(den, spec), spec)
     f = gold_function(GoldParams(spec, p_lam, t))
-    slots_h = (f ^ translate(f, alpha), *(linear_form(spec, mu) for mu in mus))
-    slots_dual = (linear_form(spec, alpha), *(_gold_companion(p, mu) for mu in mus))
-    params = {
-        "lam": lam, "t": t, "p_lam": p_lam, "alpha": alpha, "mus": mus, "F": F.table,
-        "_conds": conds,
-    }
-    return _family_report(spec, f, slots_h, gold_function(p), slots_dual, F, params, mus)
+    companions = [_gold_companion(p, mu) for mu in mus]
+    params = {"lam": lam, "t": t, "p_lam": p_lam, "alpha": alpha, "mus": mus, "F": F.table}
+    return shifted_build(
+        f, gold_function(p), F, (derivative(f, alpha),), (linear_form(spec, alpha),),
+        mus, companions, conds, params, spec,
+    )
 
 
 # ---------------------------------------------- Maiorana-MacFarland
@@ -449,47 +400,47 @@ def mm_dual(p: MMParams, omega: int | None = None) -> BooleanFunction:
     return BooleanFunction.from_bits(spec.n, bits)
 
 
-def gold_build(p: GoldParams) -> ConstructionReport:
-    """Report wrapper: h is the gold function, h_star its closed-form dual.
-
-    The admissibility clauses surface as named side conditions so the
-    front end can refuse bad parameters before any table is built.
-    """
-    spec = p.spec
-    conds = []
-    if (spec.n // p.d) % 2:
-        raise SideConditionFailed("n-over-d-even", f"n/gcd(t,n) = {spec.n // p.d} is odd")
-    conds.append(("n-over-d-even", True))
+def _gold_conditions(p: GoldParams) -> list[tuple[str, bool]]:
+    # the admissibility clauses as named side conditions, so the front end
+    # can refuse bad parameters before any table is built
+    if (p.spec.n // p.d) % 2:
+        raise SideConditionFailed("n-over-d-even", f"n/gcd(t,n) = {p.spec.n // p.d} is odd")
     if gold_in_S(p):
         raise SideConditionFailed(
             "lambda-not-in-S", f"lambda in S: {p.lam:x} is a (2^t + 1)-th power"
         )
-    conds.append(("lambda-not-in-S", True))
-    params = {"lam": p.lam, "t": p.t}
-    return _finish(gold_function(p), gold_dual(p), conds, params, [], spec)
+    return [("n-over-d-even", True), ("lambda-not-in-S", True)]
+
+
+def gold_build(p: GoldParams) -> ConstructionReport:
+    """Report wrapper: h is the gold function, h_star its closed-form dual."""
+    conds = _gold_conditions(p)
+    return _finish(gold_function(p), gold_dual(p), conds, {"lam": p.lam, "t": p.t}, [], p.spec)
 
 
 def gold_dual_build(p: GoldParams) -> ConstructionReport:
     """Report wrapper for the dual direction; duality being an involution,
     the expected dual of gold_dual is the gold function itself."""
-    rep = gold_build(p)
-    return _finish(rep.h_star, rep.h, rep.side_conditions, dict(rep.params), [], p.spec)
+    conds = _gold_conditions(p)
+    return _finish(gold_dual(p), gold_function(p), conds, {"lam": p.lam, "t": p.t}, [], p.spec)
 
 
-def mm_build(p: MMParams, omega: int | None = None) -> ConstructionReport:
-    spec = p.spec
-    if gf2n.in_subfield(p.lam, p.m, spec):
+def _mm_conditions(p: MMParams) -> list[tuple[str, bool]]:
+    if gf2n.in_subfield(p.lam, p.m, p.spec):
         raise SideConditionFailed(
             "lambda-not-in-subfield", f"lambda={p.lam:x} lies in GF(2^{p.m})"
         )
-    conds = [("lambda-not-in-subfield", True)]
-    params = {"lam": p.lam, "t": p.t}
-    return _finish(mm_function(p), mm_dual(p, omega), conds, params, [], spec)
+    return [("lambda-not-in-subfield", True)]
+
+
+def mm_build(p: MMParams, omega: int | None = None) -> ConstructionReport:
+    conds = _mm_conditions(p)
+    return _finish(mm_function(p), mm_dual(p, omega), conds, {"lam": p.lam, "t": p.t}, [], p.spec)
 
 
 def mm_dual_build(p: MMParams, omega: int | None = None) -> ConstructionReport:
-    rep = mm_build(p, omega)
-    return _finish(rep.h_star, rep.h, rep.side_conditions, dict(rep.params), [], p.spec)
+    conds = _mm_conditions(p)
+    return _finish(mm_dual(p, omega), mm_function(p), conds, {"lam": p.lam, "t": p.t}, [], p.spec)
 
 
 def permutation_to_text(m: int, images) -> str:
@@ -526,43 +477,28 @@ def thmm_build(
     nonzero subfield, where z = x + x^(2^m) kills the shifts and the
     second-derivative hypotheses hold automatically (still asserted)."""
     spec, m = p.spec, p.m
-    mus = tuple(mus)
-    if F.n != len(mus) + 1:
-        raise ArityMismatch(f"F takes {F.n} inputs, expected {len(mus) + 1}")
+    mus = _check_shape(F, spec.n, mus, 1, alpha)
     conds: list[tuple[str, bool]] = []
-    for i, mu in enumerate(mus):
-        name = f"mu-subfield[{i + 2}]"
+    for i, mu in enumerate(mus, 2):
+        name = f"mu-subfield[{i}]"
         if mu == 0 or not gf2n.in_subfield(mu, m, spec):
             raise SideConditionFailed(name, f"mu={mu:x} not in GF(2^{m})*")
         conds.append((name, True))
-    _check_alpha(spec, alpha, mus, conds)
+    conds += _alpha_complement(alpha, mus, spec, _TR_ALPHA)
     f = mm_function(p)
     f_star = mm_dual(p, omega)  # raises NotBent for subfield lam
-    for i in range(len(mus)):
-        for j in range(i + 1, len(mus)):
-            name = f"second-derivative[{i + 2},{j + 2}]"
-            second = (
-                f_star
-                ^ translate(f_star, mus[i])
-                ^ translate(f_star, mus[j])
-                ^ translate(f_star, mus[i] ^ mus[j])
-            )
-            if second.table != 0:
-                raise SideConditionFailed(name)
-            conds.append((name, True))
+    conds += _pairwise("second-derivative", mus, 2, _d2_nonzero(f_star))
     if omega is None:
         omega = _smallest_omega(spec)
     emb, _ = _subfield_embedding(spec, m)
     u = _mm_u_table(p)
-
-    def companion(mu: int) -> BooleanFunction:
-        # x -> Tr(omega mu u(x)), read off the subfield through u's index
-        return BooleanFunction.from_bits(spec.n, gf2n.trace_array(emb, spec, gf2n.mul(omega, mu, spec))[u])
-
-    slots_h = (f ^ translate(f, alpha), *(linear_form(spec, mu) for mu in mus))
-    slots_dual = (linear_form(spec, alpha), *(companion(mu) for mu in mus))
-    params = {
-        "lam": p.lam, "t": p.t, "alpha": alpha, "mus": mus, "F": F.table,
-        "_conds": conds,
-    }
-    return _family_report(spec, f, slots_h, f_star, slots_dual, F, params, mus)
+    # x -> Tr(omega mu u(x)), read off the subfield through u's index
+    companions = [
+        BooleanFunction.from_bits(spec.n, gf2n.trace_array(emb, spec, gf2n.mul(omega, mu, spec))[u])
+        for mu in mus
+    ]
+    params = {"lam": p.lam, "t": p.t, "alpha": alpha, "mus": mus, "F": F.table}
+    return shifted_build(
+        f, f_star, F, (derivative(f, alpha),), (linear_form(spec, alpha),),
+        mus, companions, conds, params, spec,
+    )

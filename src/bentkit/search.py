@@ -1,13 +1,12 @@
 """Parameter discovery and distinguishing invariants.
 
-Three jobs, all at desk scale:
+Two jobs, both at desk scale:
 
 * enumerate mu tuples satisfying one of the pairwise side conditions
   (vanishing second derivative of a dual, the gold trace condition, or
-  the half-degree trace condition), plus the matching alpha subspaces
-  and admissible gold coefficients;
-* a quadratic-time spectral oracle, deliberately butterfly-free, to
-  cross-check the fast transform;
+  the half-degree trace condition; each defined once, next to the
+  builder that checks it), plus the matching alpha subspaces and
+  admissible gold coefficients;
 * an EA-invariant fingerprint (degree plus the multiset of derivative
   degrees) strong enough to separate inequivalent outputs.
 
@@ -18,15 +17,16 @@ and resumes strictly after it.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf2n
-from .boolfun import BooleanFunction, _moebius, is_bent, wht
-from .constructions import ConstructionReport
-from .families import GoldParams, _gold_pair_condition, gold_bent_admissible
+from .boolfun import BooleanFunction, _moebius
+from .constructions import _d2_nonzero
+from .families import GoldParams, _cor9_pair_condition, _gold_pair_condition, gold_bent_admissible
 
 
 @dataclass(frozen=True)
@@ -80,27 +80,12 @@ class MuSearchSpec:
 
 
 def _pair_oracle(ms: MuSearchSpec):
+    # (a, b) -> truthy when the pair fails the mode's condition
     if ms.mode == "second-derivative":
-        bits = ms.f_star.bits()
-        idx = np.arange(bits.size)
-
-        def ok(a: int, b: int) -> bool:
-            return not (bits ^ bits[idx ^ a] ^ bits[idx ^ b] ^ bits[idx ^ a ^ b]).any()
-
-    elif ms.mode == "gold-trace":
-
-        def ok(a: int, b: int) -> bool:
-            return _gold_pair_condition(ms.gold, a, b) == 0
-
-    else:
-        spec, m = ms.spec, ms.spec.n // 2
-        th_inv = gf2n.inverse(ms.theta, spec)
-
-        def ok(a: int, b: int) -> bool:
-            v = gf2n.mul(th_inv, gf2n.mul(a, gf2n.frobenius(b, m, spec), spec), spec)
-            return gf2n.trace_abs(v, spec) == 0
-
-    return ok
+        return _d2_nonzero(ms.f_star)
+    if ms.mode == "gold-trace":
+        return functools.partial(_gold_pair_condition, ms.gold)
+    return functools.partial(_cor9_pair_condition, ms.spec, gf2n.inverse(ms.theta, ms.spec))
 
 
 def _reduce(basis: dict[int, int], v: int) -> int:
@@ -128,7 +113,7 @@ def find_mu_tuples(
         raise ValueError("exhaustive search is capped at degree 16")
     if cursor is not None and len(cursor) != ms.r:
         raise ValueError(f"cursor length {len(cursor)} does not match r={ms.r}")
-    ok = _pair_oracle(ms)
+    fails = _pair_oracle(ms)
     size = 1 << ms.n
     out: list[tuple[int, ...]] = []
     chosen: list[int] = []
@@ -146,7 +131,7 @@ def find_mu_tuples(
             # produce a tuple beyond the cursor
             start = max(start, cursor[depth])
         for cand in range(start, size):
-            if any(not ok(prev, cand) for prev in chosen):
+            if any(fails(prev, cand) for prev in chosen):
                 continue
             if ms.require_independent:
                 red = _reduce(basis, cand)
@@ -203,64 +188,6 @@ def find_gold_lambdas(
         if gold_bent_admissible(GoldParams(spec, lam, t)):
             out.append(lam)
     return out
-
-
-# ------------------------------------------------------------- oracles
-
-
-def brute_force_bent_check(h: BooleanFunction) -> bool:
-    """Bentness by direct summation of (-1)^(f(x) + mu.x), one mu at a
-    time; quadratic in the table size and independent of the butterfly."""
-    if h.n > 12:
-        raise ValueError("direct summation is capped at degree 12")
-    if h.n % 2:
-        return False
-    size = 1 << h.n
-    signs = 1 - 2 * h.bits().astype(np.int64)
-    idx = np.arange(size, dtype=np.int64)
-    target = 1 << (h.n // 2)
-    for mu in range(size):
-        par = np.bitwise_count(idx & mu) & 1
-        w = int((signs * (1 - 2 * par.astype(np.int64))).sum())
-        if abs(w) != target:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class BatchSummary:
-    total: int
-    bent_ok: int
-    dual_ok: int
-    conditions_ok: int
-    failures: tuple[int, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return not self.failures
-
-
-def batch_verify(reports: list[ConstructionReport]) -> BatchSummary:
-    """Recheck every report from scratch: h bent, h_star equal to the
-    spectral dual under the report's pairing, all recorded side
-    conditions true.  Counts successes and collects failing indices."""
-    bent_ok = dual_ok = conds_ok = 0
-    failures = []
-    for i, rep in enumerate(reports):
-        w = wht(rep.h, rep.spec)
-        target = 1 << (rep.h.n // 2) if rep.h.n % 2 == 0 else -1
-        bent = bool(np.all(np.abs(w.values) == target))
-        dmatch = False
-        if bent:
-            dual_bits = (w.values == -target).astype(np.uint8)
-            dmatch = bool(np.array_equal(dual_bits, rep.h_star.bits()))
-        conds = all(okay for _, okay in rep.side_conditions)
-        bent_ok += bent
-        dual_ok += dmatch
-        conds_ok += conds
-        if not (bent and dmatch and conds):
-            failures.append(i)
-    return BatchSummary(len(reports), bent_ok, dual_ok, conds_ok, tuple(failures))
 
 
 # --------------------------------------------------------- fingerprint

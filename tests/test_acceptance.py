@@ -27,7 +27,6 @@ from bentkit.boolfun import (
 from bentkit.constructions import (
     build_generic,
     carlet_build,
-    check_odd_sum_condition,
     check_property_pr,
     cornew_build,
     correduced_build,
@@ -47,7 +46,7 @@ from bentkit.families import (
     mm_function,
 )
 from bentkit.search import ea_fingerprint, find_alphas, find_mu_tuples, MuSearchSpec
-from util import inner_product_fn, random_function, random_mm_bent, sylvester
+from util import check_odd_sum_condition, inner_product_fn, random_function, random_mm_bent, sylvester
 
 G16 = gf2n.make_field(4)
 G64 = gf2n.make_field(6)

@@ -193,6 +193,31 @@ def test_construct_cor10_echoes_dual_coefficient(tmp_path, g256):
     assert (tmp_path / "h.tt").read_text() == (tmp_path / "d.tt").read_text()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "thm8 --n 6 --t 1 --lambda 2a --mus 41 --alpha 0 --F 0110",
+        "thm8 --n 6 --t 1 --lambda 2a --mus 1 --alpha 40 --F 0110",
+        "cor9 --n 6 --theta e --mus 41 --alpha 0 --F 0110",
+        "cor9 --n 6 --theta e --mus 1 --alpha 40 --F 0110",
+        "cor10 --n 8 --lambda 3 --mus 1,141 --alpha 0 --F 00010111",
+        "cor10 --n 8 --lambda 3 --mus 1 --alpha 100 --F 0110",
+        "thm12 --n 6 --t 0 --lambda 2 --mus 41 --alpha 1 --F 0110",
+        "thm12 --n 6 --t 0 --lambda 2 --mus 1 --alpha 40 --F 0110",
+    ],
+)
+def test_construct_rejects_elements_outside_the_field(tmp_path, argv):
+    # every mu and alpha is range-checked before any field arithmetic
+    code, out, err = run_cli(
+        ["construct", *argv.split(),
+         "--out-h", str(tmp_path / "h.tt"), "--out-dual", str(tmp_path / "d.tt")]
+    )
+    n = argv.split()[2]
+    assert code == 2 and out == ""
+    assert err.startswith("error: element 0x") and f"outside the {n}-variable domain" in err
+    assert not (tmp_path / "h.tt").exists()
+
+
 def test_construct_mm_with_pi_file(tmp_path, g64):
     rng = random.Random(60)
     tab = list(range(8))

@@ -27,7 +27,6 @@ from bentkit.constructions import (
     ConstructionReport,
     build_generic,
     carlet_build,
-    check_odd_sum_condition,
     check_property_pr,
     cornew_build,
     correduced_build,
@@ -37,7 +36,7 @@ from bentkit.constructions import (
     zlj_build,
 )
 from bentkit.errors import ArityMismatch, CertificateInvalid, SideConditionFailed
-from util import inner_product_fn, random_function, random_mm_bent
+from util import check_odd_sum_condition, inner_product_fn, random_function, random_mm_bent
 
 F6 = inner_product_fn(6)  # self dual, low half pairs all compatible
 QUART = BooleanFunction.from_bits(6, [int(x & 15 == 15) for x in range(64)])

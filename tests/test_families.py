@@ -36,7 +36,6 @@ from bentkit.families import (
     gold_dual_build,
     gold_function,
     gold_in_S,
-    gold_power_image,
     mm_build,
     mm_dual,
     mm_dual_build,
@@ -46,6 +45,7 @@ from bentkit.families import (
     thfromgold_build,
     thmm_build,
 )
+from util import gold_power_image
 
 
 def F_bits(n, bits):

@@ -24,16 +24,16 @@ from bentkit.boolfun import (
 from bentkit.constructions import zlj_build
 from bentkit.families import GoldParams, gold_bent_admissible, gold_function
 from bentkit.search import (
-    BatchSummary,
     MuSearchSpec,
-    batch_verify,
-    brute_force_bent_check,
     ea_fingerprint,
     find_alphas,
     find_gold_lambdas,
     find_mu_tuples,
 )
 from util import (
+    BatchSummary,
+    batch_verify,
+    brute_force_bent_check,
     inner_product_fn,
     random_affine_image,
     random_function,

@@ -9,18 +9,25 @@ were produced by these helpers.
 The scalar_* builders are the per-element table loops the package used
 before its tables moved to the array layer of gf2n, kept unchanged as
 reference oracles: one scalar field call chain per truth-table entry.
+
+The last section holds the oracles that only the tests use: the
+direct-summation bent check, the batch re-verifier of construction
+reports, the odd-sum form of the companion property and the enumerated
+gold power image.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from bentkit import gf2n
-from bentkit.boolfun import BooleanFunction
-from bentkit.errors import NotBent, NotBentAdmissible
-from bentkit.families import _smallest_omega, gold_bent_admissible
+from bentkit.boolfun import BooleanFunction, dual, is_bent, wht
+from bentkit.constructions import ConstructionReport
+from bentkit.errors import ArityMismatch, NotBent, NotBentAdmissible
+from bentkit.families import _domain, _smallest_omega, gold_bent_admissible
 
 
 def slow_walsh(f: BooleanFunction, mu: int, spec=None) -> int:
@@ -294,3 +301,105 @@ def scalar_thmm_companion(p, mu: int, omega: int) -> BooleanFunction:
     return BooleanFunction.from_bits(
         spec.n, [gf2n.trace_abs(gf2n.mul(c, u_tab[x], spec), spec) for x in range(size)]
     )
+
+
+# ------------------------------------------------------ test-only oracles
+
+
+def brute_force_bent_check(h: BooleanFunction) -> bool:
+    """Bentness by direct summation of (-1)^(f(x) + mu.x), one mu at a
+    time; quadratic in the table size and independent of the butterfly."""
+    if h.n > 12:
+        raise ValueError("direct summation is capped at degree 12")
+    if h.n % 2:
+        return False
+    size = 1 << h.n
+    signs = 1 - 2 * h.bits().astype(np.int64)
+    idx = np.arange(size, dtype=np.int64)
+    target = 1 << (h.n // 2)
+    for mu in range(size):
+        par = np.bitwise_count(idx & mu) & 1
+        w = int((signs * (1 - 2 * par.astype(np.int64))).sum())
+        if abs(w) != target:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class BatchSummary:
+    total: int
+    bent_ok: int
+    dual_ok: int
+    conditions_ok: int
+    failures: tuple[int, ...]
+
+    @property
+    def all_ok(self) -> bool:
+        return not self.failures
+
+
+def batch_verify(reports: list[ConstructionReport]) -> BatchSummary:
+    """Recheck every report from scratch: h bent, h_star equal to the
+    spectral dual under the report's pairing, all recorded side
+    conditions true.  Counts successes and collects failing indices."""
+    bent_ok = dual_ok = conds_ok = 0
+    failures = []
+    for i, rep in enumerate(reports):
+        w = wht(rep.h, rep.spec)
+        target = 1 << (rep.h.n // 2) if rep.h.n % 2 == 0 else -1
+        bent = bool(np.all(np.abs(w.values) == target))
+        dmatch = False
+        if bent:
+            dual_bits = (w.values == -target).astype(np.uint8)
+            dmatch = bool(np.array_equal(dual_bits, rep.h_star.bits()))
+        conds = all(okay for _, okay in rep.side_conditions)
+        bent_ok += bent
+        dual_ok += dmatch
+        conds_ok += conds
+        if not (bent and dmatch and conds):
+            failures.append(i)
+    return BatchSummary(len(reports), bent_ok, dual_ok, conds_ok, tuple(failures))
+
+
+def check_odd_sum_condition(
+    f: BooleanFunction,
+    gs: list[BooleanFunction] | tuple[BooleanFunction, ...],
+    spec: gf2n.FieldSpec | None = None,
+) -> bool:
+    """Every odd-size subset of {f, g_1, ..., g_r} sums to a bent function
+    whose dual is the sum of the members' duals.
+
+    Equivalent to the companion property of (f, phi) with phi_i = f + g_i;
+    the two checkers are tested against each other.
+    """
+    fns = [f, *gs]
+    for g in fns:
+        if g.n != f.n:
+            raise ArityMismatch("mixed arities in the odd-sum family")
+        if not is_bent(g):
+            return False
+    duals = [dual(g, spec) for g in fns]
+    k = len(fns)
+    for mask in range(1, 1 << k):
+        if mask.bit_count() % 2 == 0 or mask.bit_count() == 1:
+            continue
+        s_tab = 0
+        d_tab = 0
+        for i in range(k):
+            if mask >> i & 1:
+                s_tab ^= fns[i].table
+                d_tab ^= duals[i].table
+        s = BooleanFunction(f.n, s_tab)
+        if not is_bent(s):
+            return False
+        if dual(s, spec).table != d_tab:
+            return False
+    return True
+
+
+def gold_power_image(spec: gf2n.FieldSpec, t: int) -> frozenset[int]:
+    """The image of x -> x^(2^t + 1) by enumeration; small-degree oracle
+    kept around so gold_in_S has an independent cross-check."""
+    if spec.n > 12:
+        raise ValueError("image enumeration is capped at degree 12")
+    return frozenset(gf2n.power_array(_domain(spec), (1 << t) + 1, spec).tolist())
