@@ -15,6 +15,7 @@ from .boolfun import (
     WalshSpectrum,
     algebraic_degree,
     anf,
+    bent_dual,
     compose,
     derivative,
     dot_form,

@@ -46,6 +46,12 @@ _BYTE_SCORE = (
     * (1 + np.bitwise_count(np.arange(8, dtype=np.uint8)))
 ).max(axis=1)
 
+# _H8[u, j] = (-1)^popcount(u & j), the 8-point Sylvester-Hadamard matrix;
+# _BYTE_WHT[b] is the Walsh transform of the 8 signs (-1)^bit of byte b,
+# bit j of the byte being the point j
+_H8 = 1 - 2 * (np.bitwise_count(np.arange(8)[:, None] & np.arange(8)).astype(np.int32) & 1)
+_BYTE_WHT = (1 - 2 * (np.arange(256, dtype=np.int32)[:, None] >> np.arange(8, dtype=np.int32) & 1)) @ _H8
+
 
 @dataclass(frozen=True)
 class BooleanFunction:
@@ -163,16 +169,26 @@ class VectorialFunction:
         return cls(comps[0].n, len(comps), comps)
 
 
-def _butterfly(v: np.ndarray) -> np.ndarray:
-    a = v.astype(np.int32, copy=True)
-    size = a.size
-    h = 1
+def _butterfly(f: BooleanFunction) -> np.ndarray:
+    """Dot-pairing Walsh transform of f as a fresh int32 array.
+
+    The first three stages act inside each byte of the packed table, so
+    they are read from _BYTE_WHT; every later stage maps each pair of
+    half-blocks (x, y) to (x + y, x - y) in place, on views of the one
+    array, so the working memory is the output itself.
+    """
+    size = 1 << f.n
+    if f.n < 3:
+        return (1 - 2 * _unpack(f.table, f.n).astype(np.int32)) @ _H8[:size, :size]
+    raw = np.frombuffer(f.table.to_bytes(size // 8, "little"), np.uint8)
+    a = np.take(_BYTE_WHT, raw, axis=0).reshape(size)
+    h = 8
     while h < size:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :].copy()
-        a[:, 0, :] = top + a[:, 1, :]
-        a[:, 1, :] = top - a[:, 1, :]
-        a = a.reshape(size)
+        pairs = a.reshape(-1, 2, h)
+        x, y = pairs[:, 0], pairs[:, 1]
+        x += y
+        y *= -2
+        y += x
         h *= 2
     return a
 
@@ -193,31 +209,43 @@ def wht(f: BooleanFunction, spec: gf2n.FieldSpec | None = None) -> WalshSpectrum
     """
     if spec is not None and spec.n != f.n:
         raise ArityMismatch(f"field degree {spec.n} != function arity {f.n}")
-    values = _butterfly(1 - 2 * _unpack(f.table, f.n).astype(np.int32))
+    values = _butterfly(f)
     if spec is not None:
         values = values[_covector_permutation(spec)]
     return WalshSpectrum(f.n, values)
 
 
+def _flat(values: np.ndarray, n: int) -> bool:
+    # Parseval: the squares sum to 2^(2n) over 2^n points, so no |W| above
+    # 2^(n/2) means every |W| equals it
+    half = 1 << (n // 2)
+    return int(values.max()) <= half and int(values.min()) >= -half
+
+
 def is_bent(f: BooleanFunction) -> bool:
     """Flat spectrum test; pairing-independent, so no spec is needed."""
-    if f.n % 2:
-        return False
-    values = _butterfly(1 - 2 * _unpack(f.table, f.n).astype(np.int32))
-    return bool(np.all(np.abs(values) == 1 << (f.n // 2)))
+    return f.n % 2 == 0 and _flat(_butterfly(f), f.n)
 
 
-def dual(f: BooleanFunction, spec: gf2n.FieldSpec | None = None) -> BooleanFunction:
-    """The dual f~ with W[mu] = 2^(n/2) * (-1)^f~(mu); raises NotBent otherwise."""
+def bent_dual(f: BooleanFunction, spec: gf2n.FieldSpec | None = None) -> BooleanFunction | None:
+    """The dual f~ with W[mu] = 2^(n/2) * (-1)^f~(mu), from one transform;
+    None when f is not bent, odd arity included."""
     if spec is not None and spec.n != f.n:
         raise ArityMismatch(f"field degree {spec.n} != function arity {f.n}")
     if f.n % 2:
-        raise NotBent(f"no bent functions on {f.n} (odd) variables")
-    spectrum = wht(f, spec)
-    half = 1 << (f.n // 2)
-    if not np.all(np.abs(spectrum.values) == half):
-        raise NotBent("spectrum is not flat")
-    return BooleanFunction(f.n, _pack(spectrum.values == -half))
+        return None
+    values = wht(f, spec).values
+    if not _flat(values, f.n):
+        return None
+    return BooleanFunction(f.n, _pack(values < 0))
+
+
+def dual(f: BooleanFunction, spec: gf2n.FieldSpec | None = None) -> BooleanFunction:
+    """bent_dual, raising NotBent where it gives None."""
+    g = bent_dual(f, spec)
+    if g is None:
+        raise NotBent(f"no bent functions on {f.n} (odd) variables" if f.n % 2 else "spectrum is not flat")
+    return g
 
 
 def translate(f: BooleanFunction, a: int) -> BooleanFunction:

@@ -17,6 +17,7 @@ accepted degrees.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -492,7 +493,10 @@ def _add_mm_flags(sp) -> None:
     sp.add_argument("--omega", type=_hex, help="override the canonical omega")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree, built on first use and then shared: it takes
+    milliseconds to build, and parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="bentkit",
         description="construct and exhaustively verify bent functions and their duals",

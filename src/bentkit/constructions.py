@@ -47,6 +47,7 @@ from .boolfun import (
     BooleanFunction,
     VectorialFunction,
     algebraic_degree,
+    bent_dual,
     compose,
     derivative,
     dot_form,
@@ -65,6 +66,7 @@ class PrCertificate:
     witness_omega: int | None = None
     witness_x: int | None = None
     spec: gf2n.FieldSpec | None = None
+    f_star: BooleanFunction | None = None  # the dual of f, when holds
 
 
 @dataclass
@@ -186,13 +188,18 @@ def _alpha_complement(alpha: int, mus, spec, detail="<alpha, mu_{i}> = 1 (alpha=
     return [("alpha-complement", True)]
 
 
-def _bent_conditions(**fns: BooleanFunction) -> list[tuple[str, bool]]:
-    conds = []
+def _bent_conditions(
+    spec: gf2n.FieldSpec | None, **fns: BooleanFunction
+) -> tuple[list[tuple[str, bool]], list[BooleanFunction]]:
+    """The name-bent conditions, with the duals their transforms gave, in order."""
+    conds, duals = [], []
     for name, g in fns.items():
-        if not is_bent(g):
+        g_star = bent_dual(g, spec)
+        if g_star is None:
             raise SideConditionFailed(f"{name}-bent")
         conds.append((f"{name}-bent", True))
-    return conds
+        duals.append(g_star)
+    return conds, duals
 
 
 def shifted_build(
@@ -221,30 +228,33 @@ def check_property_pr(
     """
     if phi.n != f.n:
         raise ArityMismatch(f"phi is on {phi.n} variables, f on {f.n}")
-    if not is_bent(f):
+    f_star = bent_dual(f, spec)
+    if f_star is None:
         return PrCertificate(False, None, witness_omega=0, spec=spec)
-    f_star = dual(f, spec)
     companions = []
     for i, comp in enumerate(phi.components):
-        g = f ^ comp
-        if not is_bent(g):
+        g_star = bent_dual(f ^ comp, spec)
+        if g_star is None:
             return PrCertificate(False, None, witness_omega=1 << i, spec=spec)
-        companions.append(f_star ^ dual(g, spec))
-    varphi = VectorialFunction(f.n, phi.r, tuple(companions))
+        companions.append(f_star ^ g_star)
+    # omega = 0 and the weight-one omegas hold by the choice of companions
     for omega in range(1 << phi.r):
+        if omega & (omega - 1) == 0:
+            continue
         g, expected = f, f_star
         for i in range(phi.r):
             if omega >> i & 1:
                 g ^= phi.components[i]
                 expected ^= companions[i]
-        if not is_bent(g):
+        got = bent_dual(g, spec)
+        if got is None:
             return PrCertificate(False, None, witness_omega=omega, spec=spec)
-        got = dual(g, spec)
         if got != expected:
             diff = got.table ^ expected.table
             x = (diff & -diff).bit_length() - 1
             return PrCertificate(False, None, witness_omega=omega, witness_x=x, spec=spec)
-    return PrCertificate(True, varphi, spec=spec)
+    varphi = VectorialFunction(f.n, phi.r, tuple(companions))
+    return PrCertificate(True, varphi, spec=spec, f_star=f_star)
 
 
 def build_generic(
@@ -254,7 +264,7 @@ def build_generic(
     certificate: PrCertificate,
 ) -> ConstructionReport:
     """h = f + F(phi) under a companion certificate; dual from the companions."""
-    if not certificate.holds or certificate.varphi is None:
+    if not certificate.holds or certificate.varphi is None or certificate.f_star is None:
         raise CertificateInvalid("certificate does not hold")
     if F.n != phi.r:
         raise ArityMismatch(f"F takes {F.n} inputs, phi supplies {phi.r}")
@@ -262,7 +272,7 @@ def build_generic(
         raise CertificateInvalid("certificate shape does not match phi")
     spec = certificate.spec
     h = f ^ compose(F, phi)
-    h_star = dual(f, spec) ^ compose(F, certificate.varphi)
+    h_star = certificate.f_star ^ compose(F, certificate.varphi)
     params = {"r": phi.r, "F": F.table}
     return _finish(h, h_star, [("certificate-holds", True)], params, [], spec)
 
@@ -274,13 +284,12 @@ def carlet_build(
     spec: gf2n.FieldSpec | None = None,
 ) -> ConstructionReport:
     """Majority of three bent functions whose sum is bent with additive dual."""
-    conds = _bent_conditions(f1=f1, f2=f2, f3=f3)
-    s = f1 ^ f2 ^ f3
-    if not is_bent(s):
+    conds, (d1, d2, d3) = _bent_conditions(spec, f1=f1, f2=f2, f3=f3)
+    s_star = bent_dual(f1 ^ f2 ^ f3, spec)
+    if s_star is None:
         raise SideConditionFailed("sum-bent")
     conds.append(("sum-bent", True))
-    d1, d2, d3 = dual(f1, spec), dual(f2, spec), dual(f3, spec)
-    if dual(s, spec) != d1 ^ d2 ^ d3:
+    if s_star != d1 ^ d2 ^ d3:
         raise SideConditionFailed("dual-additive")
     conds.append(("dual-additive", True))
     h = _maj(f1, f2, f3)
@@ -297,8 +306,7 @@ def mesnager_build(
     """h = f + l_a l_b, bent iff the second derivative of the dual by (a, b)
     vanishes; the dual is the majority of f~ and its two shifts."""
     _check_domain(f.n, "shift", a, b)
-    conds = _bent_conditions(f=f)
-    f_star = dual(f, spec)
+    conds, (f_star,) = _bent_conditions(spec, f=f)
     if _d2_nonzero(f_star)(a, b):
         raise SideConditionFailed("second-derivative", f"D_a D_b of the dual is nonzero (a={a:x}, b={b:x})")
     conds.append(("second-derivative", True))
@@ -315,8 +323,7 @@ def mesnager2_build(
 ) -> ConstructionReport:
     """h = f1 + l_a (f1 + f2) for bent f1, f2 with D_a(f1~ + f2~) = 0."""
     _check_domain(f1.n, "shift", a)
-    conds = _bent_conditions(f1=f1, f2=f2)
-    d1, d2 = dual(f1, spec), dual(f2, spec)
+    conds, (d1, d2) = _bent_conditions(spec, f1=f1, f2=f2)
     sd = d1 ^ d2
     if derivative(sd, a).table != 0:
         raise SideConditionFailed("derivative-sum", f"D_a(f1~ + f2~) is nonzero (a={a:x})")
@@ -335,8 +342,7 @@ def zlj_build(
     """h = f + F(l_mu1, ..., l_mur) under vanishing pairwise second
     derivatives of the dual; companions are the dual's derivatives."""
     mus = _check_shape(F, f.n, mus, 0)
-    conds = _bent_conditions(f=f)
-    f_star = dual(f, spec)
+    conds, (f_star,) = _bent_conditions(spec, f=f)
     conds += _pairwise("second-derivative", mus, 1, _d2_nonzero(f_star))
     companions = [derivative(f_star, mu) for mu in mus]
     params = {"mus": mus, "F": F.table}
@@ -362,8 +368,7 @@ def cornew_build(
     mus = _check_shape(F, f.n, mus, 1)
     if g.n != f.n:
         raise ArityMismatch("f and g disagree on arity")
-    conds = _bent_conditions(f=f, g=g)
-    f_star, g_star = dual(f, spec), dual(g, spec)
+    conds, (f_star, g_star) = _bent_conditions(spec, f=f, g=g)
     conds += _pairwise("second-derivative", mus, 2, _d2_nonzero(f_star))
     shifted = [translate(f_star, mu) for mu in mus]
     for omega in range(1, 1 << len(mus)):
@@ -398,9 +403,8 @@ def correduced_build(
     """h = f + F(D_alpha f, l_mu2, ..., l_mur) with alpha orthogonal to the
     mu tuple; the dual swaps the first slot to l_alpha."""
     mus = _check_shape(F, f.n, mus, 1, alpha)
-    conds = _bent_conditions(f=f)
+    conds, (f_star,) = _bent_conditions(spec, f=f)
     conds += _alpha_complement(alpha, mus, spec)
-    f_star = dual(f, spec)
     conds += _pairwise("second-derivative", mus, 2, _d2_nonzero(f_star))
     companions = [derivative(f_star, mu) for mu in mus]
     params = {"alpha": alpha, "mus": mus, "F": F.table}

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import gf2n
 from .boolfun import BooleanFunction, _moebius
-from .constructions import _d2_nonzero
+from .constructions import _check_domain, _d2_nonzero
 from .families import GoldParams, _cor9_pair_condition, _gold_pair_condition, gold_bent_admissible
 
 
@@ -67,6 +67,10 @@ class MuSearchSpec:
                 raise ValueError("cor9-trace mode needs theta and a field")
             if self.spec.n % 2:
                 raise ValueError("cor9-trace mode needs an even degree")
+            _check_domain(self.spec.n, "theta", self.theta)
+            m = self.spec.n // 2
+            if self.theta == 0 or not gf2n.in_subfield(self.theta, m, self.spec):
+                raise ValueError(f"theta={self.theta:x} not in GF(2^{m})*")
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -167,6 +171,7 @@ def find_alphas(
     if spec is not None:
         basis = gf2n.ortho_complement(tuple(mus), spec)
     else:
+        _check_domain(n, "element", *mus)
         basis = gf2n.nullspace([mu for mu in mus if mu], n)
     members = [0]
     for b in basis:

@@ -9,6 +9,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bentkit import boolfun, gf2n
 from bentkit.boolfun import (
@@ -17,6 +19,7 @@ from bentkit.boolfun import (
     VectorialFunction,
     algebraic_degree,
     anf,
+    bent_dual,
     compose,
     derivative,
     dot_form,
@@ -33,6 +36,7 @@ from bentkit.boolfun import (
 from bentkit.errors import ArityMismatch, NotBent
 from util import (
     anf_degree_walk,
+    butterfly_with_copies,
     inner_product_fn,
     random_function,
     random_mm_bent,
@@ -74,6 +78,47 @@ def test_wht_agrees_with_sylvester_matrix():
         f = random_function(rng, n)
         signs = 1 - 2 * f.bits().astype(np.int64)
         assert np.array_equal(wht(f).values, sylvester(n) @ signs)
+
+
+def _drawn_function(data, n: int) -> BooleanFunction:
+    raw = data.draw(st.binary(min_size=(1 << n) // 8 + 1, max_size=(1 << n) // 8 + 1))
+    return BooleanFunction(n, int.from_bytes(raw, "little") & ((1 << (1 << n)) - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_wht_matches_copying_butterfly(data):
+    n = data.draw(st.integers(1, 12))
+    f = _drawn_function(data, n)
+    expected = butterfly_with_copies(1 - 2 * f.bits().astype(np.int32))
+    got = wht(f).values
+    assert got.dtype == np.int32 and np.array_equal(got, expected)
+    spec = gf2n.make_field(n)
+    assert np.array_equal(wht(f, spec).values, expected[boolfun._covector_permutation(spec)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bent_dual_agrees_with_is_bent_and_dual(data):
+    n = data.draw(st.integers(1, 12))
+    if n % 2 == 0 and data.draw(st.booleans()):
+        f = random_mm_bent(random.Random(data.draw(st.integers(0, 2**32))), n)
+        f ^= dot_form(n, data.draw(st.integers(0, (1 << n) - 1)))
+    else:
+        f = _drawn_function(data, n)
+    spec = gf2n.make_field(n) if data.draw(st.booleans()) else None
+    g = bent_dual(f, spec)
+    assert (g is not None) == is_bent(f)
+    if g is None:
+        with pytest.raises(NotBent):
+            dual(f, spec)
+        return
+    assert g == dual(f, spec) and bent_dual(g, spec) == f
+    half = 1 << (n // 2)
+    w = butterfly_with_copies(1 - 2 * f.bits().astype(np.int32))
+    if spec is not None:
+        w = w[boolfun._covector_permutation(spec)]
+    assert np.array_equal(g.bits(), (w == -half).astype(np.uint8))
 
 
 def test_linear_forms_peak_at_their_mask(g64):
@@ -150,7 +195,7 @@ def test_dual_requires_bent():
 
 
 def test_dual_rejects_bad_arity_before_transforming(monkeypatch, g64):
-    def no_butterfly(v):
+    def no_butterfly(f):
         raise AssertionError("the butterfly ran on a rejected input")
 
     monkeypatch.setattr(boolfun, "_butterfly", no_butterfly)

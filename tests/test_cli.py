@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bentkit import gf2n
@@ -404,6 +405,40 @@ def test_search_alphas_stream():
     assert out.splitlines()[0] == "0"
 
 
+def test_search_alphas_rejects_elements_outside_the_domain():
+    for pairing in ("dot", "trace"):
+        code, out, err = run_cli(["search", "alphas", "--mus", "1,41", "--n", "6", "--pairing", pairing])
+        assert (code, out) == (2, "") and err.startswith("error: element 0x41 outside the")
+
+
+@pytest.mark.parametrize(
+    "theta, why",
+    [("0", "theta=0 not in GF(2^3)*"), ("5", "theta=5 not in GF(2^3)*"),
+     ("41", "theta 0x41 outside the 6-variable domain")],
+)
+def test_search_mus_cor9_rejects_theta_outside_the_half_field(theta, why):
+    argv = ["search", "mus", "--mode", "cor9-trace", "--n", "6", "--r", "2", "--limit", "2", "--theta"]
+    assert run_cli([*argv, theta]) == (2, "", f"error: {why}\n")
+    code, out, _ = run_cli([*argv, "1"])
+    assert code == 0 and len(out.splitlines()) == 2
+
+
+def test_parser_is_built_once_and_survives_a_rejected_call():
+    from bentkit.cli import build_parser
+
+    assert build_parser() is build_parser()
+    code, custom, _ = run_cli(["field", "info", "--n", "8", "--modulus", "11d"])
+    assert code == 0 and "modulus: 11d" in custom
+    code, before, _ = run_cli(["field", "info", "--n", "8"])
+    for bad in (["field", "info", "--n", "8", "--modulus", "zz"], ["construct", "gold", "--n", "8"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(bad)
+        assert exc.value.code == 2
+    code, after, _ = run_cli(["field", "info", "--n", "8"])
+    assert code == 0 and report_lines(after) == report_lines(before)
+    assert "modulus: 11b" in after
+
+
 def test_fingerprint_output(tmp_path):
     h = F6
     path = write_fn(tmp_path / "h.tt", h)
@@ -425,6 +460,26 @@ def test_construct_at_n20(tmp_path, monkeypatch, shape):
     lines = report_lines(out)
     assert "n: 20" in lines
     assert "bent: true" in lines and "dual-matches: true" in lines
+
+
+def test_spectral_check_at_n24(tmp_path, monkeypatch):
+    # y.pi(z) + g(z) on 12 + 12 bits, whose dual is g(pi^-1(y)) + z.pi^-1(y);
+    # |W| = 2^12 and the butterfly's partial sums stay far inside int32
+    monkeypatch.setenv("BENT_MAX_N", "24")
+    rng = np.random.default_rng(24)
+    half = np.arange(1 << 12, dtype=np.uint16)
+    pi = rng.permutation(half)
+    g = rng.integers(0, 2, half.size, dtype=np.uint8)
+    inv = np.argsort(pi).astype(np.uint16)
+    f = BooleanFunction.from_bits(24, ((np.bitwise_count(pi[:, None] & half) & 1) ^ g[:, None]).reshape(-1))
+    f_star = BooleanFunction.from_bits(24, ((np.bitwise_count(half[:, None] & inv) & 1) ^ g[inv]).reshape(-1))
+    path = write_fn(tmp_path / "f.tt", f)
+    code, out, _ = run_cli(["fn", "bent", "--in", path])
+    assert code == 0 and "bent: true" in report_lines(out)
+    code, out, _ = run_cli(["fn", "dual", "--in", path])
+    assert code == 0 and out == to_text(f_star)
+    code, out, _ = run_cli(["fn", "dual", "--in", write_fn(tmp_path / "d.tt", f_star)])
+    assert code == 0 and out == to_text(f)
 
 
 def test_degree_cap_env(tmp_path, monkeypatch):

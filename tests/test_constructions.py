@@ -6,6 +6,7 @@ output spectrally, and the tests re-derive the expected tables by hand
 where the collapse is forced (repeated inputs, zero correction terms).
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -36,7 +37,13 @@ from bentkit.constructions import (
     zlj_build,
 )
 from bentkit.errors import ArityMismatch, CertificateInvalid, SideConditionFailed
-from util import check_odd_sum_condition, inner_product_fn, random_function, random_mm_bent
+from util import (
+    check_odd_sum_condition,
+    check_property_pr_every_omega,
+    inner_product_fn,
+    random_function,
+    random_mm_bent,
+)
 
 F6 = inner_product_fn(6)  # self dual, low half pairs all compatible
 QUART = BooleanFunction.from_bits(6, [int(x & 15 == 15) for x in range(64)])
@@ -97,6 +104,49 @@ def test_certificate_agrees_with_odd_sum_rule():
         assert verdict == check_odd_sum_condition(f, gs)
         seen[verdict] += 1
     assert seen[False] > 0  # the sample must exercise both outcomes
+
+
+def _certificate_kind(cert) -> str:
+    if cert.holds:
+        return "holds"
+    omega = cert.witness_omega
+    if omega == 0:
+        return "f-not-bent"
+    if omega & (omega - 1) == 0:
+        return "g-not-bent"
+    if cert.witness_x is None:
+        return f"weight-{omega.bit_count()}-not-bent"
+    return "dual-mismatch"
+
+
+@pytest.mark.parametrize("pairing", ["dot", "trace"])
+def test_certificate_matches_every_omega_oracle(pairing, g64):
+    # f, the g_i = f + phi_i and the sums over omega of weight >= 2 each
+    # fail somewhere in this sample; the one-pass checker must name the
+    # same omega and x as the oracle that transforms every omega twice
+    spec = g64 if pairing == "trace" else None
+    rng = random.Random(41)
+    kinds = set()
+    for trial in range(60):
+        f = random_function(rng, 6) if trial % 3 == 0 else F6
+        comps = []
+        for _ in range(3):
+            c = rng.random()
+            if c < 0.15:
+                comps.append(random_function(rng, 6))
+            elif c < 0.5:
+                comps.append(lin(rng.randrange(64)))
+            else:
+                comps.append(f ^ random_mm_bent(rng, 6))
+        phi = VectorialFunction.from_components(comps)
+        cert = check_property_pr(f, phi, spec)
+        expected = check_property_pr_every_omega(f, phi, spec)
+        if cert.holds:
+            assert cert.f_star == dual(f, spec)
+            cert = dataclasses.replace(cert, f_star=None)
+        assert cert == expected
+        kinds.add(_certificate_kind(cert))
+    assert {"holds", "f-not-bent", "g-not-bent", "weight-2-not-bent", "dual-mismatch"} <= kinds
 
 
 def test_build_generic_identities():

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from bentkit import gf2n
-from bentkit.boolfun import BooleanFunction, dual, is_bent, wht
-from bentkit.constructions import ConstructionReport
+from bentkit.boolfun import BooleanFunction, VectorialFunction, dual, is_bent, wht
+from bentkit.constructions import ConstructionReport, PrCertificate
 from bentkit.errors import ArityMismatch, NotBent, NotBentAdmissible
 from bentkit.families import _domain, _smallest_omega, gold_bent_admissible
 
@@ -403,3 +403,56 @@ def gold_power_image(spec: gf2n.FieldSpec, t: int) -> frozenset[int]:
     if spec.n > 12:
         raise ValueError("image enumeration is capped at degree 12")
     return frozenset(gf2n.power_array(_domain(spec), (1 << t) + 1, spec).tolist())
+
+
+def butterfly_with_copies(v: np.ndarray) -> np.ndarray:
+    """The dot-pairing Walsh butterfly on a +-1 vector, copying one half
+    at every stage; the package kernel it was replaced by is checked
+    against it."""
+    a = v.astype(np.int32, copy=True)
+    size = a.size
+    h = 1
+    while h < size:
+        a = a.reshape(-1, 2, h)
+        top = a[:, 0, :].copy()
+        a[:, 0, :] = top + a[:, 1, :]
+        a[:, 1, :] = top - a[:, 1, :]
+        a = a.reshape(size)
+        h *= 2
+    return a
+
+
+def check_property_pr_every_omega(
+    f: BooleanFunction,
+    phi: VectorialFunction,
+    spec: gf2n.FieldSpec | None = None,
+) -> PrCertificate:
+    """The companion-property check that transforms every omega twice,
+    weights 0 and 1 included (is_bent, then dual); the one-pass
+    check_property_pr must give the same certificate."""
+    if phi.n != f.n:
+        raise ArityMismatch(f"phi is on {phi.n} variables, f on {f.n}")
+    if not is_bent(f):
+        return PrCertificate(False, None, witness_omega=0, spec=spec)
+    f_star = dual(f, spec)
+    companions = []
+    for i, comp in enumerate(phi.components):
+        g = f ^ comp
+        if not is_bent(g):
+            return PrCertificate(False, None, witness_omega=1 << i, spec=spec)
+        companions.append(f_star ^ dual(g, spec))
+    varphi = VectorialFunction(f.n, phi.r, tuple(companions))
+    for omega in range(1 << phi.r):
+        g, expected = f, f_star
+        for i in range(phi.r):
+            if omega >> i & 1:
+                g ^= phi.components[i]
+                expected ^= companions[i]
+        if not is_bent(g):
+            return PrCertificate(False, None, witness_omega=omega, spec=spec)
+        got = dual(g, spec)
+        if got != expected:
+            diff = got.table ^ expected.table
+            x = (diff & -diff).bit_length() - 1
+            return PrCertificate(False, None, witness_omega=omega, witness_x=x, spec=spec)
+    return PrCertificate(True, varphi, spec=spec)
