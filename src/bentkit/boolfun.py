@@ -39,18 +39,30 @@ def _pack(bits: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
-# _BYTE_SCORE[b] = 1 + the largest popcount(j) over set bits j of byte b,
-# 0 for the empty byte
-_BYTE_SCORE = (
-    (np.arange(256, dtype=np.uint8)[:, None] >> np.arange(8, dtype=np.uint8) & 1)
-    * (1 + np.bitwise_count(np.arange(8, dtype=np.uint8)))
-).max(axis=1)
+# _BYTE_BITS[b, j] = bit j of byte b, the point j of an 8-point table
+_BYTE_BITS = np.arange(256, dtype=np.uint8)[:, None] >> np.arange(8, dtype=np.uint8) & 1
+
+# _BYTE_SCORE[b] = 1 + the largest popcount(j) over set bits j of byte b;
+# -64 for the empty byte, which no index popcount (<= 21) lifts above 0
+_BYTE_SCORE = (_BYTE_BITS * (1 + np.bitwise_count(np.arange(8, dtype=np.uint8)))).max(axis=1).astype(np.int8)
+_BYTE_SCORE[0] = -64
 
 # _H8[u, j] = (-1)^popcount(u & j), the 8-point Sylvester-Hadamard matrix;
-# _BYTE_WHT[b] is the Walsh transform of the 8 signs (-1)^bit of byte b,
-# bit j of the byte being the point j
+# _BYTE_WHT[b] is the Walsh transform of the 8 signs (-1)^bit of byte b
 _H8 = 1 - 2 * (np.bitwise_count(np.arange(8)[:, None] & np.arange(8)).astype(np.int32) & 1)
-_BYTE_WHT = (1 - 2 * (np.arange(256, dtype=np.int32)[:, None] >> np.arange(8, dtype=np.int32) & 1)) @ _H8
+_BYTE_WHT = (1 - 2 * _BYTE_BITS.astype(np.int32)) @ _H8
+
+# _BYTE_MOEBIUS[b] is the 8-point Moebius transform of byte b: bit u is the
+# XOR of the bits j of b with j a subset of u
+_BYTE_MOEBIUS = np.packbits(
+    _BYTE_BITS @ (np.arange(8)[:, None] & ~np.arange(8) == 0) & 1, axis=1, bitorder="little"
+).ravel()
+
+# _BYTE_TRANSLATE[s, b] is byte b with bit j moved to bit j ^ s, i.e. the
+# 8-point table x -> b(x + s)
+_BYTE_TRANSLATE = np.packbits(
+    _BYTE_BITS[:, np.arange(8) ^ np.arange(8)[:, None]], axis=2, bitorder="little"
+)[:, :, 0].T
 
 
 @dataclass(frozen=True)
@@ -122,28 +134,12 @@ class AnfForm:
     @property
     def degree(self) -> int:
         """Largest popcount of a monomial with a nonzero coefficient; the
-        zero polynomial has degree 0 by convention.
-
-        Monomial u is bit u % 8 of byte u // 8 of the little-endian
-        coefficient bytes and popcount(u) = popcount(u // 8) +
-        popcount(u % 8), so the bytes are scored in place with a 256-entry
-        table.  Viewed as rows of 256 bytes, a byte index splits the same
-        way again, so no index array of the table's length is formed.
-        """
-        if not self.coeffs:
-            return 0
-        raw = np.frombuffer(self.coeffs.to_bytes(max(1, (1 << self.n) // 8), "little"), np.uint8)
-        rows = raw.reshape(-1, min(raw.size, 256))
-        score = _BYTE_SCORE[rows]
-        score += np.bitwise_count(np.arange(rows.shape[1], dtype=np.uint8))
-        score[rows == 0] = 0
-        best = score.max(axis=1).astype(np.int64)
-        best[best > 0] += np.bitwise_count(np.arange(best.size, dtype=np.uint32))[best > 0]
-        return int(best.max()) - 1
+        zero polynomial has degree 0 by convention."""
+        return int(_degrees(_table_bytes(self.coeffs, self.n)))
 
     def function(self) -> "BooleanFunction":
         # the Moebius transform is an involution
-        return BooleanFunction(self.n, _pack(_moebius(_unpack(self.coeffs, self.n))))
+        return BooleanFunction(self.n, _moebius_table(self.coeffs, self.n))
 
 
 @dataclass(frozen=True)
@@ -263,24 +259,83 @@ def derivative(f: BooleanFunction, mu: int) -> BooleanFunction:
     return f ^ translate(f, mu)
 
 
-def _moebius(bits: np.ndarray) -> np.ndarray:
-    a = bits.copy()
-    size = a.size
-    step = 1
-    while step < size:
-        a = a.reshape(-1, 2, step)
-        a[:, 1, :] ^= a[:, 0, :]
-        a = a.reshape(size)
-        step *= 2
+def _table_bytes(table: int, n: int) -> np.ndarray:
+    # writable little-endian bytes of a 2^n-bit table, bit x % 8 of byte
+    # x // 8 being the point x; one byte, high bits clear, below n = 3
+    return np.frombuffer(bytearray(table.to_bytes(max(1, (1 << n) // 8), "little")), np.uint8)
+
+
+def _moebius(a: np.ndarray, n: int) -> np.ndarray:
+    """Moebius transform of packed n-variable tables along the last axis of
+    the C-contiguous uint8 array a, in place; returns a.
+
+    It is an involution: it maps a truth table to its ANF coefficients
+    and back.  The first three stages act inside each byte, so they are
+    read from _BYTE_MOEBIUS; every later stage XORs each lower half-block
+    of h bytes into the upper one, on a view of a in words of min(h, 8)
+    bytes.  Below n = 3 the 8-point table sets the padding bits above
+    2^n, so they are masked off.
+    """
+    np.take(_BYTE_MOEBIUS, a, out=a)
+    if n < 3:
+        a &= (1 << (1 << n)) - 1
+    h = 1
+    while h < a.shape[-1]:
+        width = min(h, 8)
+        words = a.view(f"u{width}")
+        pairs = words.reshape(*words.shape[:-1], -1, 2, h // width)
+        pairs[..., 1, :] ^= pairs[..., 0, :]
+        h *= 2
     return a
 
 
+def _moebius_table(table: int, n: int) -> int:
+    return int.from_bytes(_moebius(_table_bytes(table, n), n).tobytes(), "little")
+
+
+def _degrees(coeffs: np.ndarray) -> np.ndarray:
+    """Degree of each ANF along the last axis of packed coefficient bytes,
+    the zero polynomial counting as degree 0.
+
+    Monomial u is bit u % 8 of byte u // 8 and popcount(u) = popcount(u // 8)
+    + popcount(u % 8), so the bytes are scored with _BYTE_SCORE, whose
+    negative empty-byte score needs no mask.  Viewed as rows of 256
+    bytes, a byte index splits the same way again, so no index array of
+    the table's length is formed.
+    """
+    rows = coeffs.reshape(*coeffs.shape[:-1], -1, min(coeffs.shape[-1], 256))
+    score = np.take(_BYTE_SCORE, rows)
+    score += np.bitwise_count(np.arange(rows.shape[-1], dtype=np.uint8)).astype(np.int8)
+    best = score.max(axis=-1)
+    best += np.bitwise_count(np.arange(best.shape[-1], dtype=np.uint32)).astype(np.int8)
+    return np.maximum(best.max(axis=-1), 1) - 1
+
+
 def anf(f: BooleanFunction) -> AnfForm:
-    return AnfForm(f.n, _pack(_moebius(_unpack(f.table, f.n))))
+    return AnfForm(f.n, _moebius_table(f.table, f.n))
 
 
 def algebraic_degree(f: BooleanFunction) -> int:
     return anf(f).degree
+
+
+def derivative_degrees(f: BooleanFunction, shifts: np.ndarray) -> np.ndarray:
+    """Algebraic degree of D_a f for each a in shifts, in one batched
+    Moebius transform of the derivatives' packed tables.
+
+    With uint16 shifts (n <= 16) every index array is uint16, and the
+    working memory is a few bytes per table byte per row, plus eight
+    translated copies of f.
+    """
+    raw = _table_bytes(f.table, f.n)
+    # row a reads byte j ^ (a >> 3) of the copy of f translated by a & 7
+    # inside each byte; that index is below 2^n, so it fits shifts' dtype
+    moved = np.take(_BYTE_TRANSLATE, raw, axis=1)
+    idx = np.arange(raw.size, dtype=shifts.dtype) ^ (shifts >> 3)[:, None]
+    idx += ((shifts & 7) * raw.size)[:, None]
+    rows = np.take(moved, idx)
+    rows ^= raw
+    return _degrees(_moebius(rows, f.n))
 
 
 def compose(F: BooleanFunction, phi: VectorialFunction) -> BooleanFunction:

@@ -18,13 +18,12 @@ and resumes strictly after it.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf2n
-from .boolfun import BooleanFunction, _moebius
+from .boolfun import BooleanFunction, algebraic_degree, derivative_degrees
 from .constructions import _check_domain, _d2_nonzero
 from .families import GoldParams, _cor9_pair_condition, _gold_pair_condition, gold_bent_admissible
 
@@ -171,6 +170,8 @@ def find_alphas(
     if spec is not None:
         basis = gf2n.ortho_complement(tuple(mus), spec)
     else:
+        if n < 1:
+            raise ValueError(f"degree must be at least 1, got {n}")
         _check_domain(n, "element", *mus)
         basis = gf2n.nullspace([mu for mu in mus if mu], n)
     members = [0]
@@ -213,19 +214,18 @@ class EaFingerprint:
         return f"degree={self.degree} derivatives[{inner}]"
 
 
+# derivative tables per batch in ea_fingerprint: about 2^16 bits, so its
+# working memory stays well under 1 MB at every n <= 14
+_CHUNK_BITS = 1 << 16
+
+
 def ea_fingerprint(h: BooleanFunction) -> EaFingerprint:
     if h.n > 14:
         raise ValueError("fingerprint computation is capped at degree 14")
     size = 1 << h.n
-    bits = h.bits()
-    idx = np.arange(size)
-    weights = np.bitwise_count(idx)
-    degs = Counter()
-    for a in range(size):
-        coeffs = _moebius(bits ^ bits[idx ^ a])
-        nz = np.nonzero(coeffs)[0]
-        degs[int(weights[nz].max()) if nz.size else 0] += 1
-    own = _moebius(bits)
-    nz = np.nonzero(own)[0]
-    own_deg = int(weights[nz].max()) if nz.size else 0
-    return EaFingerprint(own_deg, tuple(sorted(degs.items())))
+    step = max(1, _CHUNK_BITS >> h.n)
+    counts = np.zeros(h.n + 1, np.int64)
+    for start in range(0, size, step):
+        shifts = np.arange(start, min(start + step, size), dtype=np.uint16)
+        counts += np.bincount(derivative_degrees(h, shifts), minlength=h.n + 1)
+    return EaFingerprint(algebraic_degree(h), tuple((d, int(c)) for d, c in enumerate(counts) if c))

@@ -38,6 +38,7 @@ from util import (
     anf_degree_walk,
     butterfly_with_copies,
     inner_product_fn,
+    moebius_with_copies,
     random_function,
     random_mm_bent,
     slow_walsh,
@@ -252,6 +253,29 @@ def test_anf_roundtrip_is_involution():
     assert AnfForm(3, 0b10000000).function() == BooleanFunction.from_bits(
         3, [0, 0, 0, 0, 0, 0, 0, 1]
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_anf_matches_copying_moebius(data):
+    n = data.draw(st.integers(1, 14))
+    kind = data.draw(st.sampled_from(["random", "constant", "affine", "monomial"]))
+    if kind == "random":
+        f = _drawn_function(data, n)
+    elif kind == "constant":
+        f = BooleanFunction.const(n, data.draw(st.integers(0, 1)))
+    elif kind == "affine":
+        f = dot_form(n, data.draw(st.integers(0, (1 << n) - 1)))
+        f ^= BooleanFunction.const(n, data.draw(st.integers(0, 1)))
+    else:
+        u = data.draw(st.integers(0, (1 << n) - 1))
+        f = BooleanFunction.from_bits(n, (np.arange(1 << n) & u) == u)
+    coeffs = moebius_with_copies(f.bits())
+    form = anf(f)
+    assert form == AnfForm(n, BooleanFunction.from_bits(n, coeffs).table)
+    monomials = np.nonzero(coeffs)[0]
+    assert form.degree == (int(np.bitwise_count(monomials).max()) if monomials.size else 0)
+    assert form.function() == f
 
 
 def test_degree_bound_for_bent_functions():

@@ -411,6 +411,12 @@ def test_search_alphas_rejects_elements_outside_the_domain():
         assert (code, out) == (2, "") and err.startswith("error: element 0x41 outside the")
 
 
+@pytest.mark.parametrize("n, mus", [("0", "0"), ("-1", "1")])
+def test_search_alphas_rejects_degree_below_one(n, mus):
+    why = f"error: degree must be at least 1, got {n}\n"
+    assert run_cli(["search", "alphas", "--n", n, "--mus", mus]) == (2, "", why)
+
+
 @pytest.mark.parametrize(
     "theta, why",
     [("0", "theta=0 not in GF(2^3)*"), ("5", "theta=5 not in GF(2^3)*"),
@@ -439,14 +445,26 @@ def test_parser_is_built_once_and_survives_a_rejected_call():
     assert "modulus: 11b" in after
 
 
+def _lifted_plus_inner_product(seed: int) -> BooleanFunction:
+    # a random function of x1..x5 plus the 10-variable inner product, so
+    # its derivatives spread over several degrees
+    low = random_function(random.Random(seed), 5)
+    return BooleanFunction.from_bits(10, [low(x & 31) for x in range(1024)]) ^ inner_product_fn(10)
+
+
 def test_fingerprint_output(tmp_path):
-    h = F6
-    path = write_fn(tmp_path / "h.tt", h)
-    code, out, _ = run_cli(["fingerprint", "--in", path])
-    assert code == 0
-    lines = report_lines(out)
-    assert "degree: 2" in lines
-    assert any(ln.startswith("derivative-degrees: ") for ln in lines)
+    # the expected lines were produced by the per-derivative fingerprint
+    # the batched one replaced (ea_fingerprint_per_derivative in util)
+    cases = [
+        (F6, "degree: 2", "derivative-degrees: 0:1,1:63"),
+        (random_function(random.Random(54), 10), "degree: 9", "derivative-degrees: 0:1,7:1,8:1022"),
+        (_lifted_plus_inner_product(55), "degree: 4", "derivative-degrees: 0:1,1:31,2:32,3:960"),
+    ]
+    for h, degree, derivatives in cases:
+        path = write_fn(tmp_path / "h.tt", h)
+        code, out, err = run_cli(["fingerprint", "--in", path])
+        assert (code, err) == (0, "")
+        assert report_lines(out) == ["command: fingerprint", f"n: {h.n}", degree, derivatives]
 
 
 @pytest.mark.parametrize("shape", ["gold", "mm"])

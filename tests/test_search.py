@@ -8,8 +8,11 @@ disagreement implicates the DFS bookkeeping.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bentkit import gf2n
 from bentkit.boolfun import (
@@ -34,6 +37,7 @@ from util import (
     BatchSummary,
     batch_verify,
     brute_force_bent_check,
+    ea_fingerprint_per_derivative,
     inner_product_fn,
     random_affine_image,
     random_function,
@@ -276,3 +280,30 @@ def test_fingerprint_separates_degrees():
     assert ea_fingerprint(h) != ea_fingerprint(hh)
     assert ea_fingerprint(h).degree == 2
     assert ea_fingerprint(hh).degree == 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fingerprint_matches_per_derivative_oracle(data):
+    n = data.draw(st.integers(1, 9))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    # a random function of the first k variables plus a random quadratic,
+    # so the derivative degrees spread out
+    k = data.draw(st.integers(0, n))
+    low = random_function(rng, k) if k else BooleanFunction.const(1, rng.randrange(2))
+    h = BooleanFunction.from_bits(n, [low(x & ((1 << k) - 1)) for x in range(1 << n)])
+    h ^= dot_form(n, rng.randrange(1 << n)) & dot_form(n, rng.randrange(1 << n))
+    assert ea_fingerprint(h) == ea_fingerprint_per_derivative(h)
+
+
+def test_fingerprint_memory_is_bounded_by_its_chunk():
+    # an all-pairs index array would take 128 MB at n = 12 in int64
+    h = random_function(random.Random(53), 12)
+    tracemalloc.start()
+    try:
+        fp = ea_fingerprint(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(c for _, c in fp.derivative_degrees) == 1 << 12
+    assert peak < 2 << 20

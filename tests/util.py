@@ -13,12 +13,16 @@ reference oracles: one scalar field call chain per truth-table entry.
 The last section holds the oracles that only the tests use: the
 direct-summation bent check, the batch re-verifier of construction
 reports, the odd-sum form of the companion property and the enumerated
-gold power image.
+gold power image.  After them come the package's earlier kernels, kept
+unchanged as references for the ones that replaced them: the copying
+butterfly, the every-omega certificate check, the copying Moebius
+transform and the per-derivative fingerprint.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +32,7 @@ from bentkit.boolfun import BooleanFunction, VectorialFunction, dual, is_bent, w
 from bentkit.constructions import ConstructionReport, PrCertificate
 from bentkit.errors import ArityMismatch, NotBent, NotBentAdmissible
 from bentkit.families import _domain, _smallest_omega, gold_bent_admissible
+from bentkit.search import EaFingerprint
 
 
 def slow_walsh(f: BooleanFunction, mu: int, spec=None) -> int:
@@ -456,3 +461,38 @@ def check_property_pr_every_omega(
             x = (diff & -diff).bit_length() - 1
             return PrCertificate(False, None, witness_omega=omega, witness_x=x, spec=spec)
     return PrCertificate(True, varphi, spec=spec)
+
+
+def moebius_with_copies(bits: np.ndarray) -> np.ndarray:
+    """The Moebius transform on one unpacked bit per byte, copying the
+    input and reshaping at every stage; the packed in-place kernel behind
+    anf is checked against it."""
+    a = bits.copy()
+    size = a.size
+    step = 1
+    while step < size:
+        a = a.reshape(-1, 2, step)
+        a[:, 1, :] ^= a[:, 0, :]
+        a = a.reshape(size)
+        step *= 2
+    return a
+
+
+def ea_fingerprint_per_derivative(h: BooleanFunction) -> EaFingerprint:
+    """The EA fingerprint with one unpacked Moebius transform per
+    derivative; the batched ea_fingerprint must give the same result."""
+    if h.n > 14:
+        raise ValueError("fingerprint computation is capped at degree 14")
+    size = 1 << h.n
+    bits = h.bits()
+    idx = np.arange(size)
+    weights = np.bitwise_count(idx)
+    degs = Counter()
+    for a in range(size):
+        coeffs = moebius_with_copies(bits ^ bits[idx ^ a])
+        nz = np.nonzero(coeffs)[0]
+        degs[int(weights[nz].max()) if nz.size else 0] += 1
+    own = moebius_with_copies(bits)
+    nz = np.nonzero(own)[0]
+    own_deg = int(weights[nz].max()) if nz.size else 0
+    return EaFingerprint(own_deg, tuple(sorted(degs.items())))
