@@ -248,10 +248,14 @@ def translate(f: BooleanFunction, a: int) -> BooleanFunction:
     """x -> f(x + a); index XOR is both vector and field addition."""
     if not 0 <= a < 1 << f.n:
         raise ValueError(f"shift {a:#x} outside the domain")
-    if a == 0:
-        return f
-    idx = np.arange(1 << f.n) ^ a
-    return BooleanFunction(f.n, _pack(_unpack(f.table, f.n)[idx]))
+    # byte j is byte j ^ (a >> 3) of f moved by a & 7 inside the byte; unlike
+    # np.take, indexing casts a narrow index in chunks, not in one int64 copy
+    moved = _BYTE_TRANSLATE[a & 7][_table_bytes(f.table, f.n)]
+    idx = np.arange(moved.size, dtype=np.min_scalar_type(moved.size - 1))
+    idx ^= a >> 3
+    moved = moved[idx]
+    del idx
+    return BooleanFunction(f.n, int.from_bytes(moved.tobytes(), "little"))
 
 
 def derivative(f: BooleanFunction, mu: int) -> BooleanFunction:

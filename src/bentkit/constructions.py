@@ -40,8 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-import numpy as np
-
 from . import gf2n
 from .boolfun import (
     BooleanFunction,
@@ -115,19 +113,8 @@ def _degeneracy_warnings(mus, n: int) -> list[str]:
         warnings.append("zero element among the mu tuple")
     if len(set(mus)) != len(mus):
         warnings.append("repeated element in the mu tuple")
-    basis: dict[int, int] = {}  # leading bit -> reduced vector
-    dependent = False
-    for mu in mus:
-        v = mu
-        while v:
-            lead = v.bit_length() - 1
-            if lead not in basis:
-                basis[lead] = v
-                break
-            v ^= basis[lead]
-        else:
-            dependent = True
-    if dependent and not warnings:
+    # the mus span n minus the dimension of their orthogonal
+    if not warnings and len(gf2n.nullspace(list(mus), n)) > n - len(mus):
         warnings.append("linearly dependent mu tuple")
     return warnings
 
@@ -171,13 +158,7 @@ def _pairwise(label: str, mus, first: int, fails) -> list[tuple[str, bool]]:
 def _d2_nonzero(f_star: BooleanFunction):
     """(a, b) -> whether the second derivative D_a D_b f_star is nonzero
     somewhere; the pairwise hypothesis of the shifted-tuple theorem."""
-    bits = f_star.bits()
-    idx = np.arange(bits.size)
-
-    def fails(a: int, b: int) -> bool:
-        return bool((bits ^ bits[idx ^ a] ^ bits[idx ^ b] ^ bits[idx ^ a ^ b]).any())
-
-    return fails
+    return lambda a, b: derivative(derivative(f_star, a), b).table != 0
 
 
 def _alpha_complement(alpha: int, mus, spec, detail="<alpha, mu_{i}> = 1 (alpha={alpha:x}, mu={mu:x})"):

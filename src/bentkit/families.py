@@ -326,13 +326,8 @@ def _smallest_omega(spec: gf2n.FieldSpec) -> int:
     # the subfield
     m = spec.n // 2
     cols = [gf2n.frobenius(1 << j, m, spec) ^ (1 << j) for j in range(spec.n)]
-    rows, _ = gf2n._column_echelon(cols)
-    rhs, w = 1, 0
-    for pb, bv, bc in rows:
-        if rhs >> pb & 1:
-            rhs ^= bv
-            w ^= bc
-    assert rhs == 0, "1 must lie in the image of the relative trace"
+    w, rest = gf2n._solve(gf2n._column_echelon(cols)[0], 1)
+    assert rest == 0, "1 must lie in the image of the relative trace"
     return min(w ^ s for s in gf2n.subfield_elements(m, spec))
 
 
@@ -441,15 +436,6 @@ def mm_build(p: MMParams, omega: int | None = None) -> ConstructionReport:
 def mm_dual_build(p: MMParams, omega: int | None = None) -> ConstructionReport:
     conds = _mm_conditions(p)
     return _finish(mm_dual(p, omega), mm_function(p), conds, {"lam": p.lam, "t": p.t}, [], p.spec)
-
-
-def permutation_to_text(m: int, images) -> str:
-    """Two-line permutation table: "m=<int>", then the images of
-    0 .. 2^m - 1 as space-separated subfield indices."""
-    images = tuple(images)
-    if sorted(images) != list(range(1 << m)):
-        raise ValueError("images do not form a permutation of the subfield indices")
-    return f"m={m}\n" + " ".join(str(v) for v in images) + "\n"
 
 
 def parse_permutation_text(text: str) -> tuple[int, tuple[int, ...]]:

@@ -160,19 +160,6 @@ def trace_abs(a: int, spec: FieldSpec) -> int:
     return (a & _trace_mask(spec)).bit_count() & 1
 
 
-def trace_rel(a: int, r: int, spec: FieldSpec) -> int:
-    """Relative trace into the subfield GF(2^r); requires r | n."""
-    if r < 1 or spec.n % r:
-        raise NotADivisor(f"{r} does not divide {spec.n}")
-    t = 0
-    x = a
-    for _ in range(spec.n // r):
-        t ^= x
-        x = frobenius(x, r, spec)
-    assert x == a
-    return t
-
-
 def in_subfield(a: int, r: int, spec: FieldSpec) -> bool:
     """True iff a lies in the subfield GF(2^r); requires r | n."""
     if r < 1 or spec.n % r:
@@ -213,6 +200,16 @@ def _covector_images(spec: FieldSpec) -> tuple[int, ...]:
     )
 
 
+def apply_linear(images, v: int) -> int:
+    """The GF(2)-linear map sending bit j to images[j], at v."""
+    out = 0
+    for image in images:
+        if v & 1:
+            out ^= image
+        v >>= 1
+    return out
+
+
 def covector(mu: int, spec: FieldSpec) -> int:
     """Bitmask v with parity(v & x) = Tr(mu * x) for every x.
 
@@ -220,15 +217,7 @@ def covector(mu: int, spec: FieldSpec) -> int:
     plain bit vectors; it is a bijection because the trace form is
     non-degenerate.
     """
-    images = _covector_images(spec)
-    v = 0
-    j = 0
-    while mu:
-        if mu & 1:
-            v ^= images[j]
-        mu >>= 1
-        j += 1
-    return v
+    return apply_linear(_covector_images(spec), mu)
 
 
 def _column_echelon(cols: list[int]):
@@ -252,6 +241,16 @@ def _column_echelon(cols: list[int]):
     return rows, kernel
 
 
+def _solve(rows, rhs: int) -> tuple[int, int]:
+    # rhs reduced over _column_echelon rows: (input combination, remainder)
+    y = 0
+    for pb, bv, bc in rows:
+        if rhs >> pb & 1:
+            rhs ^= bv
+            y ^= bc
+    return y, rhs
+
+
 @functools.lru_cache(maxsize=None)
 def _linearized_rows(lam: int, t: int, spec: FieldSpec):
     lam_t = frobenius(lam, t, spec)
@@ -273,39 +272,33 @@ def solve_linearized(lam: int, t: int, rhs: int, spec: FieldSpec) -> int:
     rows = _linearized_rows(lam, t, spec)
     if len(rows) < spec.n:
         raise SingularMap(f"linearized map for lam={lam:#x}, t={t} has rank {len(rows)}")
-    y = 0
-    for pb, bv, bc in rows:
-        if rhs >> pb & 1:
-            rhs ^= bv
-            y ^= bc
-    assert rhs == 0
+    y, rest = _solve(rows, rhs)
+    assert rest == 0
     return y
 
 
 def nullspace(rows: list[int], n: int) -> list[int]:
-    """Basis of {x : parity(x & row) = 0 for every row}, ascending."""
-    pivots: dict[int, int] = {}
+    """Basis of {x : parity(x & row) = 0 for every row}, ascending and in
+    reduced echelon form: no vector has another's leading bit set, so
+    member i, the XOR of the vectors at the set bits of i, grows with i.
+    With the rows reduced on their lowest bits, free column j gives
+    1 << j plus pivot bits below j."""
+    pivots: dict[int, int] = {}  # lowest bit -> row, clear in every other row
     for row in rows:
         for c, r in pivots.items():
             if row >> c & 1:
                 row ^= r
         if row:
-            pivots[row.bit_length() - 1] = row
-    for c in sorted(pivots, reverse=True):
-        r = pivots[c]
-        for c2 in list(pivots):
-            if c2 != c and pivots[c2] >> c & 1:
-                pivots[c2] ^= r
-    basis = []
-    for j in range(n):
-        if j in pivots:
-            continue
-        v = 1 << j
-        for c, r in pivots.items():
-            if r >> j & 1:
-                v |= 1 << c
-        basis.append(v)
-    return sorted(basis)
+            low = (row & -row).bit_length() - 1
+            for c, r in pivots.items():
+                if r >> low & 1:
+                    pivots[c] = r ^ row
+            pivots[low] = row
+    return [
+        1 << j | sum(1 << c for c, r in pivots.items() if r >> j & 1)
+        for j in range(n)
+        if j not in pivots
+    ]
 
 
 def ortho_complement(mus: tuple[int, ...] | list[int], spec: FieldSpec) -> list[int]:
@@ -434,15 +427,3 @@ def trace_abs_in_array(a, r: int, spec: FieldSpec) -> np.ndarray:
     t = linear_table(images)[a]
     assert np.all(t <= 1)
     return t.astype(np.uint8)
-
-
-def to_hex(a: int) -> str:
-    """Spec'd wire format for a field element: lowercase hex, no prefix."""
-    return format(a, "x")
-
-
-def from_hex(s: str) -> int:
-    a = int(s, 16)
-    if a < 0:
-        raise ValueError(f"negative element {s!r}")
-    return a

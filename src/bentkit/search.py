@@ -10,22 +10,28 @@ Two jobs, both at desk scale:
 * an EA-invariant fingerprint (degree plus the multiset of derivative
   degrees) strong enough to separate inequivalent outputs.
 
-Enumeration is depth-first in ascending integer order and restartable:
-every search takes an optional cursor, the last tuple already emitted,
-and resumes strictly after it.
+Each pairwise condition is GF(2)-linear in its second element, so the
+partners of a chosen element form a subspace.  Enumeration walks the
+intersection of the chosen prefix's partner spaces in ascending order,
+tuples in lexicographic order, testing no candidate.  Every search takes
+an optional cursor, the last tuple already emitted, and resumes
+strictly after it.
 """
 
 from __future__ import annotations
 
-import functools
+import bisect
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf2n
-from .boolfun import BooleanFunction, algebraic_degree, derivative_degrees
-from .constructions import _check_domain, _d2_nonzero
-from .families import GoldParams, _cor9_pair_condition, _gold_pair_condition, gold_bent_admissible
+from .boolfun import BooleanFunction, algebraic_degree, derivative, derivative_degrees, wht
+from .constructions import _check_domain
+from .families import GoldParams
 
 
 @dataclass(frozen=True)
@@ -82,15 +88,6 @@ class MuSearchSpec:
         return self.spec.n
 
 
-def _pair_oracle(ms: MuSearchSpec):
-    # (a, b) -> truthy when the pair fails the mode's condition
-    if ms.mode == "second-derivative":
-        return _d2_nonzero(ms.f_star)
-    if ms.mode == "gold-trace":
-        return functools.partial(_gold_pair_condition, ms.gold)
-    return functools.partial(_cor9_pair_condition, ms.spec, gf2n.inverse(ms.theta, ms.spec))
-
-
 def _reduce(basis: dict[int, int], v: int) -> int:
     # basis maps leading bit -> vector with that leading bit; the
     # remainder is 0 exactly when v lies in the span
@@ -100,6 +97,50 @@ def _reduce(basis: dict[int, int], v: int) -> int:
             break
         v ^= basis[lead]
     return v
+
+
+def _ascending(space: list[int], start: int):
+    """span(space) from start upward, ascending; space as gf2n.nullspace gives."""
+    i = bisect.bisect_left(range(1 << len(space)), start, key=lambda i: gf2n.apply_linear(space, i))
+    v = gf2n.apply_linear(space, i)
+    # from member i to i + 1, the vectors up to the lowest set bit of i + 1 flip
+    flips = [*itertools.accumulate(space, operator.xor), 0]
+    while i < 1 << len(space):
+        yield v
+        i += 1
+        v ^= flips[(i & -i).bit_length() - 1]
+
+
+def _partner_rows(ms: MuSearchSpec):
+    """a -> covectors whose common kernel is a's partner space, the b for
+    which the pair (a, b) passes the mode's condition."""
+    if ms.mode == "second-derivative":
+
+        def periods(a: int) -> list[int]:
+            # D_b D_a f_star = 0 exactly when b is a period of D_a f_star,
+            # i.e. orthogonal to the span of its Walsh support
+            vecs, rows = np.flatnonzero(wht(derivative(ms.f_star, a)).values), []
+            while vecs.size and (top := int(vecs.max())):
+                rows.append(top)
+                np.minimum(vecs, vecs ^ top, out=vecs)  # clears top's lead bit
+            return rows
+
+        return periods
+    # the trace modes: one covector k_a, linear in a, from its basis images
+    if ms.mode == "gold-trace":
+        spec, c, s = ms.gold.spec, ms.gold.lam, ms.gold.t
+    else:
+        spec = ms.spec
+        c, s = gf2n.inverse(ms.theta, spec), spec.n // 2
+    frob = [gf2n.frobenius(1 << j, s, spec) for j in range(spec.n)]
+    scaled = [gf2n.covector(gf2n.mul(c, 1 << j, spec), spec) for j in range(spec.n)]
+    # Tr(c a b^(2^s)) = parity(w & F b) = parity(F^T w & b), w = covector(c a)
+    # and F the Frobenius matrix with columns frob: the cor9 condition
+    images = [sum(((w & f).bit_count() & 1) << i for i, f in enumerate(frob)) for w in scaled]
+    if ms.mode == "gold-trace":
+        # plus Tr(lam a^(2^t) b) = parity(covector(lam F a) & b)
+        images = [k ^ gf2n.apply_linear(scaled, f) for k, f in zip(images, frob)]
+    return lambda a: [gf2n.apply_linear(images, a)]
 
 
 def find_mu_tuples(
@@ -116,42 +157,33 @@ def find_mu_tuples(
         raise ValueError("exhaustive search is capped at degree 16")
     if cursor is not None and len(cursor) != ms.r:
         raise ValueError(f"cursor length {len(cursor)} does not match r={ms.r}")
-    fails = _pair_oracle(ms)
-    size = 1 << ms.n
+    partners = _partner_rows(ms)
     out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-    basis: dict[int, int] = {}
 
-    def dfs(start: int) -> bool:
-        depth = len(chosen)
-        if depth == ms.r:
-            t = tuple(chosen)
-            if cursor is None or t > cursor:
-                out.append(t)
-            return len(out) >= ms.limit
-        if cursor is not None and tuple(chosen) == cursor[:depth] and depth < len(cursor):
-            # on the cursor's own path, nothing below cursor[depth] can
-            # produce a tuple beyond the cursor
-            start = max(start, cursor[depth])
-        for cand in range(start, size):
-            if any(fails(prev, cand) for prev in chosen):
+    def walk(chosen: tuple[int, ...], rows: list[int], basis: dict[int, int], start: int) -> bool:
+        # the next element ranges over the kernel of the chosen ones' rows;
+        # basis, as in _reduce, spans the chosen ones
+        last = len(chosen) == ms.r - 1
+        if cursor is not None and chosen == tuple(cursor[: len(chosen)]):
+            # on the cursor's own path nothing below its next entry, and in
+            # the last slot nothing up to it, gives a tuple beyond the cursor
+            start = max(start, cursor[len(chosen)] + last)
+        for cand in _ascending(gf2n.nullspace(rows, ms.n), start):
+            red = _reduce(basis, cand)
+            if red == 0 and ms.require_independent:
                 continue
-            if ms.require_independent:
-                red = _reduce(basis, cand)
-                if red == 0:
-                    continue
-                basis[red.bit_length() - 1] = red
-            chosen.append(cand)
-            stop = dfs(cand + 1)
-            chosen.pop()
-            if ms.require_independent:
-                del basis[red.bit_length() - 1]
-            if stop:
+            if last:
+                out.append((*chosen, cand))
+                if len(out) >= ms.limit:
+                    return True
+                continue
+            grown = {**basis, red.bit_length() - 1: red} if red else basis
+            if walk((*chosen, cand), rows + partners(cand), grown, cand + 1):
                 return True
         return False
 
     if ms.limit:
-        dfs(1)
+        walk((), [], {}, 1)
     return out
 
 
@@ -167,6 +199,8 @@ def find_alphas(
     bare n for the dot pairing."""
     if (n is None) == (spec is None):
         raise ValueError("pass exactly one of n or spec")
+    if limit < 0:
+        raise ValueError("limit must be non-negative")
     if spec is not None:
         basis = gf2n.ortho_complement(tuple(mus), spec)
     else:
@@ -174,25 +208,39 @@ def find_alphas(
             raise ValueError(f"degree must be at least 1, got {n}")
         _check_domain(n, "element", *mus)
         basis = gf2n.nullspace([mu for mu in mus if mu], n)
-    members = [0]
-    for b in basis:
-        members += [m ^ b for m in members]
-    members.sort()
-    return members[:limit]
+    return list(itertools.islice(_ascending(basis, 0), limit))
+
+
+# candidates per batched order test in find_gold_lambdas
+_LAMBDA_CHUNK = 128
 
 
 def find_gold_lambdas(
     spec: gf2n.FieldSpec, t: int, limit: int, cursor: int | None = None
 ) -> list[int]:
     """Ascending coefficients lam for which Tr(lam * x^(2^t + 1)) is bent,
-    resuming strictly after cursor when given."""
-    out = []
-    start = 0 if cursor is None else cursor + 1
-    for lam in range(start, 1 << spec.n):
-        if len(out) >= limit:
-            break
-        if gold_bent_admissible(GoldParams(spec, lam, t)):
-            out.append(lam)
+    resuming strictly after cursor when given.
+
+    That needs n/d even, d = gcd(t, n), and lam not a (2^d + 1)-th power.
+    As (2^n - 1)/(2^d + 1) = (2^d - 1) * sum_i 2^(2di), a nonzero lam is
+    one exactly when the product of its conjugates lam^(2^(2di)) lies in
+    GF(2^d); that is tested on batches of candidates."""
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    d = math.gcd(t, spec.n)
+    if (spec.n // d) % 2:
+        return []  # no lam gives a bent function
+    frob = gf2n.frobenius_table(d, spec)
+    out: list[int] = []
+    lo = 0 if cursor is None else max(cursor + 1, 0)
+    while len(out) < limit and lo < 1 << spec.n:
+        lam = np.arange(lo, min(lo + _LAMBDA_CHUNK, 1 << spec.n), dtype=np.uint32)
+        norm = conj = lam
+        for _ in range(spec.n // (2 * d) - 1):
+            conj = frob[frob[conj]]
+            norm = gf2n.mul_array(norm, conj, spec)
+        out += lam[(lam != 0) & (frob[norm] != norm)][: limit - len(out)].tolist()
+        lo += _LAMBDA_CHUNK
     return out
 
 

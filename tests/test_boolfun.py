@@ -6,6 +6,7 @@ package butterfly.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,30 @@ def test_translate_pointwise_involution():
     for a in (0, 5, 63):
         assert translate(translate(f, a), a) == f
         assert translate(f, a)(11) == f(11 ^ a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_translate_matches_index_xor(data):
+    n = data.draw(st.integers(1, 12))
+    f = random_function(random.Random(data.draw(st.integers(0, 2**32))), n)
+    a = data.draw(st.integers(0, (1 << n) - 1))
+    bits = f.bits()
+    assert np.array_equal(translate(f, a).bits(), bits[np.arange(1 << n) ^ a])
+    assert derivative(f, a).table == f.table ^ translate(f, a).table
+
+
+def test_translate_memory_stays_near_the_table():
+    # 128 KB of table; an int64 index as long as the table would be 8 MB
+    f = BooleanFunction(20, random.Random(19).getrandbits(1 << 20))
+    tracemalloc.start()
+    try:
+        g = translate(f, 0xB5A3D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g(0) == f(0xB5A3D) and g(0xB5A3D) == f(0)
+    assert peak < 1 << 20
 
 
 def test_anf_degree_frozen():

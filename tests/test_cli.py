@@ -29,8 +29,8 @@ from bentkit.boolfun import (
     translate,
 )
 from bentkit.cli import main
-from bentkit.families import GoldParams, gold_function, permutation_to_text
-from util import inner_product_fn, random_function, random_mm_bent
+from bentkit.families import GoldParams, gold_function
+from util import inner_product_fn, permutation_to_text, random_function, random_mm_bent
 
 import random
 

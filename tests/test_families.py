@@ -41,11 +41,10 @@ from bentkit.families import (
     mm_dual_build,
     mm_function,
     parse_permutation_text,
-    permutation_to_text,
     thfromgold_build,
     thmm_build,
 )
-from util import gold_power_image
+from util import gold_power_image, permutation_to_text
 
 
 def F_bits(n, bits):

@@ -8,6 +8,8 @@ shift-and-reduce path in the package.
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bentkit import gf2n
 from bentkit.errors import (
@@ -16,6 +18,7 @@ from bentkit.errors import (
     SingularMap,
     UnsupportedDegree,
 )
+from util import from_hex, to_hex, trace_rel, xor_rank, xor_span
 
 
 def ref_clmul(a: int, b: int) -> int:
@@ -134,14 +137,14 @@ def test_trace_abs_agrees_with_frobenius_sum(g64):
 
 def test_trace_rel_lands_in_subfield_and_composes(g16):
     with pytest.raises(NotADivisor):
-        gf2n.trace_rel(1, 3, g16)
+        trace_rel(1, 3, g16)
     for a in range(16):
-        assert gf2n.trace_rel(a, 4, g16) == a
-        t = gf2n.trace_rel(a, 2, g16)
+        assert trace_rel(a, 4, g16) == a
+        t = trace_rel(a, 2, g16)
         assert gf2n.in_subfield(t, 2, g16)
         # transitivity Tr_1 = Tr_1^r o Tr_r^n
         assert gf2n.trace_abs(a, g16) == gf2n.trace_abs_in(t, 2, g16)
-    assert gf2n.trace_rel(0, 2, g16) == 0
+    assert trace_rel(0, 2, g16) == 0
 
 
 def test_subfield_membership_counts(g16, g64):
@@ -204,7 +207,19 @@ def test_nullspace_and_ortho_complement(g64):
     assert len(full) == 6
 
 
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=n + 2))))
+def test_nullspace_is_the_kernel_in_reduced_echelon_form(case):
+    n, rows = case
+    basis = gf2n.nullspace(rows, n)
+    assert len(basis) == n - xor_rank(rows)
+    assert xor_span(basis) == {x for x in range(1 << n) if all((x & r).bit_count() % 2 == 0 for r in rows)}
+    leads = [1 << (v.bit_length() - 1) for v in basis]
+    assert basis == sorted(basis)
+    # each vector's leading bit is set in that vector only
+    assert all(sum(bool(v & lead) for v in basis) == 1 for lead in leads)
+
+
 def test_hex_helpers_roundtrip():
     for a in (0, 1, 0x2A, 0x11B):
-        assert gf2n.from_hex(gf2n.to_hex(a)) == a
-    assert gf2n.to_hex(42) == "2a"
+        assert from_hex(to_hex(a)) == a
+    assert to_hex(42) == "2a"

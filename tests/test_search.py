@@ -1,11 +1,17 @@
 """Enumeration, restartable cursors, the slow spectral oracle, batch
 verification, and the EA fingerprint.
 
-The searches are checked against flat rescans written inline: the same
-condition evaluated over products of ranges with no pruning, so any
-disagreement implicates the DFS bookkeeping.
+The searches are checked against flat rescans written inline (the same
+condition evaluated over products of ranges with no pruning) and against
+the depth-first search the subspace walk replaced, which tests every
+candidate through the scalar pair oracles.  The walk's own pieces are
+checked as laws: partner covectors against the pair conditions, period
+spaces against brute-force second derivatives, and the ascending walk
+against the sorted span.  A disagreement with a rescan or with the old
+search implicates the walk's subspace bookkeeping.
 """
 
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -14,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bentkit import gf2n
+from bentkit import families, gf2n
 from bentkit.boolfun import (
     BooleanFunction,
     algebraic_degree,
@@ -24,10 +30,18 @@ from bentkit.boolfun import (
     is_bent,
     translate,
 )
-from bentkit.constructions import zlj_build
-from bentkit.families import GoldParams, gold_bent_admissible, gold_function
+from bentkit.constructions import _d2_nonzero, zlj_build
+from bentkit.families import (
+    GoldParams,
+    _cor9_pair_condition,
+    _gold_pair_condition,
+    gold_bent_admissible,
+    gold_function,
+)
 from bentkit.search import (
     MuSearchSpec,
+    _ascending,
+    _partner_rows,
     ea_fingerprint,
     find_alphas,
     find_gold_lambdas,
@@ -37,7 +51,10 @@ from util import (
     BatchSummary,
     batch_verify,
     brute_force_bent_check,
+    d2_nonzero_unpacked,
     ea_fingerprint_per_derivative,
+    find_alphas_sorted,
+    find_mu_tuples_dfs,
     inner_product_fn,
     random_affine_image,
     random_function,
@@ -210,6 +227,167 @@ def test_find_gold_lambdas_matches_filter(g256, g64):
     resumed = find_gold_lambdas(g256, 2, 300, cursor=want[2])
     assert resumed == want[3:]
     assert find_gold_lambdas(g64, 2, 10) == []  # odd n/d leaves nothing
+
+
+def test_find_gold_lambdas_matches_admissibility_at_every_small_degree():
+    rng = random.Random(54)
+    for n in range(1, 11):
+        spec = gf2n.make_field(n)
+        for t in range(n + 2):
+            want = [lam for lam in range(1 << n) if gold_bent_admissible(GoldParams(spec, lam, t))]
+            assert find_gold_lambdas(spec, t, 1 << n) == want
+            cursor = rng.randrange(1 << n)
+            assert find_gold_lambdas(spec, t, 7, cursor) == [lam for lam in want if lam > cursor][:7]
+    with pytest.raises(ValueError):
+        find_gold_lambdas(gf2n.make_field(6), -1, 4)
+
+
+def test_find_gold_lambdas_odd_quotient_tests_no_candidate(monkeypatch):
+    # n/gcd(t, n) odd: no lam is admissible, so nothing may be scanned
+    def refuse(*args):
+        raise AssertionError("candidate tested")
+
+    monkeypatch.setattr(families, "gold_in_S", refuse)
+    monkeypatch.setattr(gf2n, "frobenius_table", refuse)
+    monkeypatch.setattr(gf2n, "mul_array", refuse)
+    assert find_gold_lambdas(gf2n.make_field(15), 1, 16) == []
+    assert find_gold_lambdas(gf2n.make_field(12), 4, 16) == []  # 12/gcd(4, 12) = 3
+
+
+# ----------------------------------------------------- the subspace walk
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_partner_covector_is_the_pair_condition(data):
+    n = data.draw(st.sampled_from([2, 4, 6, 8, 10]))
+    spec = gf2n.make_field(n)
+    a, b = data.draw(st.integers(0, (1 << n) - 1)), data.draw(st.integers(0, (1 << n) - 1))
+    p = GoldParams(spec, data.draw(st.integers(0, (1 << n) - 1)), data.draw(st.integers(0, 2 * n)))
+    k_a, = _partner_rows(MuSearchSpec("gold-trace", 2, 1, gold=p))(a)
+    assert (k_a & b).bit_count() & 1 == _gold_pair_condition(p, a, b)
+    theta = data.draw(st.sampled_from(gf2n.subfield_elements(n // 2, spec)[1:]))
+    ms = MuSearchSpec("cor9-trace", 2, 1, theta=theta, spec=spec)
+    k_a, = _partner_rows(ms)(a)
+    assert (k_a & b).bit_count() & 1 == _cor9_pair_condition(spec, gf2n.inverse(theta, spec), a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_period_space_is_the_vanishing_second_derivative(data):
+    n = data.draw(st.integers(1, 10))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    # bent, random, or with a large linear space, so every space size occurs
+    kind = data.draw(st.sampled_from(["bent", "random", "linear-space"]))
+    if kind == "bent" and n % 2 == 0:
+        f = random_mm_bent(rng, n)
+    elif kind == "linear-space":
+        k = data.draw(st.integers(0, n))
+        low = random_function(rng, k) if k else BooleanFunction.const(1, 1)
+        f = BooleanFunction.from_bits(n, [low(x >> (n - k)) if k else 0 for x in range(1 << n)])
+    else:
+        f = random_function(rng, n)
+    a = data.draw(st.integers(0, (1 << n) - 1))
+    rows = _partner_rows(MuSearchSpec("second-derivative", 2, 1, f_star=f))(a)
+    fails, packed = d2_nonzero_unpacked(f), _d2_nonzero(f)
+    assert xor_span(gf2n.nullspace(rows, n)) == {b for b in range(1 << n) if not fails(a, b)}
+    assert all(packed(a, b) == fails(a, b) for b in range(1 << n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_ascending_walk_is_the_sorted_span(data):
+    n = data.draw(st.integers(1, 10))
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 1))
+    basis = gf2n.nullspace(rows, n)
+    members = sorted(xor_span(basis))
+    start = data.draw(st.integers(0, (1 << n) + 1))
+    assert list(_ascending(basis, start)) == [v for v in members if v >= start]
+    # one more row keeps the form: the walk is the filtered span
+    row = data.draw(st.integers(0, (1 << n) - 1))
+    cut = gf2n.nullspace(rows + [row], n)
+    assert list(_ascending(cut, 0)) == [v for v in members if (v & row).bit_count() % 2 == 0]
+
+
+def _draw_search(data, n_max):
+    mode = data.draw(st.sampled_from(["second-derivative", "gold-trace", "cor9-trace"]))
+    r = data.draw(st.integers(1, 4))
+    limit = data.draw(st.sampled_from([1, 2, 5, 17, 60]))
+    independent = data.draw(st.booleans())
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    if mode == "second-derivative":
+        # bent tables up to n = 8; random ones, for which the old search
+        # scans far longer, up to n = 6
+        if data.draw(st.booleans()):
+            f = random_mm_bent(rng, data.draw(st.sampled_from([2, 4, 6, 8])))
+        else:
+            f = random_function(rng, data.draw(st.integers(1, 6)))
+        return MuSearchSpec(mode, r, limit, independent, f_star=f)
+    n = data.draw(st.sampled_from([k for k in (2, 4, 6, 8, 10) if k <= n_max]))
+    spec = gf2n.make_field(n)
+    if mode == "gold-trace":
+        p = GoldParams(spec, rng.randrange(1 << n), rng.randrange(2 * n))
+        return MuSearchSpec(mode, r, limit, independent, gold=p)
+    theta = rng.choice(gf2n.subfield_elements(n // 2, spec)[1:])
+    return MuSearchSpec(mode, r, limit, independent, theta=theta, spec=spec)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_walk_matches_depth_first_oracle(data):
+    ms = _draw_search(data, 10)
+    n = ms.n
+    cursor = None
+    if data.draw(st.booleans()):
+        # increasing tuples and arbitrary ones, zero and past-the-end included
+        cursor = tuple(data.draw(st.lists(st.integers(-1, (1 << n) + 1), min_size=ms.r, max_size=ms.r)))
+        if data.draw(st.booleans()):
+            cursor = tuple(sorted(cursor))
+    assert find_mu_tuples(ms, cursor) == find_mu_tuples_dfs(ms, cursor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_chunked_walk_resumes_by_cursor(data):
+    ms = _draw_search(data, 8)
+    whole = find_mu_tuples(dataclasses.replace(ms, limit=200))
+    assert whole == find_mu_tuples_dfs(dataclasses.replace(ms, limit=200))
+    chunk = data.draw(st.integers(1, 7))
+    ms_c = dataclasses.replace(ms, limit=chunk)
+    collected, cursor = [], None
+    while len(collected) < len(whole):
+        got = find_mu_tuples(ms_c, cursor)
+        assert got, "a chunk came back empty before the stream ended"
+        collected += got
+        cursor = got[-1]
+    assert collected[: len(whole)] == whole
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_find_alphas_matches_sorted_listing(data):
+    n = data.draw(st.integers(1, 10))
+    mus = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4))
+    limit = data.draw(st.integers(0, (1 << n) + 2))
+    assert find_alphas(mus, limit, n=n) == find_alphas_sorted(mus, limit, n=n)
+    spec = gf2n.make_field(n)
+    assert find_alphas(mus, limit, spec=spec) == find_alphas_sorted(mus, limit, spec=spec)
+
+
+def test_find_alphas_lists_only_what_it_returns():
+    spec = gf2n.make_field(20)
+    gf2n.covector(1, spec)  # field tables outside the measurement
+    for kwargs in ({"n": 20}, {"spec": spec}):
+        tracemalloc.start()
+        try:
+            got = find_alphas((0x9A3C1,), 4, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 4 and got[0] == 0
+        assert peak < 64 << 10  # the whole subspace would be 2^19 members
+    with pytest.raises(ValueError):
+        find_alphas((1,), -1, n=4)
 
 
 def test_brute_force_matches_butterfly():

@@ -13,10 +13,14 @@ reference oracles: one scalar field call chain per truth-table entry.
 The last section holds the oracles that only the tests use: the
 direct-summation bent check, the batch re-verifier of construction
 reports, the odd-sum form of the companion property and the enumerated
-gold power image.  After them come the package's earlier kernels, kept
-unchanged as references for the ones that replaced them: the copying
-butterfly, the every-omega certificate check, the copying Moebius
-transform and the per-derivative fingerprint.
+gold power image, and the helpers no package module calls (the relative
+trace, the hex element format, the permutation file writer).  After them
+come the package's earlier kernels, kept unchanged as references for the
+ones that replaced them: the copying butterfly, the every-omega
+certificate check, the copying Moebius transform, the per-derivative
+fingerprint, the unpacked second-derivative predicate, and the
+depth-first mu search with its pair oracles and the sort-based alpha
+listing.
 """
 
 from __future__ import annotations
@@ -29,10 +33,16 @@ import numpy as np
 
 from bentkit import gf2n
 from bentkit.boolfun import BooleanFunction, VectorialFunction, dual, is_bent, wht
-from bentkit.constructions import ConstructionReport, PrCertificate
-from bentkit.errors import ArityMismatch, NotBent, NotBentAdmissible
-from bentkit.families import _domain, _smallest_omega, gold_bent_admissible
-from bentkit.search import EaFingerprint
+from bentkit.constructions import ConstructionReport, PrCertificate, _check_domain
+from bentkit.errors import ArityMismatch, NotADivisor, NotBent, NotBentAdmissible
+from bentkit.families import (
+    _cor9_pair_condition,
+    _domain,
+    _gold_pair_condition,
+    _smallest_omega,
+    gold_bent_admissible,
+)
+from bentkit.search import EaFingerprint, MuSearchSpec
 
 
 def slow_walsh(f: BooleanFunction, mu: int, spec=None) -> int:
@@ -410,6 +420,40 @@ def gold_power_image(spec: gf2n.FieldSpec, t: int) -> frozenset[int]:
     return frozenset(gf2n.power_array(_domain(spec), (1 << t) + 1, spec).tolist())
 
 
+def trace_rel(a: int, r: int, spec: gf2n.FieldSpec) -> int:
+    """Relative trace into the subfield GF(2^r); requires r | n."""
+    if r < 1 or spec.n % r:
+        raise NotADivisor(f"{r} does not divide {spec.n}")
+    t = 0
+    x = a
+    for _ in range(spec.n // r):
+        t ^= x
+        x = gf2n.frobenius(x, r, spec)
+    assert x == a
+    return t
+
+
+def to_hex(a: int) -> str:
+    """Spec'd wire format for a field element: lowercase hex, no prefix."""
+    return format(a, "x")
+
+
+def from_hex(s: str) -> int:
+    a = int(s, 16)
+    if a < 0:
+        raise ValueError(f"negative element {s!r}")
+    return a
+
+
+def permutation_to_text(m: int, images) -> str:
+    """Two-line permutation table: "m=<int>", then the images of
+    0 .. 2^m - 1 as space-separated subfield indices."""
+    images = tuple(images)
+    if sorted(images) != list(range(1 << m)):
+        raise ValueError("images do not form a permutation of the subfield indices")
+    return f"m={m}\n" + " ".join(str(v) for v in images) + "\n"
+
+
 def butterfly_with_copies(v: np.ndarray) -> np.ndarray:
     """The dot-pairing Walsh butterfly on a +-1 vector, copying one half
     at every stage; the package kernel it was replaced by is checked
@@ -496,3 +540,109 @@ def ea_fingerprint_per_derivative(h: BooleanFunction) -> EaFingerprint:
     nz = np.nonzero(own)[0]
     own_deg = int(weights[nz].max()) if nz.size else 0
     return EaFingerprint(own_deg, tuple(sorted(degs.items())))
+
+
+def d2_nonzero_unpacked(f_star: BooleanFunction):
+    """(a, b) -> whether D_a D_b f_star is nonzero somewhere, on one
+    unpacked bit per point with int64 index arrays; the packed
+    constructions._d2_nonzero must agree with it."""
+    bits = f_star.bits()
+    idx = np.arange(bits.size)
+
+    def fails(a: int, b: int) -> bool:
+        return bool((bits ^ bits[idx ^ a] ^ bits[idx ^ b] ^ bits[idx ^ a ^ b]).any())
+
+    return fails
+
+
+def _pair_oracle(ms: MuSearchSpec):
+    # (a, b) -> truthy when the pair fails the mode's condition
+    if ms.mode == "second-derivative":
+        return d2_nonzero_unpacked(ms.f_star)
+    if ms.mode == "gold-trace":
+        return functools.partial(_gold_pair_condition, ms.gold)
+    return functools.partial(_cor9_pair_condition, ms.spec, gf2n.inverse(ms.theta, ms.spec))
+
+
+def _reduce(basis: dict[int, int], v: int) -> int:
+    # basis maps leading bit -> vector with that leading bit; the
+    # remainder is 0 exactly when v lies in the span
+    while v:
+        lead = v.bit_length() - 1
+        if lead not in basis:
+            break
+        v ^= basis[lead]
+    return v
+
+
+def find_mu_tuples_dfs(
+    ms: MuSearchSpec, cursor: tuple[int, ...] | None = None
+) -> list[tuple[int, ...]]:
+    """The depth-first mu search that tests every candidate against every
+    chosen element through the scalar pair oracles; the subspace walk of
+    find_mu_tuples must give the same list."""
+    if ms.n > 16:
+        raise ValueError("exhaustive search is capped at degree 16")
+    if cursor is not None and len(cursor) != ms.r:
+        raise ValueError(f"cursor length {len(cursor)} does not match r={ms.r}")
+    fails = _pair_oracle(ms)
+    size = 1 << ms.n
+    out: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+    basis: dict[int, int] = {}
+
+    def dfs(start: int) -> bool:
+        depth = len(chosen)
+        if depth == ms.r:
+            t = tuple(chosen)
+            if cursor is None or t > cursor:
+                out.append(t)
+            return len(out) >= ms.limit
+        if cursor is not None and tuple(chosen) == cursor[:depth] and depth < len(cursor):
+            # on the cursor's own path, nothing below cursor[depth] can
+            # produce a tuple beyond the cursor
+            start = max(start, cursor[depth])
+        for cand in range(start, size):
+            if any(fails(prev, cand) for prev in chosen):
+                continue
+            if ms.require_independent:
+                red = _reduce(basis, cand)
+                if red == 0:
+                    continue
+                basis[red.bit_length() - 1] = red
+            chosen.append(cand)
+            stop = dfs(cand + 1)
+            chosen.pop()
+            if ms.require_independent:
+                del basis[red.bit_length() - 1]
+            if stop:
+                return True
+        return False
+
+    if ms.limit:
+        dfs(1)
+    return out
+
+
+def find_alphas_sorted(
+    mus,
+    limit: int,
+    *,
+    n: int | None = None,
+    spec: gf2n.FieldSpec | None = None,
+) -> list[int]:
+    """find_alphas by listing the whole subspace and sorting it."""
+    if (n is None) == (spec is None):
+        raise ValueError("pass exactly one of n or spec")
+    if spec is not None:
+        basis = gf2n.ortho_complement(tuple(mus), spec)
+    else:
+        if n < 1:
+            raise ValueError(f"degree must be at least 1, got {n}")
+        _check_domain(n, "element", *mus)
+        basis = gf2n.nullspace([mu for mu in mus if mu], n)
+    members = [0]
+    for b in basis:
+        members += [m ^ b for m in members]
+    members.sort()
+    return members[:limit]
