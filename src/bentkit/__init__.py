@@ -21,7 +21,6 @@ from .boolfun import (
     dot_form,
     dual,
     from_text,
-    from_trace_monomial,
     is_bent,
     linear_form,
     parse_bitstring,

@@ -269,18 +269,19 @@ def _table_bytes(table: int, n: int) -> np.ndarray:
     return np.frombuffer(bytearray(table.to_bytes(max(1, (1 << n) // 8), "little")), np.uint8)
 
 
-def _moebius(a: np.ndarray, n: int) -> np.ndarray:
+def _moebius(a: np.ndarray, n: int, in_byte: bool = True) -> np.ndarray:
     """Moebius transform of packed n-variable tables along the last axis of
     the C-contiguous uint8 array a, in place; returns a.
 
     It is an involution: it maps a truth table to its ANF coefficients
     and back.  The first three stages act inside each byte, so they are
-    read from _BYTE_MOEBIUS; every later stage XORs each lower half-block
-    of h bytes into the upper one, on a view of a in words of min(h, 8)
-    bytes.  Below n = 3 the 8-point table sets the padding bits above
-    2^n, so they are masked off.
+    read from _BYTE_MOEBIUS unless in_byte is false; every later stage XORs
+    each lower half-block of h bytes into the upper one, on a view of a in
+    words of min(h, 8) bytes.  Below n = 3 the 8-point table sets the
+    padding bits above 2^n, so they are masked off.
     """
-    np.take(_BYTE_MOEBIUS, a, out=a)
+    if in_byte:
+        np.take(_BYTE_MOEBIUS, a, out=a)
     if n < 3:
         a &= (1 << (1 << n)) - 1
     h = 1
@@ -308,7 +309,7 @@ def _degrees(coeffs: np.ndarray) -> np.ndarray:
     the table's length is formed.
     """
     rows = coeffs.reshape(*coeffs.shape[:-1], -1, min(coeffs.shape[-1], 256))
-    score = np.take(_BYTE_SCORE, rows)
+    score = _BYTE_SCORE[rows]
     score += np.bitwise_count(np.arange(rows.shape[-1], dtype=np.uint8)).astype(np.int8)
     best = score.max(axis=-1)
     best += np.bitwise_count(np.arange(best.shape[-1], dtype=np.uint32)).astype(np.int8)
@@ -325,49 +326,70 @@ def algebraic_degree(f: BooleanFunction) -> int:
 
 def derivative_degrees(f: BooleanFunction, shifts: np.ndarray) -> np.ndarray:
     """Algebraic degree of D_a f for each a in shifts, in one batched
-    Moebius transform of the derivatives' packed tables.
+    Moebius transform of the derivatives' packed tables; with uint16 shifts
+    (n <= 16) the working memory is three bytes per table byte per row."""
+    return next(_derivative_degree_batches(f, [shifts]))
 
-    With uint16 shifts (n <= 16) every index array is uint16, and the
-    working memory is a few bytes per table byte per row, plus eight
-    translated copies of f.
-    """
-    raw = _table_bytes(f.table, f.n)
-    # row a reads byte j ^ (a >> 3) of the copy of f translated by a & 7
-    # inside each byte; that index is below 2^n, so it fits shifts' dtype
-    moved = np.take(_BYTE_TRANSLATE, raw, axis=1)
-    idx = np.arange(raw.size, dtype=shifts.dtype) ^ (shifts >> 3)[:, None]
-    idx += ((shifts & 7) * raw.size)[:, None]
-    rows = np.take(moved, idx)
-    rows ^= raw
-    return _degrees(_moebius(rows, f.n))
+
+def _derivative_degree_batches(f: BooleanFunction, batches):
+    # derivative_degrees per array of shifts; the in-byte Moebius stages,
+    # linear and commuting with byte gathers, run once on f's translates
+    moved = _BYTE_MOEBIUS[np.take(_BYTE_TRANSLATE, _table_bytes(f.table, f.n), axis=1)]
+    raw = moved[0]  # the translate by 0, f itself
+    for shifts in batches:
+        # row a reads byte j ^ (a >> 3) of the copy translated by a & 7, an
+        # index below 2^n; indexing casts it in chunks, np.take to int64
+        idx = np.arange(raw.size, dtype=shifts.dtype) ^ (shifts >> 3)[:, None]
+        idx += ((shifts & 7) * raw.size)[:, None]
+        rows = moved.reshape(-1)[idx]
+        del idx
+        rows ^= raw
+        yield _degrees(_moebius(rows, f.n, in_byte=False))
+        del rows  # before the next index is built
 
 
 def compose(F: BooleanFunction, phi: VectorialFunction) -> BooleanFunction:
-    """x -> F(phi_1(x), ..., phi_r(x)), component i feeding index bit i of F."""
+    """x -> F(phi_1(x), ..., phi_r(x)), component i feeding index bit i of F;
+    per block of 2^16 points, an r-bit index in the narrowest dtype."""
     if F.n != phi.r:
         raise ArityMismatch(f"F takes {F.n} inputs, phi supplies {phi.r}")
-    idx = np.zeros(1 << phi.n, np.int64)
-    for i, comp in enumerate(phi.components):
-        idx |= _unpack(comp.table, phi.n).astype(np.int64) << i
-    return BooleanFunction(phi.n, _pack(_unpack(F.table, F.n)[idx]))
+    values, width, step = _unpack(F.table, F.n), max(1, (1 << phi.n) // 8), 1 << 13
+    comps = [np.frombuffer(c.table.to_bytes(width, "little"), np.uint8) for c in phi.components]
+    dtype, out = np.min_scalar_type(values.size - 1), bytearray()
+    for lo in range(0, width, step):
+        block = (np.unpackbits(c[lo : lo + step], bitorder="little") for c in comps)
+        idx = sum(np.left_shift(bits, i, dtype=dtype) for i, bits in enumerate(block))
+        out += np.packbits(values[idx], bitorder="little").tobytes()
+    return BooleanFunction(phi.n, int.from_bytes(out, "little") & ((1 << (1 << phi.n)) - 1))
+
+
+def quadratic_form(n: int, linear: int, covectors=(), const: int = 0) -> BooleanFunction:
+    """Q with Q(0) = const and Q(x + e_j) = Q(x) + (bit j of linear) +
+    parity(covectors[j] & x) for x < 2^j: a quadratic form from its values
+    on the basis and the covectors of its bilinear form at e_j, or without
+    covectors an affine form.  The packed table doubles one level at a time
+    with a constant and the linear form of covectors[j], itself grown by the
+    same doubling: O(2^n) bit work on ints, no per-point arithmetic."""
+    cov = list(covectors) or [0] * n
+    table = const & 1
+    for j in range(n):
+        lin = 0
+        for i in range(j):
+            lin |= (lin ^ ((1 << (1 << i)) - 1 if cov[j] >> i & 1 else 0)) << (1 << i)
+        table |= (table ^ ((1 << (1 << j)) - 1 if linear >> j & 1 else 0) ^ lin) << (1 << j)
+    return BooleanFunction(n, table)
 
 
 def dot_form(n: int, mask: int) -> BooleanFunction:
     """Linear form x -> parity(mask & x) under the dot pairing."""
     if not 0 <= mask < 1 << n:
         raise ValueError(f"mask {mask:#x} outside the domain")
-    return BooleanFunction(n, _pack(np.bitwise_count(np.arange(1 << n, dtype=np.uint32) & mask) & 1))
+    return quadratic_form(n, mask)
 
 
 def linear_form(spec: gf2n.FieldSpec, mu: int) -> BooleanFunction:
     """Linear form x -> Tr(mu * x) under the field's trace pairing."""
     return dot_form(spec.n, gf2n.covector(mu, spec))
-
-
-def from_trace_monomial(spec: gf2n.FieldSpec, lam: int, e: int) -> BooleanFunction:
-    """x -> Tr(lam * x^e) over the field's domain."""
-    powers = gf2n.power_array(np.arange(1 << spec.n, dtype=np.uint32), e, spec)
-    return BooleanFunction(spec.n, _pack(gf2n.trace_array(powers, spec, lam)))
 
 
 def to_text(f: BooleanFunction) -> str:

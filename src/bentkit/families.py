@@ -5,12 +5,16 @@ Two sources feed the generic machinery of `constructions`:
 * Gold functions Tr(lam * x^(2^t + 1)), bent exactly when n/gcd(t, n) is
   even and lam avoids the image of x -> x^(2^t + 1); the dual is again a
   trace form evaluated at the solution of a linearized equation, plus the
-  parity constant (m/d mod 2).
+  parity constant (m/d mod 2).  Both, like the cor9 norm forms, are
+  quadratic: `boolfun.quadratic_form` doubles their tables from values on
+  the basis and covectors of the bilinear form, with the affine slots and
+  companions as its linear case.
 * Maiorana-MacFarland shapes Tr(lam * x^(2^t) * pi(x + x^(2^m))) +
   g(x + x^(2^m)) for a permutation pi of the half-degree subfield, bent
   exactly when lam stays outside that subfield; the dual rides on the
   decomposition x = y + omega*z with z = x + x^(2^m) and any omega
-  satisfying omega + omega^(2^m) = 1.
+  satisfying omega + omega^(2^m) = 1.  Both read parity(x & C[z]) + g(z)
+  through half-size tables C and g over the 2^m subfield indices of z.
 
 All spectral statements here use the trace pairing of the ambient field.
 The shifted-tuple builders (thm8, cor9, cor10, thm12) are instances of
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2n
-from .boolfun import BooleanFunction, derivative, linear_form
+from .boolfun import BooleanFunction, derivative, linear_form, quadratic_form
 from .constructions import (
     ConstructionReport,
     _alpha_complement,
@@ -44,14 +48,6 @@ from .errors import NotBent, NotBentAdmissible, SideConditionFailed, ZeroDenomin
 
 # the alpha-complement clause under the trace pairing of the family's field
 _TR_ALPHA = "Tr(alpha*mu) = 1 for alpha={alpha:x}, mu={mu:x}"
-
-
-def _domain(spec: gf2n.FieldSpec) -> np.ndarray:
-    return np.arange(1 << spec.n, dtype=np.uint32)
-
-
-def _basis(spec: gf2n.FieldSpec) -> list[int]:
-    return [1 << j for j in range(spec.n)]
 
 
 # ---------------------------------------------------------------- Gold
@@ -78,11 +74,28 @@ class GoldParams:
         return (1 << self.t) + 1
 
 
+def _gold_form(spec: gf2n.FieldSpec, lam: int, t: int, images=None, const: int = 0) -> BooleanFunction:
+    """x -> Q(y) + const for Q(y) = Tr(lam y^(2^t + 1)) and y the image of x
+    under the linear map of images (the identity by default), by doubling.
+    x -> B(x, e_j) = Tr(lam (x^(2^t) e_j + x e_j^(2^t))) has the covector
+    covector(lam e_j^(2^t)) plus covector(lam e_j) pulled back through the
+    Frobenius; the map pulls Q's values and covectors back once more."""
+    frob = gf2n.frobenius_images(t, spec)
+    w = [gf2n.covector(gf2n.mul(lam, 1 << j, spec), spec) for j in range(spec.n)]
+    cov = [gf2n.apply_linear(w, f) ^ gf2n.pull_back(frob, wj) for wj, f in zip(w, frob)]
+    if images is not None:  # B(Xx, X e_j), a covector pulled back through X
+        cov = [gf2n.pull_back(images, gf2n.apply_linear(cov, s)) for s in images]
+    # Q(s) = Tr(lam s s^(2^t)) = parity(covector(lam s) & s^(2^t))
+    values = sum(
+        ((gf2n.apply_linear(w, s) & gf2n.apply_linear(frob, s)).bit_count() & 1) << j
+        for j, s in enumerate(images or [1 << j for j in range(spec.n)])
+    )
+    return quadratic_form(spec.n, values, cov, const)
+
+
 def gold_function(p: GoldParams) -> BooleanFunction:
     """x -> Tr(lam * x^(2^t + 1))."""
-    spec = p.spec
-    powers = gf2n.mul_array(_domain(spec), gf2n.frobenius_table(p.t, spec), spec)
-    return BooleanFunction.from_bits(spec.n, gf2n.trace_array(powers, spec, p.lam))
+    return _gold_form(p.spec, p.lam, p.t)
 
 
 def gold_in_S(p: GoldParams) -> bool:
@@ -110,13 +123,9 @@ def gold_dual(p: GoldParams) -> BooleanFunction:
         raise NotBentAdmissible(
             f"gold parameters n={spec.n}, t={p.t}, lam={p.lam:x} are not bent"
         )
-    const = (spec.n // 2 // p.d) % 2
-    # x -> x0 is GF(2)-linear: solve once per basis vector, then tabulate
-    x0 = gf2n.linear_table(
-        [gf2n.solve_linearized(p.lam, p.t, gf2n.frobenius(b, p.t, spec), spec) for b in _basis(spec)]
-    )
-    powers = gf2n.mul_array(x0, gf2n.frobenius_table(p.t, spec)[x0], spec)
-    return BooleanFunction.from_bits(spec.n, gf2n.trace_array(powers, spec, p.lam) ^ const)
+    # x -> x0 is GF(2)-linear: solve once per basis vector
+    x0 = [gf2n.solve_linearized(p.lam, p.t, f, spec) for f in gf2n.frobenius_images(p.t, spec)]
+    return _gold_form(spec, p.lam, p.t, x0, (spec.n // 2 // p.d) % 2)
 
 
 def _gold_pair_condition(p: GoldParams, a: int, b: int) -> int:
@@ -128,15 +137,15 @@ def _gold_pair_condition(p: GoldParams, a: int, b: int) -> int:
 
 
 def _gold_companion(p: GoldParams, mu: int) -> BooleanFunction:
-    # x -> Tr(lam * (mu x^(2^t) + mu^(2^t) x + mu^(2^t + 1))); the part
-    # inside the trace is affine in x
+    # x -> Tr(lam * (mu x^(2^t) + mu^(2^t) x + mu^(2^t + 1))), affine in x:
+    # covector(lam mu) pulled back through the Frobenius, plus
+    # covector(lam mu^(2^t)), plus the constant
     spec = p.spec
     mu_t = gf2n.frobenius(mu, p.t, spec)
-    v = gf2n.linear_table(
-        [gf2n.mul(mu, gf2n.frobenius(b, p.t, spec), spec) ^ gf2n.mul(mu_t, b, spec) for b in _basis(spec)]
-    )
-    v ^= gf2n.mul(mu_t, mu, spec)
-    return BooleanFunction.from_bits(spec.n, gf2n.trace_array(v, spec, p.lam))
+    mask = gf2n.pull_back(gf2n.frobenius_images(p.t, spec), gf2n.covector(gf2n.mul(p.lam, mu, spec), spec))
+    mask ^= gf2n.covector(gf2n.mul(p.lam, mu_t, spec), spec)
+    const = gf2n.trace_abs(gf2n.mul(p.lam, gf2n.mul(mu_t, mu, spec), spec), spec)
+    return quadratic_form(spec.n, mask, (), const)
 
 
 def _cor9_pair_condition(spec: gf2n.FieldSpec, th_inv: int, a: int, b: int) -> int:
@@ -195,23 +204,22 @@ def cort_m_build(
     conds = [("theta-subfield", True)]
     conds += _pairwise("trace-condition", mus, 2, functools.partial(_cor9_pair_condition, spec, th_inv))
     conds += _alpha_complement(alpha, mus, spec, _TR_ALPHA)
-    norm = gf2n.mul_array(_domain(spec), gf2n.frobenius_table(m, spec), spec)
-    one = BooleanFunction.const(spec.n, 1)
-
-    def norm_form(coeff: int) -> BooleanFunction:
-        # x -> Tr_m(coeff * x^(2^m + 1)), scaling through the tabulated map
-        scale = gf2n.linear_table([gf2n.mul(coeff, b, spec) for b in _basis(spec)])
-        return BooleanFunction.from_bits(spec.n, gf2n.trace_abs_in_array(scale[norm], m, spec))
+    # Tr_m(c N(x)) = Tr(omega c x^(2^m + 1)), as Tr(omega y) = Tr_m(y) on
+    # GF(2^m) for omega + omega^(2^m) = 1: the norm forms are gold forms
+    omega = _smallest_omega(spec)
 
     def slot(coeff: int, a: int) -> BooleanFunction:
         # x -> Tr(coeff a^(2^m) x) + Tr_m(coeff N(a)): the head (coeff theta,
         # a alpha) and the companions (coeff theta^(-1), a mu)
-        base = linear_form(spec, gf2n.mul(coeff, gf2n.frobenius(a, m, spec), spec))
-        return base ^ one if gf2n.trace_abs_in(gf2n.mul(coeff, int(norm[a]), spec), m, spec) else base
+        a_m = gf2n.frobenius(a, m, spec)
+        const = gf2n.trace_abs_in(gf2n.mul(coeff, gf2n.mul(a, a_m, spec), spec), m, spec)
+        return quadratic_form(spec.n, gf2n.covector(gf2n.mul(coeff, a_m, spec), spec), (), const)
 
     params = {"theta": theta, "alpha": alpha, "mus": mus, "F": F.table}
+    f = _gold_form(spec, gf2n.mul(omega, theta, spec), m, const=1)
+    f_star = _gold_form(spec, gf2n.mul(omega, th_inv, spec), m)
     return shifted_build(
-        norm_form(theta) ^ one, norm_form(th_inv), F, (slot(theta, alpha),), (linear_form(spec, alpha),),
+        f, f_star, F, (slot(theta, alpha),), (linear_form(spec, alpha),),
         mus, [slot(th_inv, mu) for mu in mus], conds, params, spec,
     )
 
@@ -293,16 +301,37 @@ class MMParams:
     def m(self) -> int:
         return self.spec.n // 2
 
+    @functools.cached_property
+    def pi_index(self) -> np.ndarray:
+        """pi on subfield indices, once per params object.  A power map is
+        taken in GF(2^m) on the indices, through its exp table: g^i -> g^(ik);
+        the embedding is a field isomorphism, so it commutes with powers."""
+        if not isinstance(self.pi, int):
+            return np.array(self.pi, np.uint32)
+        exp, table = np.array(_exp(self.m), np.uint32), np.zeros(1 << self.m, np.uint32)
+        table[exp] = exp[np.arange(exp.size) * (self.pi % exp.size) % exp.size]
+        return table
+
+
+@functools.lru_cache(maxsize=None)
+def _exp(r: int) -> tuple[int, ...]:
+    # powers of the least primitive element of GF(2^r), default modulus
+    spec, order = gf2n.make_field(r), (1 << r) - 1
+    for g in range(1, 1 << r):
+        exp = np.ones(1, np.uint32)
+        while exp.size < order:
+            exp = np.concatenate([exp, gf2n.mul_array(exp, gf2n.power(g, exp.size, spec), spec)])
+        if np.unique(exp[:order]).size == order:
+            return tuple(exp[:order].tolist())
+
 
 @functools.lru_cache(maxsize=None)
 def _subfield_embedding(spec: gf2n.FieldSpec, r: int):
-    """Index map GF(2^r) -> subfield elements of the big field.
-
-    The smallest root beta of the degree-r default modulus inside the
-    subfield induces the field isomorphism z -> sum z_i beta^i, so power
-    maps act the same whether applied to r-bit indices or to embedded
-    elements.  Returns (emb, inv): emb is the read-only uint32 array with
-    emb[z] the n-bit element, inv its inverse dict.
+    """Index map GF(2^r) -> subfield elements of the big field: the field
+    isomorphism z -> sum z_i beta^i for the smallest root beta of the
+    degree-r default modulus inside the subfield, so power maps act the
+    same on r-bit indices and on embedded elements.  Returns (emb, inv),
+    the read-only uint32 array of the elements emb[z] and its inverse dict.
     """
     elems = np.array(gf2n.subfield_elements(r, spec), np.uint32)
     pmod = gf2n.default_modulus(r)
@@ -331,41 +360,41 @@ def _smallest_omega(spec: gf2n.FieldSpec) -> int:
     return min(w ^ s for s in gf2n.subfield_elements(m, spec))
 
 
-def _pi_index(p: MMParams) -> np.ndarray:
-    """pi as a permutation of subfield indices.
-
-    A power map is taken in GF(2^m) on the indices themselves: the
-    embedding is a field isomorphism, so it commutes with powers.
-    """
-    if isinstance(p.pi, int):
-        return gf2n.power_array(np.arange(1 << p.m), p.pi, gf2n.make_field(p.m))
-    return np.array(p.pi, np.uint32)
-
-
-def _subfield_index_table(p: MMParams, image) -> np.ndarray:
-    # x -> subfield index of image(x), for a GF(2)-linear image landing in
-    # GF(2^m); the embedding is linear, so so is the index
+def _mm_z(p: MMParams) -> np.ndarray:
+    # subfield index of z = x + x^(2^m) over the 2^n points, linear in x
     _, inv = _subfield_embedding(p.spec, p.m)
-    return gf2n.linear_table([inv[image(b)] for b in _basis(p.spec)])
+    return gf2n.linear_table([inv[1 << j ^ gf2n.frobenius(1 << j, p.m, p.spec)] for j in range(p.spec.n)])
+
+
+def _index_map(p: MMParams, image) -> np.ndarray:
+    # z -> image(emb[z]) over the 2^m subfield indices, for a linear image
+    emb, _ = _subfield_embedding(p.spec, p.m)
+    return gf2n.linear_table([image(int(emb[1 << k])) for k in range(p.m)])
+
+
+def _index_form(n: int, z: np.ndarray, cov: np.ndarray, g: np.ndarray) -> BooleanFunction:
+    # x -> parity(x & cov[z[x]]) + g[z[x]], from the half-size tables cov
+    # and g over subfield indices; no field product over the 2^n points
+    w = cov[z]
+    w &= np.arange(1 << n, dtype=np.uint32)
+    return BooleanFunction.from_bits(n, (np.bitwise_count(w) & 1) ^ g[z])
 
 
 def mm_function(p: MMParams) -> BooleanFunction:
-    spec, m = p.spec, p.m
-    emb, _ = _subfield_embedding(spec, m)
-    z = _subfield_index_table(p, lambda b: b ^ gf2n.frobenius(b, m, spec))
-    prod = gf2n.mul_array(gf2n.frobenius_table(p.t, spec), emb[_pi_index(p)][z], spec)
-    return BooleanFunction.from_bits(spec.n, gf2n.trace_array(prod, spec, p.lam) ^ p.g_sub.bits()[z])
+    """Tr(lam x^(2^t) pi(z)) + g(z) as parity(x & C[z]) + g(z), where
+    C[z] = covector((lam pi(z))^(2^(n-t))) is a table over the 2^m indices."""
+    spec = p.spec
+    cov = _index_map(p, lambda e: gf2n.covector(gf2n.frobenius(gf2n.mul(p.lam, e, spec), -p.t, spec), spec))
+    return _index_form(spec.n, _mm_z(p), cov[p.pi_index], p.g_sub.bits())
 
 
-def _mm_u_table(p: MMParams) -> np.ndarray:
-    # subfield index of u(x) = pi^(-1)(Lam^(-1) * (x + x^(2^m))^(2^t)),
-    # shared by the dual and the companions
-    spec, m = p.spec, p.m
-    lam_inv = gf2n.inverse(p.lam ^ gf2n.frobenius(p.lam, m, spec), spec)
-    v = _subfield_index_table(
-        p, lambda b: gf2n.mul(lam_inv, gf2n.frobenius(b ^ gf2n.frobenius(b, m, spec), p.t, spec), spec)
-    )
-    return np.argsort(_pi_index(p)).astype(np.uint32)[v]
+def _mm_u(p: MMParams) -> np.ndarray:
+    # u = pi^(-1)(Lam^(-1) * z^(2^t)) over the 2^m indices of z, shared by
+    # the dual and the companions
+    spec, (_, inv) = p.spec, _subfield_embedding(p.spec, p.m)
+    lam_inv = gf2n.inverse(p.lam ^ gf2n.frobenius(p.lam, p.m, spec), spec)
+    v = _index_map(p, lambda e: inv[gf2n.mul(lam_inv, gf2n.frobenius(e, p.t, spec), spec)])
+    return np.argsort(p.pi_index)[v]
 
 
 def mm_dual(p: MMParams, omega: int | None = None) -> BooleanFunction:
@@ -385,14 +414,13 @@ def mm_dual(p: MMParams, omega: int | None = None) -> BooleanFunction:
     elif omega ^ gf2n.frobenius(omega, m, spec) != 1:
         raise ValueError(f"omega={omega:x} does not satisfy omega + omega^(2^m) = 1")
     emb, _ = _subfield_embedding(spec, m)
-    # G over subfield indices; z -> (omega z)^(2^t) is linear in the index
-    omega_t = gf2n.linear_table(
-        [gf2n.frobenius(gf2n.mul(omega, int(emb[1 << k]), spec), p.t, spec) for k in range(m)]
-    )
-    big_g = gf2n.trace_array(gf2n.mul_array(omega_t, emb[_pi_index(p)], spec), spec, p.lam) ^ p.g_sub.bits()
-    u = _mm_u_table(p)
-    bits = gf2n.trace_array(gf2n.mul_array(_domain(spec), emb[u], spec), spec, omega) ^ big_g[u]
-    return BooleanFunction.from_bits(spec.n, bits)
+    # G(z) = parity(covector(c z^(2^t)) & pi(z)) + g(z), c = lam omega^(2^t),
+    # and Tr(omega x u) = parity(x & D[u]) with D[u] = covector(omega u)
+    c = gf2n.mul(p.lam, gf2n.frobenius(omega, p.t, spec), spec)
+    k = _index_map(p, lambda e: gf2n.covector(gf2n.mul(c, gf2n.frobenius(e, p.t, spec), spec), spec))
+    big_g = (np.bitwise_count(k & emb[p.pi_index]) & 1) ^ p.g_sub.bits()
+    d, u = _index_map(p, lambda e: gf2n.covector(gf2n.mul(omega, e, spec), spec)), _mm_u(p)
+    return _index_form(spec.n, _mm_z(p), d[u], big_g[u])
 
 
 def _gold_conditions(p: GoldParams) -> list[tuple[str, bool]]:
@@ -477,10 +505,10 @@ def thmm_build(
     if omega is None:
         omega = _smallest_omega(spec)
     emb, _ = _subfield_embedding(spec, m)
-    u = _mm_u_table(p)
+    z, u = _mm_z(p), _mm_u(p)
     # x -> Tr(omega mu u(x)), read off the subfield through u's index
     companions = [
-        BooleanFunction.from_bits(spec.n, gf2n.trace_array(emb, spec, gf2n.mul(omega, mu, spec))[u])
+        BooleanFunction.from_bits(spec.n, gf2n.trace_array(emb[u], spec, gf2n.mul(omega, mu, spec))[z])
         for mu in mus
     ]
     params = {"lam": p.lam, "t": p.t, "alpha": alpha, "mus": mus, "F": F.table}

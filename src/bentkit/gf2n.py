@@ -13,20 +13,22 @@ without a shipped table.
 
 Two layers share that representation.  The scalar functions (mul, power,
 frobenius, trace_abs, ...) act on single ints and serve per-element work:
-searches, side conditions, basis images.  The array layer (mul_array,
-power_array, trace_array, trace_abs_in_array, linear_table,
-frobenius_table) acts on numpy uint32 arrays of elements, which hold every
-degree up to 24 with room for the one-bit overflow of a shift; it builds
-the 2^n-sized tables.  Its products are bit-sliced shift-and-reduce, so it
-needs no log tables.  Every GF(2)-linear map (Frobenius powers, x + x^(2^m),
-multiplication by a constant, solved linearized maps) is tabulated from
-its n basis images by doubling instead of being evaluated per element, so
-a table costs one pass of 2^n writes however many squarings the map hides.
+searches, side conditions, basis images.  A GF(2)-linear map is carried by
+its n basis images: apply_linear evaluates it, pull_back composes a
+covector with it, and the Frobenius powers are such images, cached.  The
+array layer (mul_array, trace_array, linear_table, frobenius_table) acts
+on numpy uint32 arrays of elements, which hold every degree up to 24 with
+room for the one-bit overflow of a shift; linear_table tabulates a map
+from its images by doubling, 2^k writes for k images, and the bit-sliced
+products of mul_array serve subfields and batches of candidates.
+Whole-field truth tables need no field product per point: `boolfun` and
+`families` build them from basis images and covectors.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,26 +135,27 @@ def inverse(a: int, spec: FieldSpec) -> int:
     return power(a, (1 << spec.n) - 2, spec)
 
 
+@functools.lru_cache(maxsize=None)
+def _frobenius_images(k: int, spec: FieldSpec) -> tuple[int, ...]:
+    if k == 0:
+        return tuple(1 << j for j in range(spec.n))
+    return tuple(mul(v, v, spec) for v in _frobenius_images(k - 1, spec))
+
+
+def frobenius_images(k: int, spec: FieldSpec) -> tuple[int, ...]:
+    """Images of the basis under x -> x ** (2 ** k), cached per (k mod n, field)."""
+    return _frobenius_images(k % spec.n, spec)
+
+
 def frobenius(a: int, k: int, spec: FieldSpec) -> int:
     """a ** (2 ** (k mod n)), i.e. k applications of the squaring map."""
-    for _ in range(k % spec.n):
-        a = mul(a, a, spec)
-    return a
+    return apply_linear(frobenius_images(k, spec), a)
 
 
 @functools.lru_cache(maxsize=None)
 def _trace_mask(spec: FieldSpec) -> int:
     # bit i = Tr(X^i), computed from the defining sum of conjugates
-    mask = 0
-    for i in range(spec.n):
-        t, x = 0, 1 << i
-        for _ in range(spec.n):
-            t ^= x
-            x = mul(x, x, spec)
-        assert t in (0, 1), "trace landed outside the prime field"
-        if t:
-            mask |= 1 << i
-    return mask
+    return sum(trace_abs_in(1 << i, spec.n, spec) << i for i in range(spec.n))
 
 
 def trace_abs(a: int, spec: FieldSpec) -> int:
@@ -177,12 +180,8 @@ def trace_abs_in(a: int, r: int, spec: FieldSpec) -> int:
     """
     if not in_subfield(a, r, spec):
         raise ValueError(f"{a:#x} is not in GF(2^{r})")
-    t = 0
-    x = a
-    for _ in range(r):
-        t ^= x
-        x = mul(x, x, spec)
-    assert t in (0, 1)
+    t = functools.reduce(operator.xor, (frobenius(a, k, spec) for k in range(r)))
+    assert t in (0, 1), "trace landed outside the prime field"
     return t
 
 
@@ -208,6 +207,12 @@ def apply_linear(images, v: int) -> int:
             out ^= image
         v >>= 1
     return out
+
+
+def pull_back(images, w: int) -> int:
+    """The covector w composed with the map of apply_linear, i.e. bit i is
+    parity(w & images[i])."""
+    return sum(((w & image).bit_count() & 1) << i for i, image in enumerate(images))
 
 
 def covector(mu: int, spec: FieldSpec) -> int:
@@ -328,49 +333,21 @@ def subfield_elements(r: int, spec: FieldSpec) -> tuple[int, ...]:
 # ------------------------------------------------------------ array layer
 
 
-# elements per pass of mul_array: its three working arrays then stay in
-# cache across the n passes, which at n = 20 runs 3x faster than whole-array
-# passes
-_CHUNK = 1 << 15
-
-
 def mul_array(a, b, spec: FieldSpec) -> np.ndarray:
     """Elementwise product of two uint32 element arrays, or of an array and
     a scalar: bit-sliced shift-and-reduce, one pass per bit of b."""
     a, b = np.broadcast_arrays(np.asarray(a, np.uint32), np.asarray(b, np.uint32))
-    r = np.zeros(a.shape, np.uint32)
-    flat_a, flat_b, flat_r = a.reshape(-1), b.reshape(-1), r.reshape(-1)
+    x, r, tmp = a.copy(), np.zeros(a.shape, np.uint32), np.empty(a.shape, np.uint32)
     n, mod = spec.n, np.uint32(spec.modulus)
-    buf = np.empty(min(_CHUNK, r.size), np.uint32)
-    for start in range(0, r.size, _CHUNK):
-        x = flat_a[start : start + _CHUNK].copy()
-        y = flat_b[start : start + _CHUNK]
-        acc = flat_r[start : start + _CHUNK]
-        tmp = buf[: x.size]
-        for i in range(n):
-            np.right_shift(y, i, out=tmp)
-            tmp &= 1
-            tmp *= x
-            acc ^= tmp
-            x <<= 1
-            np.right_shift(x, n, out=tmp)
-            tmp *= mod
-            x ^= tmp
-    return r
-
-
-def power_array(a, e: int, spec: FieldSpec) -> np.ndarray:
-    """Elementwise a ** e by square-and-multiply over mul_array."""
-    if e < 0:
-        raise ValueError("negative exponent")
-    a = np.asarray(a, np.uint32)
-    r = np.ones(a.shape, np.uint32)
-    while e:
-        if e & 1:
-            r = mul_array(r, a, spec)
-        e >>= 1
-        if e:
-            a = mul_array(a, a, spec)
+    for i in range(n):
+        np.right_shift(b, i, out=tmp)
+        tmp &= 1
+        tmp *= x
+        r ^= tmp
+        x <<= 1
+        np.right_shift(x, n, out=tmp)
+        tmp *= mod
+        x ^= tmp
     return r
 
 
@@ -400,30 +377,5 @@ def linear_table(images) -> np.ndarray:
 
 def frobenius_table(k: int, spec: FieldSpec) -> np.ndarray:
     """x -> x ** (2 ** (k mod n)) over the whole field, tabulated."""
-    return linear_table([frobenius(1 << j, k, spec) for j in range(spec.n)])
+    return linear_table(frobenius_images(k, spec))
 
-
-def trace_abs_in_array(a, r: int, spec: FieldSpec) -> np.ndarray:
-    """trace_abs_in over an array, as uint8 0/1.
-
-    Every entry must lie in GF(2^r); the first one that does not raises
-    the scalar function's ValueError.  The sum of the r conjugates is
-    GF(2)-linear and is tabulated, and its landing in GF(2) is asserted
-    over the whole array.
-    """
-    if r < 1 or spec.n % r:
-        raise NotADivisor(f"{r} does not divide {spec.n}")
-    a = np.asarray(a, np.uint32)
-    outside = frobenius_table(r, spec)[a] != a
-    if outside.any():
-        raise ValueError(f"{int(a[outside.argmax()]):#x} is not in GF(2^{r})")
-    images = []
-    for j in range(spec.n):
-        t, x = 0, 1 << j
-        for _ in range(r):
-            t ^= x
-            x = mul(x, x, spec)
-        images.append(t)
-    t = linear_table(images)[a]
-    assert np.all(t <= 1)
-    return t.astype(np.uint8)

@@ -14,8 +14,10 @@ Each pairwise condition is GF(2)-linear in its second element, so the
 partners of a chosen element form a subspace.  Enumeration walks the
 intersection of the chosen prefix's partner spaces in ascending order,
 tuples in lexicographic order, testing no candidate.  Every search takes
-an optional cursor, the last tuple already emitted, and resumes
-strictly after it.
+an optional cursor, the last tuple already emitted, and resumes strictly
+after it.  The trace modes do no work of size 2^n, so they take every
+field degree; the second-derivative mode, one transform per element,
+stops at degree 16, and the fingerprint at 14.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2n
-from .boolfun import BooleanFunction, algebraic_degree, derivative, derivative_degrees, wht
+from .boolfun import BooleanFunction, _derivative_degree_batches, algebraic_degree, derivative, wht
 from .constructions import _check_domain
 from .families import GoldParams
 
@@ -132,11 +134,11 @@ def _partner_rows(ms: MuSearchSpec):
     else:
         spec = ms.spec
         c, s = gf2n.inverse(ms.theta, spec), spec.n // 2
-    frob = [gf2n.frobenius(1 << j, s, spec) for j in range(spec.n)]
+    frob = gf2n.frobenius_images(s, spec)
     scaled = [gf2n.covector(gf2n.mul(c, 1 << j, spec), spec) for j in range(spec.n)]
     # Tr(c a b^(2^s)) = parity(w & F b) = parity(F^T w & b), w = covector(c a)
     # and F the Frobenius matrix with columns frob: the cor9 condition
-    images = [sum(((w & f).bit_count() & 1) << i for i, f in enumerate(frob)) for w in scaled]
+    images = [gf2n.pull_back(frob, w) for w in scaled]
     if ms.mode == "gold-trace":
         # plus Tr(lam a^(2^t) b) = parity(covector(lam F a) & b)
         images = [k ^ gf2n.apply_linear(scaled, f) for k, f in zip(images, frob)]
@@ -153,8 +155,8 @@ def find_mu_tuples(
     resumes strictly after it, so concatenating chunked runs reproduces
     the unchunked list.
     """
-    if ms.n > 16:
-        raise ValueError("exhaustive search is capped at degree 16")
+    if ms.mode == "second-derivative" and ms.n > 16:
+        raise ValueError("second-derivative search is capped at degree 16")
     if cursor is not None and len(cursor) != ms.r:
         raise ValueError(f"cursor length {len(cursor)} does not match r={ms.r}")
     partners = _partner_rows(ms)
@@ -262,18 +264,15 @@ class EaFingerprint:
         return f"degree={self.degree} derivatives[{inner}]"
 
 
-# derivative tables per batch in ea_fingerprint: about 2^16 bits, so its
-# working memory stays well under 1 MB at every n <= 14
-_CHUNK_BITS = 1 << 16
-
-
 def ea_fingerprint(h: BooleanFunction) -> EaFingerprint:
     if h.n > 14:
         raise ValueError("fingerprint computation is capped at degree 14")
     size = 1 << h.n
-    step = max(1, _CHUNK_BITS >> h.n)
+    # 512 KB of derivative tables per batch: with their uint16 index, two
+    # bytes per table byte, the working memory stays under 2 MB
+    step = max(1, (1 << 19) // max(1, size // 8))
+    batches = (np.arange(lo, min(lo + step, size), dtype=np.uint16) for lo in range(0, size, step))
     counts = np.zeros(h.n + 1, np.int64)
-    for start in range(0, size, step):
-        shifts = np.arange(start, min(start + step, size), dtype=np.uint16)
-        counts += np.bincount(derivative_degrees(h, shifts), minlength=h.n + 1)
+    for degrees in _derivative_degree_batches(h, batches):
+        counts += np.bincount(degrees, minlength=h.n + 1)
     return EaFingerprint(algebraic_degree(h), tuple((d, int(c)) for d, c in enumerate(counts) if c))

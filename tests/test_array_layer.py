@@ -4,22 +4,26 @@ Array arithmetic is checked against the scalar field functions: every
 pair for n <= 8, and random samples at n = 16, 20 and 24, where a shift
 of a 24-bit element reaches bit 24 of the uint32 word.  Each family table
 is checked byte for byte against the per-element scalar loops kept in
-util as oracles.
+util as oracles, at fixed parameters and as laws over drawn ones.
 """
 
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bentkit import gf2n
-from bentkit.boolfun import BooleanFunction, from_trace_monomial
-from bentkit.errors import NotADivisor
+from bentkit.boolfun import BooleanFunction, linear_form
 from bentkit.families import (
     GoldParams,
+    _exp,
     MMParams,
     _gold_companion,
-    _mm_u_table,
+    _mm_u,
+    _mm_z,
     _smallest_omega,
     _subfield_embedding,
     cort_m_build,
@@ -30,7 +34,11 @@ from bentkit.families import (
     mm_function,
     thmm_build,
 )
+from bentkit.search import find_gold_lambdas
 from util import (
+    from_trace_monomial,
+    power_array,
+    scalar_cor9_slot,
     scalar_cor9_tables,
     scalar_gold_companion,
     scalar_gold_dual,
@@ -68,12 +76,12 @@ def test_power_and_trace_arrays_exhaustive(n):
     spec = gf2n.make_field(n)
     xs = elements(spec)
     for e in (0, 1, 2, 3, 5, (1 << n) - 2, (1 << n) + 6):
-        assert np.array_equal(gf2n.power_array(xs, e, spec), [gf2n.power(x, e, spec) for x in range(1 << n)])
+        assert np.array_equal(power_array(xs, e, spec), [gf2n.power(x, e, spec) for x in range(1 << n)])
     for coeff in range(1 << n):
         expected = [gf2n.trace_abs(gf2n.mul(coeff, x, spec), spec) for x in range(1 << n)]
         assert np.array_equal(gf2n.trace_array(xs, spec, coeff), expected)
     with pytest.raises(ValueError):
-        gf2n.power_array(xs, -1, spec)
+        power_array(xs, -1, spec)
 
 
 @pytest.mark.parametrize("n", SMALL)
@@ -94,7 +102,7 @@ def test_array_layer_random_pairs(n):
     assert np.array_equal(gf2n.mul_array(arr_a, np.array(b, np.uint32), spec),
                           [gf2n.mul(x, y, spec) for x, y in zip(a, b)])
     e = rng.randrange(1 << n)
-    assert np.array_equal(gf2n.power_array(arr_a, e, spec), [gf2n.power(x, e, spec) for x in a])
+    assert np.array_equal(power_array(arr_a, e, spec), [gf2n.power(x, e, spec) for x in a])
     coeff = b[0]
     assert np.array_equal(gf2n.trace_array(arr_a, spec, coeff),
                           [gf2n.trace_abs(gf2n.mul(coeff, x, spec), spec) for x in a])
@@ -115,20 +123,6 @@ def test_linear_table_is_xor_of_images():
                 if x >> j & 1:
                     expected ^= images[j]
             assert table[x] == expected
-
-
-def test_trace_abs_in_array_checks_the_whole_array(g256):
-    sub = gf2n.subfield_elements(4, g256)
-    assert np.array_equal(gf2n.trace_abs_in_array(sub, 4, g256),
-                          [gf2n.trace_abs_in(a, 4, g256) for a in sub])
-    outsider = next(a for a in range(256) if not gf2n.in_subfield(a, 4, g256))
-    with pytest.raises(ValueError) as scalar_exc:
-        gf2n.trace_abs_in(outsider, 4, g256)
-    with pytest.raises(ValueError) as array_exc:
-        gf2n.trace_abs_in_array([*sub, outsider, *sub], 4, g256)
-    assert str(array_exc.value) == str(scalar_exc.value)
-    with pytest.raises(NotADivisor):
-        gf2n.trace_abs_in_array(sub, 3, g256)
 
 
 # ------------------------------------------------------------ family tables
@@ -182,7 +176,7 @@ def test_mm_tables_match_scalar_oracles(n):
     F_second = BooleanFunction.from_bits(2, [0, 0, 1, 1])  # F(y) = y_2
     for p in mm_cases(spec, random.Random(300 + n)):
         assert mm_function(p) == scalar_mm_function(p)
-        assert np.array_equal(emb[_mm_u_table(p)], scalar_mm_u_table(p))
+        assert np.array_equal(emb[_mm_u(p)[_mm_z(p)]], scalar_mm_u_table(p))
         f_star = mm_dual(p)
         assert f_star == scalar_mm_dual(p)
         rep = thmm_build(p, (mu,), 0, F_second)
@@ -196,3 +190,83 @@ def test_trace_monomial_matches_scalar_oracle():
         for e in (0, 1, 3, rng.randrange(1 << n), (1 << n) + 1):
             lam = rng.randrange(1 << n)
             assert from_trace_monomial(spec, lam, e) == scalar_trace_monomial(spec, lam, e)
+
+
+# ------------------------------------------------ laws over drawn parameters
+
+LAW_DEGREES = (4, 6, 8, 10, 12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_gold_builders_law(data):
+    # over any (lam, t) for the function and the companion, over admissible
+    # ones for the dual: the doubled tables against the scalar loops
+    n = data.draw(st.sampled_from(LAW_DEGREES))
+    spec = gf2n.make_field(n)
+    t, mu = data.draw(st.integers(0, 2 * n)), data.draw(st.integers(0, (1 << n) - 1))
+    p = GoldParams(spec, data.draw(st.integers(0, (1 << n) - 1)), t)
+    assert gold_function(p) == scalar_gold_function(p)
+    assert _gold_companion(p, mu) == scalar_gold_companion(p, mu)
+    # the dual at the least admissible lam past a drawn cursor, for a t
+    # with n/gcd(t, n) even
+    s = data.draw(st.sampled_from([s for s in range(1, 2 * n + 1) if (n // math.gcd(s, n)) % 2 == 0]))
+    lams = find_gold_lambdas(spec, s, 1, data.draw(st.integers(0, (1 << n) - 2)))
+    assume(lams)
+    q = GoldParams(spec, lams[0], s)
+    assert gold_dual(q) == scalar_gold_dual(q)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_cor9_tables_law(data):
+    # seed, dual and both kinds of slot against the scalar loops
+    n = data.draw(st.sampled_from(LAW_DEGREES))
+    spec = gf2n.make_field(n)
+    theta = data.draw(st.sampled_from(gf2n.subfield_elements(n // 2, spec)[1:]))
+    alpha, mu = data.draw(st.integers(0, (1 << n) - 1)), data.draw(st.integers(1, (1 << n) - 1))
+    f, f_star = scalar_cor9_tables(spec, theta)
+    rep = cort_m_build(spec, theta, (), alpha, BooleanFunction.from_bits(1, [0, 1]))  # F(y) = y_1
+    assert rep.ok and rep.h == f ^ scalar_cor9_slot(spec, theta, alpha)
+    assert rep.h_star == f_star ^ linear_form(spec, alpha)
+    rep = cort_m_build(spec, theta, (mu,), 0, BooleanFunction.from_bits(2, [0, 0, 1, 1]))  # F(y) = y_2
+    assert rep.ok and rep.h == f ^ linear_form(spec, mu)
+    assert rep.h_star == f_star ^ scalar_cor9_slot(spec, gf2n.inverse(theta, spec), mu)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_mm_builders_law(data):
+    # random lam, t, g and pi, pi a power map or a drawn table
+    n = data.draw(st.sampled_from(LAW_DEGREES))
+    spec, m = gf2n.make_field(n), n // 2
+    lam = data.draw(st.integers(1, (1 << n) - 1))
+    assume(not gf2n.in_subfield(lam, m, spec))
+    if data.draw(st.booleans()):
+        pi = data.draw(st.sampled_from([k for k in range(1, 3 << m) if np.gcd(k, (1 << m) - 1) == 1]))
+    else:
+        pi = tuple(data.draw(st.permutations(range(1 << m))))
+    g = BooleanFunction(m, data.draw(st.integers(0, (1 << (1 << m)) - 1)))
+    p = MMParams(spec, lam, data.draw(st.integers(0, n + 1)), pi, g)
+    assert mm_function(p) == scalar_mm_function(p)
+    f_star = mm_dual(p)
+    assert f_star == scalar_mm_dual(p)
+    mu = data.draw(st.sampled_from(gf2n.subfield_elements(m, spec)[1:]))
+    rep = thmm_build(p, (mu,), 0, BooleanFunction.from_bits(2, [0, 0, 1, 1]))  # F(y) = y_2
+    assert rep.ok and rep.h_star == f_star ^ scalar_thmm_companion(p, mu, _smallest_omega(spec))
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_power_map_from_exp_table(m):
+    # exp lists every unit once, and the power map it gives on subfield
+    # indices is gf2n.power in GF(2^m)
+    sub = gf2n.make_field(m)
+    exp = _exp(m)
+    assert sorted(exp) == list(range(1, 1 << m))
+    rng = random.Random(m)
+    for k in {1, (1 << m) + 1, *(rng.randrange(1, 4 << m) for _ in range(4))}:
+        if np.gcd(k, (1 << m) - 1) != 1:
+            continue
+        g = BooleanFunction.const(m, 0)
+        p = MMParams(gf2n.make_field(2 * m), 2, 1, k, g)
+        assert p.pi_index.tolist() == [gf2n.power(z, k, sub) for z in range(1 << m)]

@@ -26,10 +26,10 @@ from bentkit.boolfun import (
     dot_form,
     dual,
     from_text,
-    from_trace_monomial,
     is_bent,
     linear_form,
     parse_bitstring,
+    quadratic_form,
     to_text,
     translate,
     wht,
@@ -38,6 +38,8 @@ from bentkit.errors import ArityMismatch, NotBent
 from util import (
     anf_degree_walk,
     butterfly_with_copies,
+    compose_unpacked,
+    from_trace_monomial,
     inner_product_fn,
     moebius_with_copies,
     random_function,
@@ -326,6 +328,51 @@ def test_compose_rules():
         assert composed(x) == big_f(z)
     with pytest.raises(ArityMismatch):
         compose(random_function(rng, 2), phi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_compose_matches_unpacked_oracle(data):
+    # r up to 10 takes the uint16 index, n = 17 two blocks of 2^16 points,
+    # n < 3 the padded single byte
+    n = data.draw(st.sampled_from([1, 2, 3, 4, 7, 9, 17]))
+    r = data.draw(st.integers(1, 10))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    phi = VectorialFunction(n, r, tuple(BooleanFunction(n, rng.getrandbits(1 << n)) for _ in range(r)))
+    F = BooleanFunction(r, rng.getrandbits(1 << r))
+    assert compose(F, phi) == compose_unpacked(F, phi)
+
+
+def test_compose_memory_stays_near_the_tables():
+    # three 128 KB components; an int64 index as long as the table would be 8 MB
+    rng = random.Random(22)
+    phi = VectorialFunction(20, 3, tuple(BooleanFunction(20, rng.getrandbits(1 << 20)) for _ in range(3)))
+    F = BooleanFunction(3, 0b10010110)  # the parity of the three components
+    tracemalloc.start()
+    try:
+        h = compose(F, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.table == phi.components[0].table ^ phi.components[1].table ^ phi.components[2].table
+    assert peak < 2 << 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_quadratic_form_doubling_law(data):
+    # the table against Q(x) = const + linear.x + sum over i < j of x_i x_j
+    # (bit i of covectors[j]), evaluated point by point
+    n = data.draw(st.integers(1, 10))
+    linear, const = data.draw(st.integers(0, (1 << n) - 1)), data.draw(st.integers(0, 1))
+    cov = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    q = quadratic_form(n, linear, cov, const)
+    for x in range(1 << n):
+        pairs = sum(x >> j & 1 and (cov[j] & x & ((1 << j) - 1)).bit_count() for j in range(n))
+        assert q(x) == (const + (linear & x).bit_count() + pairs) % 2
+    assert quadratic_form(n, linear) == dot_form(n, linear)
+    dots = [(linear & x).bit_count() & 1 for x in range(1 << n)]
+    assert dot_form(n, linear) == BooleanFunction.from_bits(n, dots)
 
 
 def test_vectorial_validation():

@@ -23,14 +23,19 @@ from bentkit.boolfun import (
     dot_form,
     dual,
     from_text,
-    from_trace_monomial,
     is_bent,
     to_text,
     translate,
 )
 from bentkit.cli import main
 from bentkit.families import GoldParams, gold_function
-from util import inner_product_fn, permutation_to_text, random_function, random_mm_bent
+from util import (
+    from_trace_monomial,
+    inner_product_fn,
+    permutation_to_text,
+    random_function,
+    random_mm_bent,
+)
 
 import random
 
@@ -467,19 +472,68 @@ def test_fingerprint_output(tmp_path):
         assert report_lines(out) == ["command: fingerprint", f"n: {h.n}", degree, derivatives]
 
 
-@pytest.mark.parametrize("shape", ["gold", "mm"])
+def _search_first(argv):
+    code, out, err = run_cli(["search", *argv])
+    assert code == 0, err
+    return out.split()[0]
+
+
+def _n20_args(shape):
+    # the shape's own flags at n = 20, mus and alpha taken from search
+    base = ["--n", "20"]
+    if shape in ("gold", "gold-dual"):
+        return [*base, "--t", "1", "--lambda", "2"]
+    if shape in ("mm", "mm-dual"):
+        return [*base, "--t", "1", "--lambda", "2", "--pi-power", "7", "--g-bits", "01" * 512]
+    if shape == "thm12":
+        # mus from the half field GF(2^10), where the second derivatives vanish
+        sub = gf2n.subfield_elements(10, gf2n.make_field(20))
+        mus = f"{sub[1]:x},{sub[2]:x}"
+        head = ["--t", "1", "--lambda", "2", "--pi-power", "7"]
+    elif shape == "cor9":
+        mus = _search_first(["mus", "--mode", "cor9-trace", "--n", "20", "--theta", "1", "--r", "2"])
+        head = ["--theta", "1"]
+    else:
+        t = "1" if shape == "thm8" else "5"  # cor10 takes t = n/4
+        lam = _search_first(["lambdas", "--n", "20", "--t", t, "--limit", "1"])
+        mus = _search_first(["mus", "--mode", "gold-trace", "--n", "20", "--t", t, "--lambda", lam, "--r=2"])
+        head = ["--t", t, "--lambda", lam] if shape == "thm8" else ["--lambda", lam]
+    alphas = run_cli(["search", "alphas", "--n", "20", "--mus", mus, "--pairing", "trace", "--limit", "2"])[1]
+    return [*base, *head, "--mus", mus, "--alpha", alphas.split()[1], "--F", "01101001"]
+
+
+FIELD_SHAPES = ["gold", "mm", "gold-dual", "thm8", "cor9", "cor10", "mm-dual", "thm12"]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("shape", FIELD_SHAPES)
 def test_construct_at_n20(tmp_path, monkeypatch, shape):
     monkeypatch.setenv("BENT_MAX_N", "20")
-    code, out, _ = run_cli(
-        ["construct", shape, "--n", "20", "--t", "1", "--lambda", "2",
-         "--out-h", str(tmp_path / "h.tt"), "--out-dual", str(tmp_path / "d.tt")]
-    )
-    assert code == 0
+    outs = ["--out-h", str(tmp_path / "h.tt"), "--out-dual", str(tmp_path / "d.tt")]
+    code, out, err = run_cli(["construct", shape, *_n20_args(shape), *outs])
+    assert code == 0, err
     lines = report_lines(out)
     assert "n: 20" in lines
     assert "bent: true" in lines and "dual-matches: true" in lines
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("shape", ["gold", "mm"])
+def test_construct_at_n24(tmp_path, monkeypatch, shape):
+    monkeypatch.setenv("BENT_MAX_N", "24")
+    args = ["--n", "24", "--t", "1", "--lambda", "2"] + (["--g-bits", "0110" * 1024] if shape == "mm" else [])
+    code, out, err = run_cli(
+        ["construct", shape, *args, "--out-h", str(tmp_path / "h.tt"), "--out-dual", str(tmp_path / "d.tt")]
+    )
+    assert code == 0, err
+    lines = report_lines(out)
+    assert "n: 24" in lines
+    assert "bent: true" in lines and "dual-matches: true" in lines
+    h = from_text((tmp_path / "h.tt").read_text())
+    assert h.n == 24 and dual(h, gf2n.make_field(24)) == from_text((tmp_path / "d.tt").read_text())
+
+
+@pytest.mark.slow
 def test_spectral_check_at_n24(tmp_path, monkeypatch):
     # y.pi(z) + g(z) on 12 + 12 bits, whose dual is g(pi^-1(y)) + z.pi^-1(y);
     # |W| = 2^12 and the butterfly's partial sums stay far inside int32

@@ -19,7 +19,6 @@ from bentkit.boolfun import (
     derivative,
     dot_form,
     dual,
-    from_trace_monomial,
     is_bent,
     linear_form,
     translate,
@@ -40,6 +39,7 @@ from bentkit.errors import ArityMismatch, CertificateInvalid, SideConditionFaile
 from util import (
     check_odd_sum_condition,
     check_property_pr_every_omega,
+    from_trace_monomial,
     inner_product_fn,
     random_function,
     random_mm_bent,

@@ -8,7 +8,7 @@ shift-and-reduce path in the package.
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bentkit import gf2n
@@ -124,6 +124,23 @@ def test_frobenius_is_additive_field_automorphism(g256):
         assert gf2n.frobenius(gf2n.mul(a, b, g256), k, g256) == gf2n.mul(
             gf2n.frobenius(a, k, g256), gf2n.frobenius(b, k, g256), g256
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_frobenius_equals_repeated_squaring(data):
+    # frobenius reads cached basis images; the reference squares k times
+    n = data.draw(st.integers(1, 24))
+    a, k = data.draw(st.integers(0, (1 << n) - 1)), data.draw(st.integers(0, 2 * n))
+    spec = gf2n.make_field(n)
+    x = a
+    for _ in range(k):
+        x = gf2n.mul(x, x, spec)
+    assert gf2n.frobenius(a, k, spec) == x
+    assert gf2n.apply_linear(gf2n.frobenius_images(k, spec), a) == x
+    w = random.Random(a).randrange(1 << n)
+    # pull_back composes a covector with the map of the images
+    assert (gf2n.pull_back(gf2n.frobenius_images(k, spec), w) & a).bit_count() % 2 == (w & x).bit_count() % 2
 
 
 def test_trace_abs_agrees_with_frobenius_sum(g64):

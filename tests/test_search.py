@@ -16,6 +16,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from bentkit.boolfun import (
     BooleanFunction,
     algebraic_degree,
     derivative,
+    derivative_degrees,
     dot_form,
     dual,
     is_bent,
@@ -390,6 +392,26 @@ def test_find_alphas_lists_only_what_it_returns():
         find_alphas((1,), -1, n=4)
 
 
+def test_trace_mode_searches_take_every_field_degree():
+    # the trace modes tabulate n basis images and walk subspaces: no 2^n work
+    spec = gf2n.make_field(20)
+    gold = GoldParams(spec, 2, 1)
+    gf2n.covector(1, spec), gf2n.frobenius_images(1, spec)  # field tables outside the measurement
+    tracemalloc.start()
+    try:
+        got = find_mu_tuples(MuSearchSpec("gold-trace", 2, 4, gold=gold))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 10
+    assert len(got) == 4 and all(not _gold_pair_condition(gold, a, b) for a, b in got)
+    theta = gf2n.subfield_elements(10, spec)[5]
+    for a, b in find_mu_tuples(MuSearchSpec("cor9-trace", 2, 4, theta=theta, spec=spec)):
+        assert not _cor9_pair_condition(spec, gf2n.inverse(theta, spec), a, b)
+    with pytest.raises(ValueError, match="capped at degree 16"):
+        find_mu_tuples(MuSearchSpec("second-derivative", 2, 4, f_star=BooleanFunction(18, 0)))
+
+
 def test_brute_force_matches_butterfly():
     rng = random.Random(50)
     agree = 0
@@ -472,6 +494,16 @@ def test_fingerprint_matches_per_derivative_oracle(data):
     h = BooleanFunction.from_bits(n, [low(x & ((1 << k) - 1)) for x in range(1 << n)])
     h ^= dot_form(n, rng.randrange(1 << n)) & dot_form(n, rng.randrange(1 << n))
     assert ea_fingerprint(h) == ea_fingerprint_per_derivative(h)
+
+
+def test_fingerprint_batches_match_one_call_and_the_oracle():
+    # at n = 12 the fingerprint runs four batches of 1,024 derivatives
+    h = random_function(random.Random(54), 12)
+    fp = ea_fingerprint(h)
+    degrees = derivative_degrees(h, np.arange(1 << 12, dtype=np.uint16))
+    counts = np.bincount(degrees)
+    assert fp.derivative_degrees == tuple((d, int(c)) for d, c in enumerate(counts) if c)
+    assert fp == ea_fingerprint_per_derivative(h)
 
 
 def test_fingerprint_memory_is_bounded_by_its_chunk():

@@ -13,14 +13,15 @@ reference oracles: one scalar field call chain per truth-table entry.
 The last section holds the oracles that only the tests use: the
 direct-summation bent check, the batch re-verifier of construction
 reports, the odd-sum form of the companion property and the enumerated
-gold power image, and the helpers no package module calls (the relative
-trace, the hex element format, the permutation file writer).  After them
-come the package's earlier kernels, kept unchanged as references for the
-ones that replaced them: the copying butterfly, the every-omega
-certificate check, the copying Moebius transform, the per-derivative
-fingerprint, the unpacked second-derivative predicate, and the
-depth-first mu search with its pair oracles and the sort-based alpha
-listing.
+gold power image, and the helpers no package module calls (the
+elementwise power over mul_array and the trace monomial tables built on
+it, the relative trace, the hex element format, the permutation file
+writer).  After them come the package's earlier kernels, kept unchanged
+as references for the ones that replaced them: the copying butterfly,
+the every-omega certificate check, the copying Moebius transform, the
+per-derivative fingerprint, the unpacked second-derivative predicate and
+composition, and the depth-first mu search with its pair oracles and the sort-based
+alpha listing.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from bentkit.constructions import ConstructionReport, PrCertificate, _check_doma
 from bentkit.errors import ArityMismatch, NotADivisor, NotBent, NotBentAdmissible
 from bentkit.families import (
     _cor9_pair_condition,
-    _domain,
     _gold_pair_condition,
     _smallest_omega,
     gold_bent_admissible,
@@ -210,6 +210,18 @@ def scalar_cor9_tables(spec: gf2n.FieldSpec, theta: int):
         spec.n, [gf2n.trace_abs_in(gf2n.mul(th_inv, norm[x], spec), m, spec) for x in range(size)]
     )
     return f, h_star_base
+
+
+def scalar_cor9_slot(spec: gf2n.FieldSpec, coeff: int, a: int) -> BooleanFunction:
+    """x -> Tr(coeff a^(2^m) x) + Tr_m(coeff N(a)), the cor9 head (coeff
+    theta, a alpha) and companion (coeff theta^(-1), a mu) slots."""
+    m = spec.n // 2
+    a_m = gf2n.frobenius(a, m, spec)
+    const = gf2n.trace_abs_in(gf2n.mul(coeff, gf2n.mul(a, a_m, spec), spec), m, spec)
+    return BooleanFunction.from_bits(
+        spec.n,
+        [gf2n.trace_abs(gf2n.mul(gf2n.mul(coeff, a_m, spec), x, spec), spec) ^ const for x in range(1 << spec.n)],
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -412,12 +424,33 @@ def check_odd_sum_condition(
     return True
 
 
+def power_array(a, e: int, spec: gf2n.FieldSpec) -> np.ndarray:
+    """Elementwise a ** e by square-and-multiply over mul_array."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    a = np.asarray(a, np.uint32)
+    r = np.ones(a.shape, np.uint32)
+    while e:
+        if e & 1:
+            r = gf2n.mul_array(r, a, spec)
+        e >>= 1
+        if e:
+            a = gf2n.mul_array(a, a, spec)
+    return r
+
+
+def from_trace_monomial(spec: gf2n.FieldSpec, lam: int, e: int) -> BooleanFunction:
+    """x -> Tr(lam * x^e) over the field's domain."""
+    powers = power_array(np.arange(1 << spec.n, dtype=np.uint32), e, spec)
+    return BooleanFunction.from_bits(spec.n, gf2n.trace_array(powers, spec, lam))
+
+
 def gold_power_image(spec: gf2n.FieldSpec, t: int) -> frozenset[int]:
     """The image of x -> x^(2^t + 1) by enumeration; small-degree oracle
     kept around so gold_in_S has an independent cross-check."""
     if spec.n > 12:
         raise ValueError("image enumeration is capped at degree 12")
-    return frozenset(gf2n.power_array(_domain(spec), (1 << t) + 1, spec).tolist())
+    return frozenset(power_array(np.arange(1 << spec.n), (1 << t) + 1, spec).tolist())
 
 
 def trace_rel(a: int, r: int, spec: gf2n.FieldSpec) -> int:
@@ -553,6 +586,16 @@ def d2_nonzero_unpacked(f_star: BooleanFunction):
         return bool((bits ^ bits[idx ^ a] ^ bits[idx ^ b] ^ bits[idx ^ a ^ b]).any())
 
     return fails
+
+
+def compose_unpacked(F: BooleanFunction, phi: VectorialFunction) -> BooleanFunction:
+    """x -> F(phi_1(x), ..., phi_r(x)) on one unpacked bit per point with an
+    int64 index as long as the table; the blocked boolfun.compose must
+    agree with it."""
+    idx = np.zeros(1 << phi.n, np.int64)
+    for i, comp in enumerate(phi.components):
+        idx |= comp.bits().astype(np.int64) << i
+    return BooleanFunction.from_bits(phi.n, F.bits()[idx])
 
 
 def _pair_oracle(ms: MuSearchSpec):
