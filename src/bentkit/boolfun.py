@@ -24,8 +24,6 @@ from . import gf2n
 from .errors import ArityMismatch, NotBent
 
 MAX_ARITY = 24
-_HEX = b"0123456789abcdef"
-_HEX_TRANS = bytes.maketrans(bytes(range(16)), _HEX)
 
 
 def _unpack(table: int, n: int) -> np.ndarray:
@@ -47,10 +45,11 @@ _BYTE_BITS = np.arange(256, dtype=np.uint8)[:, None] >> np.arange(8, dtype=np.ui
 _BYTE_SCORE = (_BYTE_BITS * (1 + np.bitwise_count(np.arange(8, dtype=np.uint8)))).max(axis=1).astype(np.int8)
 _BYTE_SCORE[0] = -64
 
-# _H8[u, j] = (-1)^popcount(u & j), the 8-point Sylvester-Hadamard matrix;
-# _BYTE_WHT[b] is the Walsh transform of the 8 signs (-1)^bit of byte b
+# _BIT_REVERSE[b] is byte b in reverse bit order, as the wire format writes it
+_BIT_REVERSE = np.packbits(_BYTE_BITS, axis=1).tobytes()
+
+# _H8[u, j] = (-1)^popcount(u & j), the 8-point Sylvester-Hadamard matrix
 _H8 = 1 - 2 * (np.bitwise_count(np.arange(8)[:, None] & np.arange(8)).astype(np.int32) & 1)
-_BYTE_WHT = (1 - 2 * _BYTE_BITS.astype(np.int32)) @ _H8
 
 # _BYTE_MOEBIUS[b] is the 8-point Moebius transform of byte b: bit u is the
 # XOR of the bits j of b with j a subset of u
@@ -165,28 +164,48 @@ class VectorialFunction:
         return cls(comps[0].n, len(comps), comps)
 
 
-def _butterfly(f: BooleanFunction) -> np.ndarray:
-    """Dot-pairing Walsh transform of f as a fresh int32 array.
+@functools.cache
+def _word_wht() -> np.ndarray:
+    # row w: Walsh transform of the 16 signs of word w, from its two bytes'; int8, 1 MB
+    byte = (1 - 2 * _BYTE_BITS.astype(np.int8)) @ _H8.astype(np.int8)
+    table = np.empty((256, 256, 16), np.int8)  # [high byte, low byte]
+    np.add(byte, byte[:, None], out=table[..., :8])
+    np.subtract(byte, byte[:, None], out=table[..., 8:])
+    table.flags.writeable = False
+    return table.reshape(-1, 16)
 
-    The first three stages act inside each byte of the packed table, so
-    they are read from _BYTE_WHT; every later stage maps each pair of
-    half-blocks (x, y) to (x + y, x - y) in place, on views of the one
-    array, so the working memory is the output itself.
-    """
-    size = 1 << f.n
-    if f.n < 3:
-        return (1 - 2 * _unpack(f.table, f.n).astype(np.int32)) @ _H8[:size, :size]
-    raw = np.frombuffer(f.table.to_bytes(size // 8, "little"), np.uint8)
-    a = np.take(_BYTE_WHT, raw, axis=0).reshape(size)
-    h = 8
-    while h < size:
-        pairs = a.reshape(-1, 2, h)
-        x, y = pairs[:, 0], pairs[:, 1]
+
+def _stages(a: np.ndarray, h: int, stop: int) -> np.ndarray:
+    # the stages h, 2h, ... below stop in place: half-blocks (x, y) -> (x + y, x - y)
+    while h < stop:
+        x, y = a.reshape(-1, 2, h).swapaxes(0, 1)
         x += y
         y *= -2
         y += x
         h *= 2
     return a
+
+
+def _butterfly(f: BooleanFunction) -> np.ndarray:
+    """Dot-pairing Walsh transform of f as a fresh int32 array.
+
+    The stages inside each 16-bit word of the packed table are one row gather
+    from _word_wht(); the later ones run in place, first per block of up to
+    2^18 points.  No |W| exceeds 2^k before stage h = 2^k, nor 2h during it,
+    so the stages h = 16 ... 2^13 are exact in an int16 block, then widened
+    into the int32 output.  Below n = 4, with no whole word, a Sylvester
+    matrix is used."""
+    size = 1 << f.n
+    if f.n < 4:
+        return (1 - 2 * _unpack(f.table, f.n).astype(np.int32)) @ _H8[:size, :size]
+    words = np.frombuffer(f.table.to_bytes(size // 8, "little"), "<u2")
+    block = min(size, 1 << 18)
+    buf, out = np.empty((block // 16, 16), np.int16), np.empty(size, np.int32)
+    for lo in range(0, size, block):
+        buf[...] = np.take(_word_wht(), words[lo // 16 : (lo + block) // 16], axis=0)
+        out[lo : lo + block] = _stages(buf.reshape(-1), 16, min(block, 1 << 14))
+        _stages(out[lo : lo + block], 1 << 14, block)
+    return _stages(out, block, size)
 
 
 @functools.lru_cache(maxsize=None)
@@ -400,12 +419,10 @@ def to_text(f: BooleanFunction) -> str:
     binary string f(0) f(1) ... f(2^n - 1) read in groups of four.  For a
     domain smaller than one nibble the raw binary string is used instead.
     """
-    bits = _unpack(f.table, f.n)
-    if bits.size < 4:
-        body = "".join("01"[b] for b in bits)
-    else:
-        nibbles = bits.reshape(-1, 4) @ np.array([8, 4, 2, 1], np.uint8)
-        body = nibbles.astype(np.uint8).tobytes().translate(_HEX_TRANS).decode()
+    size = 1 << f.n
+    # below n = 3 the one byte is part padding, read as binary below n = 2
+    raw = f.table.to_bytes(max(1, size // 8), "little").translate(_BIT_REVERSE)
+    body = raw.hex()[: size // 4] if size >= 4 else f"{raw[0]:08b}"[:size]
     return f"n={f.n}\n{body}\n"
 
 
@@ -424,20 +441,16 @@ def from_text(text: str) -> BooleanFunction:
     if size < 4:
         if len(body) != size or set(body) - set("01"):
             raise ValueError("bad raw binary table")
-        bits = np.frombuffer(body.encode(), np.uint8) - ord("0")
-    else:
-        if len(body) != size // 4:
-            raise ValueError(f"expected {size // 4} hex chars, got {len(body)}")
-        codes = np.frombuffer(body.encode(), np.uint8)
-        nibbles = np.full(codes.size, 255, np.uint8)
-        digit = (codes >= ord("0")) & (codes <= ord("9"))
-        letter = (codes >= ord("a")) & (codes <= ord("f"))
-        nibbles[digit] = codes[digit] - ord("0")
-        nibbles[letter] = codes[letter] - ord("a") + 10
-        if np.any(nibbles == 255):
-            raise ValueError("bad hex table")
-        bits = np.unpackbits(nibbles.reshape(-1, 1) << 4, axis=1, count=4).reshape(-1)
-    return BooleanFunction.from_bits(n, bits)
+        return BooleanFunction(n, int(body[::-1], 2))
+    if len(body) != size // 4:
+        raise ValueError(f"expected {size // 4} hex chars, got {len(body)}")
+    try:  # with a padding nibble at n = 2; inner whitespace, skipped, leaves raw short
+        raw = bytes.fromhex(body + "0" * (size == 4))
+    except ValueError:
+        raw = b""
+    if len(raw) != max(1, size // 8):
+        raise ValueError("bad hex table")
+    return BooleanFunction(n, int.from_bytes(raw.translate(_BIT_REVERSE), "little"))
 
 
 def parse_bitstring(bits: str, expect: int | None = None) -> BooleanFunction:

@@ -123,8 +123,8 @@ def gold_dual(p: GoldParams) -> BooleanFunction:
         raise NotBentAdmissible(
             f"gold parameters n={spec.n}, t={p.t}, lam={p.lam:x} are not bent"
         )
-    # x -> x0 is GF(2)-linear: solve once per basis vector
-    x0 = [gf2n.solve_linearized(p.lam, p.t, f, spec) for f in gf2n.frobenius_images(p.t, spec)]
+    # x -> x0 is GF(2)-linear: solve for the n basis vectors
+    x0 = gf2n.solve_linearized(p.lam, p.t, gf2n.frobenius_images(p.t, spec), spec)
     return _gold_form(spec, p.lam, p.t, x0, (spec.n // 2 // p.d) % 2)
 
 

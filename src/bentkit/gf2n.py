@@ -256,30 +256,17 @@ def _solve(rows, rhs: int) -> tuple[int, int]:
     return y, rhs
 
 
-@functools.lru_cache(maxsize=None)
-def _linearized_rows(lam: int, t: int, spec: FieldSpec):
-    lam_t = frobenius(lam, t, spec)
-    cols = [
-        mul(lam, 1 << j, spec) ^ mul(lam_t, frobenius(1 << j, 2 * t, spec), spec)
-        for j in range(spec.n)
-    ]
-    rows, _ = _column_echelon(cols)
-    return tuple(rows)
+def solve_linearized(lam: int, t: int, rhs, spec: FieldSpec) -> list[int]:
+    """Solve lam*y + lam^(2^t) * y^(2^(2t)) = r for y, for each r in rhs.
 
-
-def solve_linearized(lam: int, t: int, rhs: int, spec: FieldSpec) -> int:
-    """Solve lam*y + lam^(2^t) * y^(2^(2t)) = rhs for y.
-
-    The map is GF(2)-linear in y; it is echelonized once per (lam, t) and
-    cached, so repeated solves against the same map cost O(n) reductions.
-    Raises SingularMap when the map is not invertible.
+    The map is GF(2)-linear in y and echelonized once per call; each r then
+    costs O(n) reductions.  Raises SingularMap when it is not invertible.
     """
-    rows = _linearized_rows(lam, t, spec)
+    lam_t, images = frobenius(lam, t, spec), frobenius_images(2 * t, spec)
+    rows, _ = _column_echelon([mul(lam, 1 << j, spec) ^ mul(lam_t, images[j], spec) for j in range(spec.n)])
     if len(rows) < spec.n:
         raise SingularMap(f"linearized map for lam={lam:#x}, t={t} has rank {len(rows)}")
-    y, rest = _solve(rows, rhs)
-    assert rest == 0
-    return y
+    return [_solve(rows, r)[0] for r in rhs]
 
 
 def nullspace(rows: list[int], n: int) -> list[int]:

@@ -39,8 +39,10 @@ from util import (
     anf_degree_walk,
     butterfly_with_copies,
     compose_unpacked,
+    from_text_by_nibbles,
     from_trace_monomial,
     inner_product_fn,
+    malformed_table_texts,
     moebius_with_copies,
     random_function,
     random_mm_bent,
@@ -99,6 +101,44 @@ def test_wht_matches_copying_butterfly(data):
     assert got.dtype == np.int32 and np.array_equal(got, expected)
     spec = gf2n.make_field(n)
     assert np.array_equal(wht(f, spec).values, expected[boolfun._covector_permutation(spec)])
+
+
+def _kernel_ns(ns):
+    # the butterfly's int16 phase ends at n = 14 and its first block at
+    # n = 18; the checks at n >= 19 are slow-marked
+    return [pytest.param(n, marks=pytest.mark.slow) if n >= 19 else n for n in ns]
+
+
+@pytest.mark.parametrize("n", _kernel_ns(range(4, 21)))
+def test_wht_of_constant_and_affine_functions(n):
+    # these reach the largest |W| = 2^n, so a too narrow dtype overflows
+    mask = random.Random(n).getrandbits(n)
+    zero, one, linear = BooleanFunction.const(n, 0), BooleanFunction.const(n, 1), dot_form(n, mask)
+    for f, at, sign in ((zero, 0, 1), (one, 0, -1), (linear, mask, 1), (linear ^ one, mask, -1)):
+        expected = np.zeros(1 << n, np.int32)
+        expected[at] = sign << n
+        got = wht(f).values
+        assert got.dtype == np.int32 and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("n", _kernel_ns((15, 16, 19, 20)))
+def test_wht_matches_copying_butterfly_across_boundaries(n):
+    f = BooleanFunction(n, random.Random(n).getrandbits(1 << n))
+    assert np.array_equal(wht(f).values, butterfly_with_copies(1 - 2 * f.bits().astype(np.int32)))
+
+
+@pytest.mark.slow
+def test_wht_memory_stays_near_its_output():
+    # 4 MB of int32 output; the 1 MB word table is built before measuring
+    f = BooleanFunction(20, random.Random(20).getrandbits(1 << 20))
+    boolfun._word_wht()
+    tracemalloc.start()
+    try:
+        values = wht(f).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.nbytes == 4 << 20 and peak < 1.5 * values.nbytes
 
 
 @settings(max_examples=60, deadline=None)
@@ -404,11 +444,25 @@ def test_text_format_frozen_strings():
     assert from_text("n=1\n01\n") == f1
 
 
-def test_text_roundtrip():
-    rng = random.Random(22)
-    for n in (1, 2, 3, 6, 8):
-        f = random_function(rng, n)
-        assert from_text(to_text(f)) == f
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_text_roundtrip(data):
+    n = data.draw(st.integers(1, 10))
+    f = _drawn_function(data, n)
+    text = to_text(f)
+    assert from_text(text) == f and from_text_by_nibbles(text) == f
+    head, body, _ = text.split("\n")
+    assert from_text(f"{head}\n{body.upper()}\n") == f
+
+
+@settings(max_examples=100, deadline=None)
+@given(malformed_table_texts())
+def test_text_malformed_bodies_match_the_oracle(text):
+    with pytest.raises(ValueError) as want:
+        from_text_by_nibbles(text)
+    with pytest.raises(ValueError) as got:
+        from_text(text)
+    assert str(got.value) == str(want.value)
 
 
 def test_text_rejects_malformed_input():

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from bentkit import gf2n
 from bentkit.boolfun import (
@@ -32,6 +33,7 @@ from bentkit.families import GoldParams, gold_function
 from util import (
     from_trace_monomial,
     inner_product_fn,
+    malformed_table_texts,
     permutation_to_text,
     random_function,
     random_mm_bent,
@@ -88,6 +90,15 @@ def test_fn_bent_and_degree(tmp_path):
     affine = write_fn(tmp_path / "a.tt", from_text("n=2\n6\n"))
     code, out, _ = run_cli(["fn", "bent", "--in", affine])
     assert code == 0 and "bent: false" in out
+
+
+@settings(max_examples=25, deadline=None)
+@given(text=malformed_table_texts())
+def test_fn_bent_rejects_malformed_tables(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "malformed.tt"
+    path.write_text(text)
+    code, out, err = run_cli(["fn", "bent", "--in", str(path)])
+    assert code == 2 and not out and err.startswith("error:")
 
 
 def test_fn_walsh_stream(tmp_path):

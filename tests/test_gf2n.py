@@ -179,14 +179,13 @@ def test_subfield_membership_counts(g16, g64):
 def test_solve_linearized_roundtrip(g16):
     # L(y) = lam*y + lam^{2^t} * y^{2^{2t}}
     lam, t = 2, 1
-    for rhs in range(16):
-        y = gf2n.solve_linearized(lam, t, rhs, g16)
+    for rhs, y in zip(range(16), gf2n.solve_linearized(lam, t, range(16), g16)):
         img = gf2n.mul(lam, y, g16) ^ gf2n.mul(
             gf2n.frobenius(lam, t, g16), gf2n.frobenius(y, 2 * t, g16), g16
         )
         assert img == rhs
     with pytest.raises(SingularMap):
-        gf2n.solve_linearized(1, 4, 3, g16)
+        gf2n.solve_linearized(1, 4, [3], g16)
 
 
 def test_covector_realizes_the_trace_pairing(g64):

@@ -18,10 +18,11 @@ elementwise power over mul_array and the trace monomial tables built on
 it, the relative trace, the hex element format, the permutation file
 writer).  After them come the package's earlier kernels, kept unchanged
 as references for the ones that replaced them: the copying butterfly,
-the every-omega certificate check, the copying Moebius transform, the
-per-derivative fingerprint, the unpacked second-derivative predicate and
-composition, and the depth-first mu search with its pair oracles and the sort-based
-alpha listing.
+a strategy drawing malformed truth-table files with the nibble-mask
+wire-format reader, the every-omega certificate check, the copying
+Moebius transform, the per-derivative fingerprint, the unpacked
+second-derivative predicate and composition, and the depth-first mu
+search with its pair oracles and the sort-based alpha listing.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 
 from bentkit import gf2n
-from bentkit.boolfun import BooleanFunction, VectorialFunction, dual, is_bent, wht
+from bentkit.boolfun import MAX_ARITY, BooleanFunction, VectorialFunction, dual, is_bent, to_text, wht
 from bentkit.constructions import ConstructionReport, PrCertificate, _check_domain
 from bentkit.errors import ArityMismatch, NotADivisor, NotBent, NotBentAdmissible
 from bentkit.families import (
@@ -176,8 +178,7 @@ def scalar_gold_dual(p) -> BooleanFunction:
     const = (spec.n // 2 // p.d) % 2
     frob_t = _power_table(spec, 1 << p.t)
     bits = []
-    for x in range(1 << spec.n):
-        x0 = gf2n.solve_linearized(p.lam, p.t, frob_t[x], spec)
+    for x0 in gf2n.solve_linearized(p.lam, p.t, frob_t, spec):
         bits.append(gf2n.trace_abs(gf2n.mul(p.lam, gf2n.mul(frob_t[x0], x0, spec), spec), spec) ^ const)
     return BooleanFunction.from_bits(spec.n, bits)
 
@@ -502,6 +503,58 @@ def butterfly_with_copies(v: np.ndarray) -> np.ndarray:
         a = a.reshape(size)
         h *= 2
     return a
+
+
+@st.composite
+def malformed_table_texts(draw) -> str:
+    """A wire-format text at n = 1..10 whose body has one character that
+    is no digit of its format, one or two inner spaces (two can leave the
+    hex digits in whole pairs), or the wrong length."""
+    n = draw(st.integers(1, 10))
+    body = to_text(BooleanFunction(n, draw(st.integers(0, (1 << (1 << n)) - 1)))).split("\n")[1]
+    i, j = (draw(st.integers(0, len(body) - 1)) for _ in range(2))
+    kind = draw(st.sampled_from(["digit", "space", "length"]))
+    if kind == "length":
+        return f"n={n}\n{draw(st.sampled_from([body[:i], body + body[i]]))}\n"
+    bad = " " if kind == "space" else draw(st.sampled_from("gzG-.\x1f\u0130"))
+    for k in {i, j} if kind == "space" else {i}:
+        body = body[:k] + bad + body[k + 1 :]
+    return f"n={n}\n{body}\n"
+
+
+def from_text_by_nibbles(text: str) -> BooleanFunction:
+    """The wire-format reader that boolfun.from_text replaced: it decodes
+    each hex character to a nibble through a character-code mask and
+    unpacks the nibbles to one byte per bit.  Its messages are the ones
+    the package reader must raise."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if len(lines) != 2 or not lines[0].startswith("n="):
+        raise ValueError("expected two lines: 'n=<int>' then the table")
+    try:
+        n = int(lines[0][2:])
+    except ValueError:
+        raise ValueError(f"bad arity line {lines[0]!r}") from None
+    if not 1 <= n <= MAX_ARITY:
+        raise ValueError(f"arity {n} out of range")
+    body = lines[1].lower()
+    size = 1 << n
+    if size < 4:
+        if len(body) != size or set(body) - set("01"):
+            raise ValueError("bad raw binary table")
+        bits = np.frombuffer(body.encode(), np.uint8) - ord("0")
+    else:
+        if len(body) != size // 4:
+            raise ValueError(f"expected {size // 4} hex chars, got {len(body)}")
+        codes = np.frombuffer(body.encode(), np.uint8)
+        nibbles = np.full(codes.size, 255, np.uint8)
+        digit = (codes >= ord("0")) & (codes <= ord("9"))
+        letter = (codes >= ord("a")) & (codes <= ord("f"))
+        nibbles[digit] = codes[digit] - ord("0")
+        nibbles[letter] = codes[letter] - ord("a") + 10
+        if np.any(nibbles == 255):
+            raise ValueError("bad hex table")
+        bits = np.unpackbits(nibbles.reshape(-1, 1) << 4, axis=1, count=4).reshape(-1)
+    return BooleanFunction.from_bits(n, bits)
 
 
 def check_property_pr_every_omega(
