@@ -33,7 +33,7 @@ def _unpack(table: int, n: int) -> np.ndarray:
 
 
 def _pack(bits: np.ndarray) -> int:
-    packed = np.packbits(np.asarray(bits, np.uint8) & 1, bitorder="little")
+    packed = np.packbits(bits, bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
 
 
@@ -84,7 +84,7 @@ class BooleanFunction:
         arr = np.asarray(list(bits) if not isinstance(bits, np.ndarray) else bits)
         if arr.size != 1 << n:
             raise ValueError(f"expected {1 << n} bits, got {arr.size}")
-        return cls(n, _pack(arr))
+        return cls(n, _pack(arr.astype(np.uint8) & 1))
 
     def bits(self) -> np.ndarray:
         return _unpack(self.table, self.n)
@@ -189,22 +189,28 @@ def _stages(a: np.ndarray, h: int, stop: int) -> np.ndarray:
 def _butterfly(f: BooleanFunction) -> np.ndarray:
     """Dot-pairing Walsh transform of f as a fresh int32 array.
 
-    The stages inside each 16-bit word of the packed table are one row gather
-    from _word_wht(); the later ones run in place, first per block of up to
-    2^18 points.  No |W| exceeds 2^k before stage h = 2^k, nor 2h during it,
-    so the stages h = 16 ... 2^13 are exact in an int16 block, then widened
-    into the int32 output.  Below n = 4, with no whole word, a Sylvester
-    matrix is used."""
+    Point bits 0-3 are transformed inside each 16-bit word of the packed
+    table by one row gather from _word_wht(); the rest run in place per
+    block of 2^k points, k = min(n, 18), with bits 4 .. 3+m "mid" and
+    4+m .. k-1 "high", m = min(k - 4, k // 2 - 1).  The words are gathered
+    transposed, so the int16 buffer is laid out (mid, high, 16) and the mid
+    stages run on rows of 2^(k-m) points; one transposing assignment widens
+    it into the int32 output in natural order (high, mid, 16), where the
+    high stages run on rows of 2^(4+m) points or more.  A stage at most
+    doubles the largest |W|, in any stage order, so int16 is exact through
+    the 4 + m <= 12 word and mid stages.  Below n = 4, a Sylvester matrix."""
     size = 1 << f.n
     if f.n < 4:
         return (1 - 2 * _unpack(f.table, f.n).astype(np.int32)) @ _H8[:size, :size]
     words = np.frombuffer(f.table.to_bytes(size // 8, "little"), "<u2")
-    block = min(size, 1 << 18)
-    buf, out = np.empty((block // 16, 16), np.int16), np.empty(size, np.int32)
+    k = min(f.n, 18)
+    block, mid = 1 << k, 1 << min(k - 4, k // 2 - 1)
+    buf, out = np.empty((mid, block // mid // 16, 16), np.int16), np.empty(size, np.int32)
     for lo in range(0, size, block):
-        buf[...] = np.take(_word_wht(), words[lo // 16 : (lo + block) // 16], axis=0)
-        out[lo : lo + block] = _stages(buf.reshape(-1), 16, min(block, 1 << 14))
-        _stages(out[lo : lo + block], 1 << 14, block)
+        buf[...] = np.take(_word_wht(), words[lo // 16 : (lo + block) // 16].reshape(-1, mid).T, axis=0)
+        _stages(buf.reshape(-1), block // mid, block)
+        out[lo : lo + block].reshape(-1, mid, 16)[...] = buf.swapaxes(0, 1)
+        _stages(out[lo : lo + block], 16 * mid, block)
     return _stages(out, block, size)
 
 

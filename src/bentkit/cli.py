@@ -152,7 +152,17 @@ def _read_fn(path: str) -> BooleanFunction:
 
 
 def _write_fn(path: str, f: BooleanFunction) -> None:
-    Path(path).write_text(to_text(f))
+    # to a temporary file beside the target, renamed over it once complete
+    target = Path(path)
+    tmp = Path(f"{target}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(to_text(f))
+        os.replace(tmp, target)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno:  # name the requested path
+            raise OSError(exc.errno, exc.strerror, str(target)) from None
+        raise
 
 
 def _field(n: int, modulus: int | None) -> gf2n.FieldSpec:
@@ -175,21 +185,14 @@ def _pairing_lines(rep: Report, n: int, spec: gf2n.FieldSpec | None, pairing: st
 
 
 def _poly_str(p: int) -> str:
-    terms = []
-    for i in range(p.bit_length() - 1, -1, -1):
-        if p >> i & 1:
-            terms.append("1" if i == 0 else ("x" if i == 1 else f"x^{i}"))
-    return " + ".join(terms) if terms else "0"
+    terms = ({0: "1", 1: "x"}.get(i, f"x^{i}") for i in reversed(range(p.bit_length())) if p >> i & 1)
+    return " + ".join(terms) or "0"
 
 
 def _anf_str(form) -> str:
-    if form.coeffs == 0:
-        return "0"
-    terms = []
-    for u in range(1 << form.n):
-        if form.coeffs >> u & 1:
-            terms.append("1" if u == 0 else "".join(f"x{i + 1}" for i in range(form.n) if u >> i & 1))
-    return " + ".join(terms)
+    monomials = (u for u in range(1 << form.n) if form.coeffs >> u & 1)
+    terms = ("".join(f"x{i + 1}" for i in range(form.n) if u >> i & 1) or "1" for u in monomials)
+    return " + ".join(terms) or "0"
 
 
 def _emit_construction(rep: Report, cons, args) -> int:
@@ -397,12 +400,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_search_mus(args) -> int:
-    kwargs = dict(
-        mode=args.mode,
-        r=args.r,
-        limit=args.limit,
-        require_independent=not args.allow_dependent,
-    )
+    kwargs = dict(mode=args.mode, r=args.r, limit=args.limit, require_independent=not args.allow_dependent)
     if args.mode == "second-derivative":
         if args.f_star is None:
             raise ValueError("second-derivative mode needs --f-star")
@@ -414,8 +412,7 @@ def cmd_search_mus(args) -> int:
     else:
         if args.n is None or args.theta is None:
             raise ValueError("cor9-trace mode needs --n and --theta")
-        kwargs["theta"] = args.theta
-        kwargs["spec"] = _field(args.n, args.modulus)
+        kwargs.update(theta=args.theta, spec=_field(args.n, args.modulus))
     for tup in find_mu_tuples(MuSearchSpec(**kwargs), args.cursor):
         sys.stdout.write(",".join(map(_hx, tup)) + "\n")
     return 0

@@ -95,11 +95,10 @@ def make_field(n: int, modulus: int | None = None) -> FieldSpec:
         raise UnsupportedDegree(f"degree must be in 1..{MAX_DEGREE}, got {n}")
     if modulus is None:
         modulus = default_modulus(n)
-    else:
-        if _poly_degree(modulus) != n:
-            raise NonIrreducible(f"modulus {modulus:#x} does not have degree {n}")
-        if not is_irreducible(modulus):
-            raise NonIrreducible(f"modulus {modulus:#x} is reducible")
+    elif _poly_degree(modulus) != n:
+        raise NonIrreducible(f"modulus {modulus:#x} does not have degree {n}")
+    elif not is_irreducible(modulus):
+        raise NonIrreducible(f"modulus {modulus:#x} is reducible")
     return FieldSpec(n, modulus)
 
 
@@ -194,9 +193,7 @@ def _covector_images(spec: FieldSpec) -> tuple[int, ...]:
     for _ in range(2 * spec.n - 1):
         tp.append(trace_abs(x, spec))
         x = mul(x, 2, spec)
-    return tuple(
-        sum(tp[i + j] << i for i in range(spec.n)) for j in range(spec.n)
-    )
+    return tuple(sum(tp[i + j] << i for i in range(spec.n)) for j in range(spec.n))
 
 
 def apply_linear(images, v: int) -> int:

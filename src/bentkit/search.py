@@ -145,9 +145,7 @@ def _partner_rows(ms: MuSearchSpec):
     return lambda a: [gf2n.apply_linear(images, a)]
 
 
-def find_mu_tuples(
-    ms: MuSearchSpec, cursor: tuple[int, ...] | None = None
-) -> list[tuple[int, ...]]:
+def find_mu_tuples(ms: MuSearchSpec, cursor: tuple[int, ...] | None = None) -> list[tuple[int, ...]]:
     """Strictly increasing r-tuples of nonzero elements passing the mode's
     pairwise condition, in lexicographic order, at most `limit` of them.
 
@@ -217,9 +215,7 @@ def find_alphas(
 _LAMBDA_CHUNK = 128
 
 
-def find_gold_lambdas(
-    spec: gf2n.FieldSpec, t: int, limit: int, cursor: int | None = None
-) -> list[int]:
+def find_gold_lambdas(spec: gf2n.FieldSpec, t: int, limit: int, cursor: int | None = None) -> list[int]:
     """Ascending coefficients lam for which Tr(lam * x^(2^t + 1)) is bent,
     resuming strictly after cursor when given.
 

@@ -94,7 +94,8 @@ def _drawn_function(data, n: int) -> BooleanFunction:
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_wht_matches_copying_butterfly(data):
-    n = data.draw(st.integers(1, 12))
+    # up to n = 16, so every mid/high split of a single block is drawn
+    n = data.draw(st.integers(1, 16))
     f = _drawn_function(data, n)
     expected = butterfly_with_copies(1 - 2 * f.bits().astype(np.int32))
     got = wht(f).values
@@ -104,8 +105,8 @@ def test_wht_matches_copying_butterfly(data):
 
 
 def _kernel_ns(ns):
-    # the butterfly's int16 phase ends at n = 14 and its first block at
-    # n = 18; the checks at n >= 19 are slow-marked
+    # the butterfly's mid/high split changes with each n up to 18, where
+    # its first block ends; the checks at n >= 19 are slow-marked
     return [pytest.param(n, marks=pytest.mark.slow) if n >= 19 else n for n in ns]
 
 
@@ -121,7 +122,7 @@ def test_wht_of_constant_and_affine_functions(n):
         assert got.dtype == np.int32 and np.array_equal(got, expected)
 
 
-@pytest.mark.parametrize("n", _kernel_ns((15, 16, 19, 20)))
+@pytest.mark.parametrize("n", _kernel_ns((15, 16, 17, 18, 19, 20, 21)))
 def test_wht_matches_copying_butterfly_across_boundaries(n):
     f = BooleanFunction(n, random.Random(n).getrandbits(1 << n))
     assert np.array_equal(wht(f).values, butterfly_with_copies(1 - 2 * f.bits().astype(np.int32)))
@@ -163,6 +164,30 @@ def test_bent_dual_agrees_with_is_bent_and_dual(data):
     if spec is not None:
         w = w[boolfun._covector_permutation(spec)]
     assert np.array_equal(g.bits(), (w == -half).astype(np.uint8))
+
+
+@st.composite
+def mm_bent_functions(draw):
+    """y.pi(z) + g(z) on the half-split coordinates y = x mod 2^m, z = x >> m,
+    with a drawn permutation pi and a drawn g: a Maiorana-McFarland bent f."""
+    n = draw(st.sampled_from(range(4, 17, 2)))
+    m = n // 2
+    pi = np.array(draw(st.permutations(range(1 << m))), np.uint32)
+    g = np.frombuffer(draw(st.binary(min_size=1 << m, max_size=1 << m)), np.uint8) & 1
+    x = np.arange(1 << n, dtype=np.uint32)
+    y, z = x & ((1 << m) - 1), x >> m
+    return BooleanFunction.from_bits(n, (np.bitwise_count(y & pi[z]) & 1) ^ g[z])
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=mm_bent_functions())
+def test_dual_involution_and_sign_identity(f):
+    # under both pairings: f~~ = f and W_f = 2^(n/2) (-1)^f~
+    for spec in (None, gf2n.make_field(f.n)):
+        g = dual(f, spec)
+        assert dual(g, spec) == f
+        signs = 1 - 2 * g.bits().astype(np.int32)
+        assert np.array_equal(wht(f, spec).values, signs << (f.n // 2))
 
 
 def test_linear_forms_peak_at_their_mask(g64):

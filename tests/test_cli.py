@@ -6,9 +6,11 @@ at the end proves the installed entry point works.
 """
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -108,6 +110,14 @@ def test_fn_walsh_stream(tmp_path):
     assert out == "0 2\n1 2\n2 2\n3 -2\n"
 
 
+def test_fn_anf_frozen(tmp_path):
+    cases = {"f6": (F6, "x1x4 + x2x5 + x3x6"), "g3": (from_text("n=3\n6b\n"), "x1 + x2 + x3 + x2x3 + x1x2x3"),
+             "zero": (BooleanFunction.const(2, 0), "0"), "one": (BooleanFunction.const(2, 1), "1")}
+    for name, (f, expected) in cases.items():
+        code, out, _ = run_cli(["fn", "anf", "--in", write_fn(tmp_path / f"{name}.tt", f)])
+        assert (code, out) == (0, expected + "\n")
+
+
 def test_fn_dual_roundtrip(tmp_path):
     path = write_fn(tmp_path / "f.tt", F6)
     code, out, _ = run_cli(["fn", "dual", "--in", path])
@@ -180,6 +190,48 @@ def test_construct_gold_rejects_power_value(tmp_path):
     )
     assert code == 4
     assert "lambda-not-in-S" in err
+
+
+GOLD6 = ["construct", "gold", "--n", "6", "--t", "1", "--lambda", "2a"]
+
+
+@pytest.mark.parametrize("fault", ["disk-full", "interrupt", "rename"])
+def test_construct_failed_write_keeps_the_old_table(tmp_path, monkeypatch, fault):
+    out_h, out_d = tmp_path / "h.tt", tmp_path / "d.tt"
+    out_h.write_text("n=2\n1\n")
+    real_write = Path.write_text
+
+    def torn_write(self, text, *args, **kwargs):
+        real_write(self, text[: len(text) // 2])  # half the table is on disk
+        if fault == "interrupt":
+            raise KeyboardInterrupt
+        raise OSError(errno.ENOSPC, "No space left on device", str(self))
+
+    def failed_replace(src, dst):
+        raise OSError(errno.EXDEV, "Invalid cross-device link", str(src), str(dst))
+
+    if fault == "rename":
+        monkeypatch.setattr(os, "replace", failed_replace)
+    else:
+        monkeypatch.setattr(Path, "write_text", torn_write)
+    argv = [*GOLD6, "--out-h", str(out_h), "--out-dual", str(out_d)]
+    if fault == "interrupt":
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(argv)
+    else:
+        code, _, err = run_cli(argv)
+        assert code == 2 and err.endswith(f": '{out_h}'\n") and "[Errno" in err
+    assert out_h.read_text() == "n=2\n1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.tt"]
+
+
+def test_construct_unwritable_output_names_the_path(tmp_path):
+    missing = tmp_path / "nonexistent" / "h.tt"
+    code, out, err = run_cli([*GOLD6, "--out-h", str(missing), "--out-dual", str(tmp_path / "d.tt")])
+    assert (code, out) == (2, "") and err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    code, out, err = run_cli([*GOLD6, "--out-h", str(tmp_path), "--out-dual", str(tmp_path / "d.tt")])
+    assert (code, out) == (2, "") and err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_construct_report_is_deterministic(tmp_path):
