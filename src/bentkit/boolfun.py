@@ -16,6 +16,7 @@ Conventions, used everywhere downstream:
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,52 +167,75 @@ class VectorialFunction:
 
 @functools.cache
 def _word_wht() -> np.ndarray:
-    # row w: Walsh transform of the 16 signs of word w, from its two bytes'; int8, 1 MB
-    byte = (1 - 2 * _BYTE_BITS.astype(np.int8)) @ _H8.astype(np.int8)
-    table = np.empty((256, 256, 16), np.int8)  # [high byte, low byte]
+    # row w: Walsh transform of the 16 signs of word w, from its two bytes'; int16, 2 MB
+    byte = (1 - 2 * _BYTE_BITS.astype(np.int16)) @ _H8.astype(np.int16)
+    table = np.empty((256, 256, 16), np.int16)  # [high byte, low byte]
     np.add(byte, byte[:, None], out=table[..., :8])
     np.subtract(byte, byte[:, None], out=table[..., 8:])
     table.flags.writeable = False
     return table.reshape(-1, 16)
 
 
-def _stages(a: np.ndarray, h: int, stop: int) -> np.ndarray:
-    # the stages h, 2h, ... below stop in place: half-blocks (x, y) -> (x + y, x - y)
+class _Workspace(threading.local):
+    # three int16 buffers of 2^18 points per thread, never resized; smaller blocks use prefixes
+    def __init__(self):
+        self.buffers = tuple(np.empty(1 << 18, np.int16) for _ in range(3))
+
+
+_WORKSPACE = _Workspace()
+
+
+def _stages(a: np.ndarray, h: int, stop: int, b: np.ndarray | None = None):
+    # stages h, 2h, ... below stop, (x, y) -> (x + y, x - y), a into b and back or in place; (result, other)
     while h < stop:
         x, y = a.reshape(-1, 2, h).swapaxes(0, 1)
-        x += y
-        y *= -2
-        y += x
+        if b is None:
+            x += y
+            y *= -2
+            y += x
+        else:
+            u, v = b.reshape(-1, 2, h).swapaxes(0, 1)
+            np.add(x, y, out=u)
+            np.subtract(x, y, out=v)
+            a, b = b, a
         h *= 2
-    return a
+    return a, b
 
 
-def _butterfly(f: BooleanFunction) -> np.ndarray:
-    """Dot-pairing Walsh transform of f as a fresh int32 array.
+def _butterfly(f: BooleanFunction, dtype) -> np.ndarray:
+    """Dot-pairing Walsh transform of f in dtype, int32 or int16.
 
     Point bits 0-3 are transformed inside each 16-bit word of the packed
-    table by one row gather from _word_wht(); the rest run in place per
-    block of 2^k points, k = min(n, 18), with bits 4 .. 3+m "mid" and
-    4+m .. k-1 "high", m = min(k - 4, k // 2 - 1).  The words are gathered
-    transposed, so the int16 buffer is laid out (mid, high, 16) and the mid
-    stages run on rows of 2^(k-m) points; one transposing assignment widens
-    it into the int32 output in natural order (high, mid, 16), where the
-    high stages run on rows of 2^(4+m) points or more.  A stage at most
-    doubles the largest |W|, in any stage order, so int16 is exact through
-    the 4 + m <= 12 word and mid stages.  Below n = 4, a Sylvester matrix."""
+    table by one row gather from _word_wht(); the rest run per block of 2^k
+    points, k = min(n, 18), with bits 4 .. 3+m "mid" and 4+m .. k-1 "high",
+    m = min(k - 4, k // 2 - 1).  Gathered transposed into a workspace buffer
+    (mid, high, 16), the mid stages run on rows of 2^(k-m) points; copied to
+    natural order, the high ones on rows of 2^(4+m) or more.  Stages move
+    between two buffers, but int32 high stages and those across blocks run in
+    place.  A stage at most doubles max |W|: int16 is exact through the 4 + m
+    <= 12 word and mid stages, then wraps (see bent_dual), aliasing the
+    workspace up to n = 18."""
     size = 1 << f.n
     if f.n < 4:
-        return (1 - 2 * _unpack(f.table, f.n).astype(np.int32)) @ _H8[:size, :size]
+        return ((1 - 2 * _unpack(f.table, f.n).astype(np.int32)) @ _H8[:size, :size]).astype(dtype)
     words = np.frombuffer(f.table.to_bytes(size // 8, "little"), "<u2")
     k = min(f.n, 18)
     block, mid = 1 << k, 1 << min(k - 4, k // 2 - 1)
-    buf, out = np.empty((mid, block // mid // 16, 16), np.int16), np.empty(size, np.int32)
-    for lo in range(0, size, block):
-        buf[...] = np.take(_word_wht(), words[lo // 16 : (lo + block) // 16].reshape(-1, mid).T, axis=0)
-        _stages(buf.reshape(-1), block // mid, block)
-        out[lo : lo + block].reshape(-1, mid, 16)[...] = buf.swapaxes(0, 1)
-        _stages(out[lo : lo + block], 16 * mid, block)
-    return _stages(out, block, size)
+    ws, out = _WORKSPACE.buffers, None if dtype == np.int16 and size == block else np.empty(size, dtype)
+    # numpy copies rows under half its buffer (8,192 by default) through it: 3x on 2^10 or 2^11 points
+    bufsize = np.setbufsize(1024)
+    try:
+        for lo in range(0, size, block):
+            a, b, rows = ws[0][:block], ws[1][:block], words[lo // 16 : (lo + block) // 16].reshape(-1, mid).T
+            np.take(_word_wht(), rows, 0, a.reshape(mid, -1, 16), "clip")  # no word is out of range
+            a, b = _stages(a, block // mid, block, b)
+            b.view("V32").reshape(-1, mid)[...] = a.view("V32").reshape(mid, -1).T  # 16 points as one item
+            dst = b if out is None else out[lo : lo + block]
+            dst[...] = b  # a no-op in one block; beyond, six high stages end an int16 result in out
+            res = _stages(dst, 16 * mid, block, a if dtype == np.int16 else None)
+    finally:
+        np.setbufsize(bufsize)
+    return res[0] if out is None else _stages(out, block, size)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -230,35 +254,36 @@ def wht(f: BooleanFunction, spec: gf2n.FieldSpec | None = None) -> WalshSpectrum
     """
     if spec is not None and spec.n != f.n:
         raise ArityMismatch(f"field degree {spec.n} != function arity {f.n}")
-    values = _butterfly(f)
+    values = _butterfly(f, np.int32)
     if spec is not None:
         values = values[_covector_permutation(spec)]
     return WalshSpectrum(f.n, values)
 
 
-def _flat(values: np.ndarray, n: int) -> bool:
-    # Parseval: the squares sum to 2^(2n) over 2^n points, so no |W| above
-    # 2^(n/2) means every |W| equals it
-    half = 1 << (n // 2)
-    return int(values.max()) <= half and int(values.min()) >= -half
-
-
 def is_bent(f: BooleanFunction) -> bool:
     """Flat spectrum test; pairing-independent, so no spec is needed."""
-    return f.n % 2 == 0 and _flat(_butterfly(f), f.n)
+    return bent_dual(f) is not None
 
 
 def bent_dual(f: BooleanFunction, spec: gf2n.FieldSpec | None = None) -> BooleanFunction | None:
     """The dual f~ with W[mu] = 2^(n/2) * (-1)^f~(mu), from one transform;
-    None when f is not bent, odd arity included."""
+    None when f is not bent, odd arity included.
+
+    The transform runs in int16 and wraps mod 2^16, yet stays exact: if every
+    W = +-2^(n/2) + j 2^16, then |W| >= 2^(n/2) (j != 0 gives |W| >= 2^16 -
+    2^(n/2) > 2^(n/2), as n <= 28), and Parseval, sum W^2 = 2^(2n) over 2^n
+    points, forces |W| = 2^(n/2).  So f is bent iff every int16 value is
+    +-2^(n/2), and their signs are the dual."""
     if spec is not None and spec.n != f.n:
         raise ArityMismatch(f"field degree {spec.n} != function arity {f.n}")
     if f.n % 2:
         return None
-    values = wht(f, spec).values
-    if not _flat(values, f.n):
+    # the values may alias this thread's workspace; |W| goes to its spare buffer
+    values, half, spare = _butterfly(f, np.int16), 1 << f.n // 2, _WORKSPACE.buffers[2]
+    mags = (np.abs(part, out=spare[: part.size]) for part in values.reshape(-1, min(values.size, spare.size)))
+    if not all(mag.min() == half == mag.max() for mag in mags):
         return None
-    return BooleanFunction(f.n, _pack(values < 0))
+    return BooleanFunction(f.n, _pack((values < 0)[... if spec is None else _covector_permutation(spec)]))
 
 
 def dual(f: BooleanFunction, spec: gf2n.FieldSpec | None = None) -> BooleanFunction:

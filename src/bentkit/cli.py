@@ -24,6 +24,8 @@ import time
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import gf2n
 from .boolfun import (
     BooleanFunction,
@@ -189,10 +191,17 @@ def _poly_str(p: int) -> str:
     return " + ".join(terms) or "0"
 
 
-def _anf_str(form) -> str:
-    monomials = (u for u in range(1 << form.n) if form.coeffs >> u & 1)
-    terms = ("".join(f"x{i + 1}" for i in range(form.n) if u >> i & 1) or "1" for u in monomials)
-    return " + ".join(terms) or "0"
+def _write_anf(form, write) -> None:
+    # per block of 2^16 monomials; a term joins the names of its low and high halves of bits
+    h, sep = form.n // 2, ""
+    low, high = (["".join(f"x{i + 1}" for i in range(a, b) if v >> (i - a) & 1) for v in range(1 << (b - a))]
+                 for a, b in ((0, h), (h, form.n)))
+    raw = np.frombuffer(form.coeffs.to_bytes(max(1, (1 << form.n) // 8), "little"), np.uint8)
+    for lo in range(0, raw.size, 8192):
+        if us := (np.flatnonzero(np.unpackbits(raw[lo : lo + 8192], bitorder="little")) + 8 * lo).tolist():
+            write(sep + " + ".join(low[u & ((1 << h) - 1)] + high[u >> h] or "1" for u in us))
+            sep = " + "
+    write("\n" if sep else "0\n")
 
 
 def _emit_construction(rep: Report, cons, args) -> int:
@@ -232,8 +241,9 @@ def cmd_fn(args) -> int:
     f = _read_fn(args.infile)
     spec = _field_for(f, args)
     if args.op == "walsh":
-        w = wht(f, spec)
-        sys.stdout.write("".join(f"{mu:x} {int(w.values[mu])}\n" for mu in range(w.values.size)))
+        w = wht(f, spec).values
+        for lo in range(0, w.size, 65536):  # formatted and written per block of 2^16 lines
+            sys.stdout.write("".join(map("{:x} {}\n".format, range(lo, w.size), w[lo : lo + 65536].tolist())))
     elif args.op == "bent":
         rep = Report("fn bent")
         rep.add("n", f.n)
@@ -247,7 +257,7 @@ def cmd_fn(args) -> int:
         rep.add("degree", algebraic_degree(f))
         rep.emit()
     elif args.op == "anf":
-        sys.stdout.write(_anf_str(anf(f)) + "\n")
+        _write_anf(anf(f), sys.stdout.write)
     else:
         if args.mu is None:
             raise ValueError("fn derivative needs --mu")

@@ -6,6 +6,8 @@ package butterfly.
 """
 
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -39,10 +41,12 @@ from util import (
     anf_degree_walk,
     butterfly_with_copies,
     compose_unpacked,
+    dual_int32,
     from_text_by_nibbles,
     from_trace_monomial,
     inner_product_fn,
     malformed_table_texts,
+    mm_bent_pair,
     moebius_with_copies,
     random_function,
     random_mm_bent,
@@ -142,28 +146,94 @@ def test_wht_memory_stays_near_its_output():
     assert values.nbytes == 4 << 20 and peak < 1.5 * values.nbytes
 
 
-@settings(max_examples=60, deadline=None)
+def _flipped(f: BooleanFunction, rng: random.Random, count: int) -> BooleanFunction:
+    return BooleanFunction(f.n, f.table ^ sum(1 << x for x in rng.sample(range(1 << f.n), count)))
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_bent_dual_agrees_with_is_bent_and_dual(data):
-    n = data.draw(st.integers(1, 12))
-    if n % 2 == 0 and data.draw(st.booleans()):
-        f = random_mm_bent(random.Random(data.draw(st.integers(0, 2**32))), n)
-        f ^= dot_form(n, data.draw(st.integers(0, (1 << n) - 1)))
-    else:
+    # the wrapping int16 verdict and dual against the int32 oracle, on
+    # Maiorana-McFarland tables with 0, 1, 2, 3 or 2^(n/2-1) points flipped,
+    # random tables, constants and affine forms
+    n = data.draw(st.integers(2, 16))
+    kind = data.draw(st.sampled_from(["bent", "flipped", "random", "const", "affine"]))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    if kind == "const":
+        f = BooleanFunction.const(n, rng.getrandbits(1))
+    elif kind == "affine":
+        f = dot_form(n, rng.getrandbits(n)) ^ BooleanFunction.const(n, rng.getrandbits(1))
+    elif kind == "random" or n % 2:
         f = _drawn_function(data, n)
+    else:
+        f = mm_bent_pair(rng.getrandbits(32), n)[0] ^ dot_form(n, rng.getrandbits(n))
+        if kind == "flipped":
+            f = _flipped(f, rng, data.draw(st.sampled_from([1, 2, 3, 1 << (n // 2 - 1)])))
     spec = gf2n.make_field(n) if data.draw(st.booleans()) else None
+    w = butterfly_with_copies(1 - 2 * f.bits().astype(np.int32))
     g = bent_dual(f, spec)
+    assert g == dual_int32(n, w if spec is None else w[boolfun._covector_permutation(spec)])
     assert (g is not None) == is_bent(f)
     if g is None:
         with pytest.raises(NotBent):
             dual(f, spec)
         return
     assert g == dual(f, spec) and bent_dual(g, spec) == f
-    half = 1 << (n // 2)
-    w = butterfly_with_copies(1 - 2 * f.bits().astype(np.int32))
-    if spec is not None:
-        w = w[boolfun._covector_permutation(spec)]
-    assert np.array_equal(g.bits(), (w == -half).astype(np.uint8))
+
+
+@pytest.mark.parametrize("n", [pytest.param(n, marks=pytest.mark.slow) if n >= 20 else n for n in (18, 20, 22, 24)])
+def test_bent_dual_agrees_with_the_int32_oracle_at_large_n(n):
+    # one and 2^(n/2-1) flipped points move some |W| off 2^(n/2) by 2 and by
+    # up to 2^(n/2); the constants' W(0) = 2^n wraps to 0 in int16, so at
+    # n = 24 their whole int16 spectrum is 0
+    rng = random.Random(n)
+    f, f_star = mm_bent_pair(n, n)
+    cases = [f, _flipped(f, rng, 1), _flipped(f, rng, 1 << (n // 2 - 1)), dot_form(n, rng.getrandbits(n))]
+    for g in cases + [BooleanFunction.const(n, 0), BooleanFunction.const(n, 1)]:
+        assert bent_dual(g) == dual_int32(n, wht(g).values)
+        assert is_bent(g) == (g == f)
+    assert bent_dual(f) == f_star
+
+
+def test_verification_is_thread_safe():
+    # each thread transforms in its own workspace: two threads at different
+    # n, switching often, agree with the serial results
+    pairs = [mm_bent_pair(n, n) for n in (14, 16, 18)]
+    fs = [f for f, _ in pairs] + [_flipped(f, random.Random(f.n), 1) for f, _ in pairs]
+    expected = [(is_bent(f), bent_dual(f)) for f in fs]
+    assert [e[1] for e in expected[:3]] == [f_star for _, f_star in pairs]
+    wrong = []
+
+    def check(order):
+        for _ in range(5):
+            wrong.extend(i for i in order if (is_bent(fs[i]), bent_dual(fs[i])) != expected[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=check, args=(order,)) for order in ([0, 4, 2], [1, 5, 3, 2])]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and wrong == []
+
+
+@pytest.mark.slow
+def test_bent_dual_memory_stays_near_its_output():
+    # the 2 MB int16 spectrum, the 1 MB sign mask and the 128 KB packed dual,
+    # with the word table and this thread's workspace built before measuring
+    f, f_star = mm_bent_pair(20, 20)
+    bent_dual(f)
+    tracemalloc.start()
+    try:
+        g = bent_dual(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == f_star and peak < 3.5 * 2**20
 
 
 @st.composite
@@ -249,13 +319,24 @@ def test_dual_shift_law_dot_and_trace(g64):
         assert dual(ft ^ linear_form(g64, a), g64) == translate(dual(ft, g64), a)
 
 
-def test_dual_reindexing_between_pairings(g64):
-    # the trace dual is the dot dual composed with the covector permutation
-    f = inner_product_fn(6)
-    dd = dual(f)
-    dt = dual(f, g64)
-    for mu in range(64):
-        assert dt(mu) == dd(gf2n.covector(mu, g64))
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dual_reindexing_between_pairings(data):
+    # the trace pairing is the dot pairing read through the covector map:
+    # W_tr[mu] = W_dot[covector(mu)], and for bent f, f~_tr(mu) = f~_dot(covector(mu))
+    n = data.draw(st.integers(1, 16))
+    spec = gf2n.make_field(n)
+    if n % 2 == 0 and data.draw(st.booleans()):
+        f = mm_bent_pair(data.draw(st.integers(0, 2**32)), n)[0]
+    else:
+        f = _drawn_function(data, n)
+    wd, wt = wht(f).values, wht(f, spec).values
+    dd, dt = bent_dual(f), bent_dual(f, spec)
+    assert (dd is None) == (dt is None)
+    for mu in data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=16)):
+        cov = gf2n.covector(mu, spec)
+        assert wt[mu] == wd[cov]
+        assert dd is None or dt(mu) == dd(cov)
 
 
 def test_dual_requires_bent():
@@ -264,7 +345,7 @@ def test_dual_requires_bent():
 
 
 def test_dual_rejects_bad_arity_before_transforming(monkeypatch, g64):
-    def no_butterfly(f):
+    def no_butterfly(f, dtype):
         raise AssertionError("the butterfly ran on a rejected input")
 
     monkeypatch.setattr(boolfun, "_butterfly", no_butterfly)

@@ -14,15 +14,18 @@ import os
 import shlex
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from bentkit import gf2n
+from bentkit import boolfun, gf2n
 from bentkit.boolfun import (
     BooleanFunction,
+    anf,
     dot_form,
     dual,
     from_text,
@@ -116,6 +119,44 @@ def test_fn_anf_frozen(tmp_path):
     for name, (f, expected) in cases.items():
         code, out, _ = run_cli(["fn", "anf", "--in", write_fn(tmp_path / f"{name}.tt", f)])
         assert (code, out) == (0, expected + "\n")
+
+
+def test_fn_anf_lists_the_set_monomials_in_linear_time(tmp_path, monkeypatch):
+    # the quadratic n = 20 Gold table: testing each of the 2^n monomials'
+    # bits of the coefficient int would be quadratic in the table size
+    monkeypatch.setenv("BENT_MAX_N", "20")
+    f = gold_function(GoldParams(gf2n.make_field(20), 2, 1))
+    path = write_fn(tmp_path / "g.tt", f)
+    start = time.perf_counter()
+    code, out, _ = run_cli(["fn", "anf", "--in", path])
+    assert code == 0 and time.perf_counter() - start < 1.0
+    terms = [[int(i) for i in t.split("x")[1:]] for t in out.strip().split(" + ")]
+    bits = np.unpackbits(np.frombuffer(anf(f).coeffs.to_bytes(1 << 17, "little"), np.uint8), bitorder="little")
+    assert [sum(1 << (i - 1) for i in t) for t in terms] == np.flatnonzero(bits).tolist()
+
+
+@pytest.mark.slow
+def test_fn_walsh_streams_its_lines(tmp_path, monkeypatch):
+    # 11 MB of lines at n = 20 into a stream that keeps nothing: formatted
+    # per block of 2^16 lines, they never exist in one string
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+    monkeypatch.setenv("BENT_MAX_N", "20")
+    path = write_fn(tmp_path / "f.tt", BooleanFunction(20, random.Random(20).getrandbits(1 << 20)))
+    sink = Sink()
+    boolfun._word_wht(), boolfun._WORKSPACE.buffers  # built once per process and thread
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["fn", "walsh", "--in", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.size > 11 * 10**6 and peak < 12 * 2**20, peak
 
 
 def test_fn_dual_roundtrip(tmp_path):

@@ -488,6 +488,29 @@ def permutation_to_text(m: int, images) -> str:
     return f"m={m}\n" + " ".join(str(v) for v in images) + "\n"
 
 
+def dual_int32(n: int, values: np.ndarray) -> BooleanFunction | None:
+    """Oracle for bent_dual from an exact int32 dot or trace spectrum: as
+    Parseval makes the squares sum to 2^(2n) over 2^n points, no |W| above
+    2^(n/2) means every |W| equals it.  None when not bent."""
+    half = 1 << (n // 2)
+    if n % 2 or int(values.max()) > half or int(values.min()) < -half:
+        return None
+    return BooleanFunction.from_bits(n, values < 0)
+
+
+def mm_bent_pair(seed: int, n: int) -> tuple[BooleanFunction, BooleanFunction]:
+    """y.pi(z) + g(z) on the low and high n/2 bits y, z, with its dot-pairing
+    dual g(pi^-1(u)) + v.pi^-1(u) at u, v = low, high bits; numpy-built, so
+    it stays fast up to n = 24."""
+    rng = np.random.default_rng(seed)
+    half = np.arange(1 << (n // 2), dtype=np.uint16)
+    pi, g = rng.permutation(half), rng.integers(0, 2, half.size, dtype=np.uint8)
+    inv = np.argsort(pi).astype(np.uint16)
+    f = BooleanFunction.from_bits(n, ((np.bitwise_count(pi[:, None] & half) & 1) ^ g[:, None]).reshape(-1))
+    f_star = BooleanFunction.from_bits(n, ((np.bitwise_count(half[:, None] & inv) & 1) ^ g[inv]).reshape(-1))
+    return f, f_star
+
+
 def butterfly_with_copies(v: np.ndarray) -> np.ndarray:
     """The dot-pairing Walsh butterfly on a +-1 vector, copying one half
     at every stage; the package kernel it was replaced by is checked
