@@ -24,8 +24,6 @@ import numpy as np
 from . import gf2n
 from .errors import ArityMismatch, NotBent
 
-MAX_ARITY = 24
-
 
 def _unpack(table: int, n: int) -> np.ndarray:
     size = 1 << n
@@ -71,8 +69,8 @@ class BooleanFunction:
     table: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_ARITY:
-            raise ArityMismatch(f"arity must be in 1..{MAX_ARITY}, got {self.n}")
+        if not 1 <= self.n <= gf2n.MAX_DEGREE:
+            raise ArityMismatch(f"arity must be in 1..{gf2n.MAX_DEGREE}, got {self.n}")
         if not 0 <= self.table < 1 << (1 << self.n):
             raise ValueError("truth table does not fit 2^n bits")
 
@@ -213,7 +211,7 @@ def _butterfly(f: BooleanFunction, dtype) -> np.ndarray:
     natural order, the high ones on rows of 2^(4+m) or more.  Stages move
     between two buffers, but int32 high stages and those across blocks run in
     place.  A stage at most doubles max |W|: int16 is exact through the 4 + m
-    <= 12 word and mid stages, then wraps (see bent_dual), aliasing the
+    <= 12 word and mid stages, then wraps (see _flat_spectrum), aliasing the
     workspace up to n = 18."""
     size = 1 << f.n
     if f.n < 4:
@@ -260,28 +258,32 @@ def wht(f: BooleanFunction, spec: gf2n.FieldSpec | None = None) -> WalshSpectrum
     return WalshSpectrum(f.n, values)
 
 
+def _flat_spectrum(f: BooleanFunction) -> np.ndarray | None:
+    """f's int16 Walsh values, which may alias this thread's workspace, when
+    every one is +-2^(n/2); else None, odd arity included.  They wrap mod
+    2^16, yet stay exact: if every W = +-2^(n/2) + j 2^16, then |W| >=
+    2^(n/2) (j != 0 gives |W| >= 2^16 - 2^(n/2) > 2^(n/2), as n <= 28), and
+    Parseval, sum W^2 = 2^(2n) over 2^n points, forces |W| = 2^(n/2).  So f
+    is bent iff every int16 value is +-2^(n/2); |W| goes to the spare buffer."""
+    if f.n % 2:
+        return None
+    values, half, spare = _butterfly(f, np.int16), 1 << f.n // 2, _WORKSPACE.buffers[2]
+    mags = (np.abs(part, out=spare[: part.size]) for part in values.reshape(-1, min(values.size, spare.size)))
+    return values if all(mag.min() == half == mag.max() for mag in mags) else None
+
+
 def is_bent(f: BooleanFunction) -> bool:
     """Flat spectrum test; pairing-independent, so no spec is needed."""
-    return bent_dual(f) is not None
+    return _flat_spectrum(f) is not None
 
 
 def bent_dual(f: BooleanFunction, spec: gf2n.FieldSpec | None = None) -> BooleanFunction | None:
-    """The dual f~ with W[mu] = 2^(n/2) * (-1)^f~(mu), from one transform;
-    None when f is not bent, odd arity included.
-
-    The transform runs in int16 and wraps mod 2^16, yet stays exact: if every
-    W = +-2^(n/2) + j 2^16, then |W| >= 2^(n/2) (j != 0 gives |W| >= 2^16 -
-    2^(n/2) > 2^(n/2), as n <= 28), and Parseval, sum W^2 = 2^(2n) over 2^n
-    points, forces |W| = 2^(n/2).  So f is bent iff every int16 value is
-    +-2^(n/2), and their signs are the dual."""
+    """The dual f~ with W[mu] = 2^(n/2) * (-1)^f~(mu), the signs of one
+    transform; None when f is not bent, odd arity included."""
     if spec is not None and spec.n != f.n:
         raise ArityMismatch(f"field degree {spec.n} != function arity {f.n}")
-    if f.n % 2:
-        return None
-    # the values may alias this thread's workspace; |W| goes to its spare buffer
-    values, half, spare = _butterfly(f, np.int16), 1 << f.n // 2, _WORKSPACE.buffers[2]
-    mags = (np.abs(part, out=spare[: part.size]) for part in values.reshape(-1, min(values.size, spare.size)))
-    if not all(mag.min() == half == mag.max() for mag in mags):
+    values = _flat_spectrum(f)
+    if values is None:
         return None
     return BooleanFunction(f.n, _pack((values < 0)[... if spec is None else _covector_permutation(spec)]))
 
@@ -465,7 +467,7 @@ def from_text(text: str) -> BooleanFunction:
         n = int(lines[0][2:])
     except ValueError:
         raise ValueError(f"bad arity line {lines[0]!r}") from None
-    if not 1 <= n <= MAX_ARITY:
+    if not 1 <= n <= gf2n.MAX_DEGREE:
         raise ValueError(f"arity {n} out of range")
     body = lines[1].lower()
     size = 1 << n

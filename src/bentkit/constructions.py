@@ -17,13 +17,13 @@ meets the builder's own side conditions, for every F
     h  = f  + F(psi,  l_mu_1, ..., l_mu_k)
     h~ = f~ + F(psi', f~ + f~(x + mu_1), ..., f~ + f~(x + mu_k)).
 
-`shifted_build` assembles and verifies both sides; each builder supplies
-its seed, head and side conditions.  zlj has no head; cornew's head is
-f + g with companion f~ + g~ under the dual-shift condition (B);
-correduced's is D_alpha f with companion l_alpha for alpha orthogonal to
-every mu.  The field families (thm8, cor9, cor10, thm12 in `families`)
-give seed, dual and companions in closed form, the second-derivative
-condition becoming a trace condition where the dual is quadratic.
+`shifted_build` assembles and verifies both sides and owns the shared
+head: given alpha orthogonal to every mu, D_alpha f with companion l_alpha
+(correduced and thm8, cor9, cor10, thm12 in `families`).  zlj has no head;
+cornew passes f + g with companion f~ + g~ under the dual-shift condition
+(B).  Each builder supplies only its seed, companions and side conditions.
+Where f~ is quadratic, D_a D_b f~ = parity(k_a & b) for k_a the linear
+part of D_a f~; `families` states each k_a once, for builder and search.
 
 The other builders (three-function majority, one- and two-linear-factor
 corrections, the certified generic build) check their own hypotheses.
@@ -91,12 +91,6 @@ def _lin(n: int, mu: int, spec: gf2n.FieldSpec | None) -> BooleanFunction:
     return linear_form(spec, mu) if spec is not None else dot_form(n, mu)
 
 
-def _pair_bit(a: int, b: int, spec: gf2n.FieldSpec | None) -> int:
-    if spec is None:
-        return (a & b).bit_count() & 1
-    return gf2n.trace_abs(gf2n.mul(a, b, spec), spec)
-
-
 def _maj(a: BooleanFunction, b: BooleanFunction, c: BooleanFunction) -> BooleanFunction:
     return (a & b) ^ (a & c) ^ (b & c)
 
@@ -162,9 +156,11 @@ def _d2_nonzero(f_star: BooleanFunction):
 
 
 def _alpha_complement(alpha: int, mus, spec, detail="<alpha, mu_{i}> = 1 (alpha={alpha:x}, mu={mu:x})"):
-    # alpha pairs to zero with every mu, so l_alpha kills the mu shifts
+    # alpha pairs to zero with every mu, so l_alpha kills the mu shifts;
+    # Tr(alpha mu) = parity(covector(alpha) & mu)
+    k = alpha if spec is None else gf2n.covector(alpha, spec)
     for i, mu in enumerate(mus, 2):
-        if _pair_bit(alpha, mu, spec):
+        if (k & mu).bit_count() & 1:
             raise SideConditionFailed("alpha-complement", detail.format(i=i, alpha=alpha, mu=mu))
     return [("alpha-complement", True)]
 
@@ -184,15 +180,19 @@ def _bent_conditions(
 
 
 def shifted_build(
-    f: BooleanFunction, f_star: BooleanFunction, F: BooleanFunction, head: tuple, head_dual: tuple,
-    mus: tuple[int, ...], companions, conds: list, params: dict, spec: gf2n.FieldSpec | None,
+    f: BooleanFunction, f_star: BooleanFunction, F: BooleanFunction, mus: tuple[int, ...], companions,
+    conds: list, params: dict, spec: gf2n.FieldSpec | None, alpha: int | None = None, head: tuple = (),
 ) -> ConstructionReport:
-    """h = f + F(head, l_mu...) with h~ = f~ + F(head_dual, companions),
-    verified spectrally; the caller has checked every side condition."""
-    phi = VectorialFunction(f.n, F.n, (*head, *(_lin(f.n, mu, spec) for mu in mus)))
-    varphi = VectorialFunction(f.n, F.n, (*head_dual, *companions))
+    """h = f + F(psi, l_mu...), h~ = f~ + F(psi', companions), verified; the caller
+    checked every side condition.  (psi, psi') is (D_alpha f, l_alpha) given alpha,
+    else head, if any; params gains alpha, mus and F after the caller's keys."""
+    if alpha is not None:
+        head, params = (derivative(f, alpha), _lin(f.n, alpha, spec)), {**params, "alpha": alpha}
+    phi = VectorialFunction(f.n, F.n, (*head[:1], *(_lin(f.n, mu, spec) for mu in mus)))
+    varphi = VectorialFunction(f.n, F.n, (*head[1:], *companions))
     h = f ^ compose(F, phi)
     h_star = f_star ^ compose(F, varphi)
+    params = {**params, "mus": mus, "F": F.table}
     return _finish(h, h_star, conds, params, _degeneracy_warnings(mus, f.n), spec)
 
 
@@ -326,8 +326,7 @@ def zlj_build(
     conds, (f_star,) = _bent_conditions(spec, f=f)
     conds += _pairwise("second-derivative", mus, 1, _d2_nonzero(f_star))
     companions = [derivative(f_star, mu) for mu in mus]
-    params = {"mus": mus, "F": F.table}
-    return shifted_build(f, f_star, F, (), (), mus, companions, conds, params, spec)
+    return shifted_build(f, f_star, F, mus, companions, conds, {}, spec)
 
 
 def cornew_build(
@@ -370,8 +369,7 @@ def cornew_build(
             )
     conds.append(("dual-shift", True))
     companions = [f_star ^ s for s in shifted]
-    params = {"mus": mus, "F": F.table}
-    return shifted_build(f, f_star, F, (f ^ g,), (f_star ^ g_star,), mus, companions, conds, params, spec)
+    return shifted_build(f, f_star, F, mus, companions, conds, {}, spec, head=(f ^ g, f_star ^ g_star))
 
 
 def correduced_build(
@@ -388,10 +386,7 @@ def correduced_build(
     conds += _alpha_complement(alpha, mus, spec)
     conds += _pairwise("second-derivative", mus, 2, _d2_nonzero(f_star))
     companions = [derivative(f_star, mu) for mu in mus]
-    params = {"alpha": alpha, "mus": mus, "F": F.table}
-    return shifted_build(
-        f, f_star, F, (derivative(f, alpha),), (_lin(f.n, alpha, spec),), mus, companions, conds, params, spec
-    )
+    return shifted_build(f, f_star, F, mus, companions, conds, {}, spec, alpha)
 
 
 def report_degrees(report: ConstructionReport) -> tuple[int, int]:

@@ -18,11 +18,12 @@ Two sources feed the generic machinery of `constructions`:
 
 All spectral statements here use the trace pairing of the ambient field.
 The shifted-tuple builders (thm8, cor9, cor10, thm12) are instances of
-`constructions.shifted_build`: h = f + F(D_alpha f, Tr(mu_2 x), ...) with
-the dual swapping in Tr(alpha x) (an affine slot for cor9) and the
-closed-form companions.  Each supplies its seed, dual, companions and its
-own side conditions; every report is verified spectrally before it is
-returned.
+`constructions.shifted_build`, which forms h = f + F(D_alpha f, Tr(mu_2 x),
+...) and swaps Tr(alpha x) into the dual's head slot.  Each supplies its
+seed, dual, closed-form companions and own side conditions.  Where the
+dual is quadratic, D_a D_b f~ = parity(k_a & b) for k_a the linear part of
+the companion D_a f~: `_gold_partner` and `_cor9_partner` state k_a once,
+for the trace conditions here and the trace modes of `search`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2n
-from .boolfun import BooleanFunction, derivative, linear_form, quadratic_form
+from .boolfun import BooleanFunction, quadratic_form
 from .constructions import (
     ConstructionReport,
     _alpha_complement,
@@ -128,31 +129,38 @@ def gold_dual(p: GoldParams) -> BooleanFunction:
     return _gold_form(spec, p.lam, p.t, x0, (spec.n // 2 // p.d) % 2)
 
 
-def _gold_pair_condition(p: GoldParams, a: int, b: int) -> int:
-    # Tr(lam * (a^(2^t) b + a b^(2^t))), the second derivative of the gold
-    # function at (a, b); constant in x
+def _gold_partner(p: GoldParams, a: int) -> int:
+    # k_a with parity(k_a & b) = Tr(lam (a b^(2^t) + a^(2^t) b)) = D_a D_b of
+    # the gold function: covector(lam a) pulled back through the Frobenius,
+    # plus covector(lam a^(2^t))
     spec = p.spec
-    v = gf2n.mul(gf2n.frobenius(a, p.t, spec), b, spec) ^ gf2n.mul(a, gf2n.frobenius(b, p.t, spec), spec)
-    return gf2n.trace_abs(gf2n.mul(p.lam, v, spec), spec)
+    k = gf2n.pull_back(gf2n.frobenius_images(p.t, spec), gf2n.covector(gf2n.mul(p.lam, a, spec), spec))
+    return k ^ gf2n.covector(gf2n.mul(p.lam, gf2n.frobenius(a, p.t, spec), spec), spec)
 
 
 def _gold_companion(p: GoldParams, mu: int) -> BooleanFunction:
-    # x -> Tr(lam * (mu x^(2^t) + mu^(2^t) x + mu^(2^t + 1))), affine in x:
-    # covector(lam mu) pulled back through the Frobenius, plus
-    # covector(lam mu^(2^t)), plus the constant
+    # x -> Tr(lam * (mu x^(2^t) + mu^(2^t) x + mu^(2^t + 1))), affine in x
     spec = p.spec
-    mu_t = gf2n.frobenius(mu, p.t, spec)
-    mask = gf2n.pull_back(gf2n.frobenius_images(p.t, spec), gf2n.covector(gf2n.mul(p.lam, mu, spec), spec))
-    mask ^= gf2n.covector(gf2n.mul(p.lam, mu_t, spec), spec)
-    const = gf2n.trace_abs(gf2n.mul(p.lam, gf2n.mul(mu_t, mu, spec), spec), spec)
-    return quadratic_form(spec.n, mask, (), const)
+    const = gf2n.trace_abs(gf2n.mul(p.lam, gf2n.mul(gf2n.frobenius(mu, p.t, spec), mu, spec), spec), spec)
+    return quadratic_form(spec.n, _gold_partner(p, mu), (), const)
 
 
-def _cor9_pair_condition(spec: gf2n.FieldSpec, th_inv: int, a: int, b: int) -> int:
-    # Tr(theta^(-1) * a * b^(2^m)), the pairwise condition of the t = m
-    # specialization
+def _cor9_partner(spec: gf2n.FieldSpec, th_inv: int, a: int) -> int:
+    # k_a = covector(theta^(-1) a^(2^m)): Tr(theta^(-1) a b^(2^m)) = Tr(theta^(-1)
+    # a^(2^m) b) for theta in GF(2^m), the pairwise condition of the t = m case
+    return gf2n.covector(gf2n.mul(th_inv, gf2n.frobenius(a, spec.n // 2, spec), spec), spec)
+
+
+def _cor9_companion(spec: gf2n.FieldSpec, th_inv: int, mu: int) -> BooleanFunction:
+    # x -> Tr(theta^(-1) mu^(2^m) x) + Tr_m(theta^(-1) N(mu)), affine in x
     m = spec.n // 2
-    return gf2n.trace_abs(gf2n.mul(th_inv, gf2n.mul(a, gf2n.frobenius(b, m, spec), spec), spec), spec)
+    const = gf2n.trace_abs_in(gf2n.mul(th_inv, gf2n.mul(mu, gf2n.frobenius(mu, m, spec), spec), spec), m, spec)
+    return quadratic_form(spec.n, _cor9_partner(spec, th_inv, mu), (), const)
+
+
+def _trace_condition(mus, partner) -> list[tuple[str, bool]]:
+    # the pairwise condition of a quadratic dual, D_a D_b f~ = parity(k_a & b)
+    return _pairwise("trace-condition", mus, 2, lambda a, b: (partner(a) & b).bit_count() & 1)
 
 
 def thfromgold_build(
@@ -171,14 +179,10 @@ def thfromgold_build(
     spec = p.spec
     mus = _check_shape(F, spec.n, mus, 1, alpha)
     f = gold_dual(p)  # raises NotBentAdmissible for bad parameters
-    conds = _pairwise("trace-condition", mus, 2, functools.partial(_gold_pair_condition, p))
+    conds = _trace_condition(mus, functools.partial(_gold_partner, p))
     conds += _alpha_complement(alpha, mus, spec, _TR_ALPHA)
     companions = [_gold_companion(p, mu) for mu in mus]
-    params = {"lam": p.lam, "t": p.t, "alpha": alpha, "mus": mus, "F": F.table}
-    return shifted_build(
-        f, gold_function(p), F, (derivative(f, alpha),), (linear_form(spec, alpha),),
-        mus, companions, conds, params, spec,
-    )
+    return shifted_build(f, gold_function(p), F, mus, companions, conds, {"lam": p.lam, "t": p.t}, spec, alpha)
 
 
 def cort_m_build(
@@ -202,26 +206,15 @@ def cort_m_build(
         raise SideConditionFailed("theta-subfield", f"theta={theta:x} not in GF(2^{m})*")
     th_inv = gf2n.inverse(theta, spec)
     conds = [("theta-subfield", True)]
-    conds += _pairwise("trace-condition", mus, 2, functools.partial(_cor9_pair_condition, spec, th_inv))
+    conds += _trace_condition(mus, functools.partial(_cor9_partner, spec, th_inv))
     conds += _alpha_complement(alpha, mus, spec, _TR_ALPHA)
     # Tr_m(c N(x)) = Tr(omega c x^(2^m + 1)), as Tr(omega y) = Tr_m(y) on
     # GF(2^m) for omega + omega^(2^m) = 1: the norm forms are gold forms
     omega = _smallest_omega(spec)
-
-    def slot(coeff: int, a: int) -> BooleanFunction:
-        # x -> Tr(coeff a^(2^m) x) + Tr_m(coeff N(a)): the head (coeff theta,
-        # a alpha) and the companions (coeff theta^(-1), a mu)
-        a_m = gf2n.frobenius(a, m, spec)
-        const = gf2n.trace_abs_in(gf2n.mul(coeff, gf2n.mul(a, a_m, spec), spec), m, spec)
-        return quadratic_form(spec.n, gf2n.covector(gf2n.mul(coeff, a_m, spec), spec), (), const)
-
-    params = {"theta": theta, "alpha": alpha, "mus": mus, "F": F.table}
     f = _gold_form(spec, gf2n.mul(omega, theta, spec), m, const=1)
     f_star = _gold_form(spec, gf2n.mul(omega, th_inv, spec), m)
-    return shifted_build(
-        f, f_star, F, (slot(theta, alpha),), (linear_form(spec, alpha),),
-        mus, [slot(th_inv, mu) for mu in mus], conds, params, spec,
-    )
+    companions = [_cor9_companion(spec, th_inv, mu) for mu in mus]
+    return shifted_build(f, f_star, F, mus, companions, conds, {"theta": theta}, spec, alpha)
 
 
 def corn4t_build(
@@ -241,7 +234,7 @@ def corn4t_build(
     if gold_in_S(p):
         raise SideConditionFailed("lambda-not-in-S", f"lam={lam:x} lies in the power image")
     conds = [("lambda-not-in-S", True)]
-    conds += _pairwise("trace-condition", mus, 2, functools.partial(_gold_pair_condition, p))
+    conds += _trace_condition(mus, functools.partial(_gold_partner, p))
     conds += _alpha_complement(alpha, mus, spec, _TR_ALPHA)
     num = gf2n.power(lam, (1 << (m + 1)) + 1, spec) ^ gf2n.power(
         lam, (1 << t) + (1 << m) + (1 << (3 * t)), spec
@@ -253,11 +246,8 @@ def corn4t_build(
     p_lam = gf2n.mul(num, gf2n.inverse(den, spec), spec)
     f = gold_function(GoldParams(spec, p_lam, t))
     companions = [_gold_companion(p, mu) for mu in mus]
-    params = {"lam": lam, "t": t, "p_lam": p_lam, "alpha": alpha, "mus": mus, "F": F.table}
-    return shifted_build(
-        f, gold_function(p), F, (derivative(f, alpha),), (linear_form(spec, alpha),),
-        mus, companions, conds, params, spec,
-    )
+    params = {"lam": lam, "t": t, "p_lam": p_lam}
+    return shifted_build(f, gold_function(p), F, mus, companions, conds, params, spec, alpha)
 
 
 # ---------------------------------------------- Maiorana-MacFarland
@@ -511,8 +501,4 @@ def thmm_build(
         BooleanFunction.from_bits(spec.n, gf2n.trace_array(emb[u], spec, gf2n.mul(omega, mu, spec))[z])
         for mu in mus
     ]
-    params = {"lam": p.lam, "t": p.t, "alpha": alpha, "mus": mus, "F": F.table}
-    return shifted_build(
-        f, f_star, F, (derivative(f, alpha),), (linear_form(spec, alpha),),
-        mus, companions, conds, params, spec,
-    )
+    return shifted_build(f, f_star, F, mus, companions, conds, {"lam": p.lam, "t": p.t}, spec, alpha)

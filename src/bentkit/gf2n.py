@@ -81,11 +81,6 @@ class FieldSpec:
     n: int
     modulus: int
 
-    @property
-    def m(self) -> int | None:
-        """Half degree for even n, None otherwise."""
-        return self.n // 2 if self.n % 2 == 0 else None
-
     def __str__(self) -> str:
         return f"GF(2^{self.n}) mod {self.modulus:x}"
 

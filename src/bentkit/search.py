@@ -5,8 +5,9 @@ Two jobs, both at desk scale:
 * enumerate mu tuples satisfying one of the pairwise side conditions
   (vanishing second derivative of a dual, the gold trace condition, or
   the half-degree trace condition; each defined once, next to the
-  builder that checks it), plus the matching alpha subspaces and
-  admissible gold coefficients;
+  builder that checks it: the trace modes read the families' partner
+  covectors), plus the matching alpha subspaces and admissible gold
+  coefficients;
 * an EA-invariant fingerprint (degree plus the multiset of derivative
   degrees) strong enough to separate inequivalent outputs.
 
@@ -33,7 +34,7 @@ import numpy as np
 from . import gf2n
 from .boolfun import BooleanFunction, _derivative_degree_batches, algebraic_degree, derivative, wht
 from .constructions import _check_domain
-from .families import GoldParams
+from .families import GoldParams, _cor9_partner, _gold_partner
 
 
 @dataclass(frozen=True)
@@ -128,21 +129,11 @@ def _partner_rows(ms: MuSearchSpec):
             return rows
 
         return periods
-    # the trace modes: one covector k_a, linear in a, from its basis images
+    # the trace modes: the family's one partner covector k_a
     if ms.mode == "gold-trace":
-        spec, c, s = ms.gold.spec, ms.gold.lam, ms.gold.t
-    else:
-        spec = ms.spec
-        c, s = gf2n.inverse(ms.theta, spec), spec.n // 2
-    frob = gf2n.frobenius_images(s, spec)
-    scaled = [gf2n.covector(gf2n.mul(c, 1 << j, spec), spec) for j in range(spec.n)]
-    # Tr(c a b^(2^s)) = parity(w & F b) = parity(F^T w & b), w = covector(c a)
-    # and F the Frobenius matrix with columns frob: the cor9 condition
-    images = [gf2n.pull_back(frob, w) for w in scaled]
-    if ms.mode == "gold-trace":
-        # plus Tr(lam a^(2^t) b) = parity(covector(lam F a) & b)
-        images = [k ^ gf2n.apply_linear(scaled, f) for k, f in zip(images, frob)]
-    return lambda a: [gf2n.apply_linear(images, a)]
+        return lambda a: [_gold_partner(ms.gold, a)]
+    th_inv = gf2n.inverse(ms.theta, ms.spec)
+    return lambda a: [_cor9_partner(ms.spec, th_inv, a)]
 
 
 def find_mu_tuples(ms: MuSearchSpec, cursor: tuple[int, ...] | None = None) -> list[tuple[int, ...]]:

@@ -46,7 +46,14 @@ from bentkit.families import (
     mm_function,
 )
 from bentkit.search import ea_fingerprint, find_alphas, find_mu_tuples, MuSearchSpec
-from util import check_odd_sum_condition, inner_product_fn, random_function, random_mm_bent, sylvester
+from util import (
+    _gold_pair_condition,
+    check_odd_sum_condition,
+    inner_product_fn,
+    random_function,
+    random_mm_bent,
+    sylvester,
+)
 
 G16 = gf2n.make_field(4)
 G64 = gf2n.make_field(6)
@@ -110,8 +117,6 @@ def test_a3_gold_dual_closed_form():
 
 def test_a4_certified_duals_for_every_F():
     def body():
-        from bentkit.families import _gold_pair_condition
-
         p = next(
             GoldParams(G256, lam, 2)
             for lam in range(2, 256)

@@ -195,6 +195,18 @@ def test_bent_dual_agrees_with_the_int32_oracle_at_large_n(n):
     assert bent_dual(f) == f_star
 
 
+def test_is_bent_packs_no_dual(monkeypatch):
+    # the verdict alone: is_bent returns before any sign table is packed
+    f, _ = mm_bent_pair(18, 18)
+
+    def refuse(bits):
+        raise AssertionError("is_bent packed a dual it does not return")
+
+    monkeypatch.setattr(boolfun, "_pack", refuse)
+    assert is_bent(f)
+    assert not is_bent(_flipped(f, random.Random(18), 1))
+
+
 def test_verification_is_thread_safe():
     # each thread transforms in its own workspace: two threads at different
     # n, switching often, agree with the serial results

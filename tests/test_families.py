@@ -6,9 +6,12 @@ cross-identities that reach the same table through two different
 builders.
 """
 
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bentkit import gf2n
 from bentkit.boolfun import (
@@ -44,7 +47,8 @@ from bentkit.families import (
     thfromgold_build,
     thmm_build,
 )
-from util import gold_power_image, permutation_to_text
+from bentkit.search import find_gold_lambdas
+from util import _gold_pair_condition, gold_power_image, permutation_to_text, scalar_cor9_tables
 
 
 def F_bits(n, bits):
@@ -145,8 +149,6 @@ def first_gold(spec, t):
 
 
 def valid_trace_pair(p):
-    from bentkit.families import _gold_pair_condition
-
     n = p.spec.n
     for a in range(1, 1 << n):
         for b in range(a + 1, 1 << n):
@@ -172,17 +174,48 @@ def test_thfromgold_zero_F_returns_the_seed_pair(g64):
     assert rep.h_star == gold_function(p)
 
 
-def test_thfromgold_companion_is_the_derivative(g64):
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_field_family_companion_is_the_derivative(data):
     # F = projection to the mu slot: h picks up Tr(mu x) and the dual must
-    # shift by the closed-form companion, which equals D_mu of the gold
-    # function; so h~ is exactly the translate of the seed's dual
-    p = first_gold(g64, 1)
-    g = gold_function(p)
-    for mu in (1, 9, 30):
-        rep = thfromgold_build(p, (mu,), 0, F_bits(2, "0011"))
-        assert rep.ok
-        assert rep.h == gold_dual(p) ^ linear_form(g64, mu)
-        assert rep.h_star == translate(g, mu)
+    # shift by the closed-form companion, which equals D_mu of the seed's
+    # dual; so h~ is exactly the translate of the seed's dual, whatever
+    # alpha fills the head slot
+    family = data.draw(st.sampled_from(["thm8", "cor9", "cor10", "thm12"]))
+    n = data.draw(st.sampled_from((4, 8, 12) if family == "cor10" else (4, 6, 8, 10, 12)))
+    spec, m, proj = gf2n.make_field(n), n // 2, F_bits(2, "0011")
+    if family == "thm12":
+        mu = data.draw(st.sampled_from(gf2n.subfield_elements(m, spec)[1:]))
+    else:
+        mu = data.draw(st.integers(1, (1 << n) - 1))
+    alpha = gf2n.apply_linear(gf2n.ortho_complement((mu,), spec), data.draw(st.integers(0, (1 << (n - 1)) - 1)))
+    if family in ("thm8", "cor10"):
+        t = n // 4 if family == "cor10" else data.draw(
+            st.sampled_from([s for s in range(1, n) if (n // math.gcd(s, n)) % 2 == 0])
+        )
+        lams = find_gold_lambdas(spec, t, 1, data.draw(st.integers(0, (1 << n) - 2)))
+        assume(lams)
+        p = GoldParams(spec, lams[0], t)
+        if family == "thm8":
+            f, rep = gold_dual(p), thfromgold_build(p, (mu,), alpha, proj)
+        else:  # the denominator of P(lam) vanishes only inside S, at n = 4, 8, 12
+            rep = corn4t_build(spec, lams[0], (mu,), alpha, proj)
+            f = gold_function(GoldParams(spec, rep.params["p_lam"], t))
+        seed_dual = gold_function(p)
+    elif family == "cor9":
+        theta = data.draw(st.sampled_from(gf2n.subfield_elements(m, spec)[1:]))
+        f, seed_dual = scalar_cor9_tables(spec, theta)
+        rep = cort_m_build(spec, theta, (mu,), alpha, proj)
+    else:
+        lam = data.draw(st.integers(1, (1 << n) - 1))
+        assume(not gf2n.in_subfield(lam, m, spec))
+        pi = tuple(data.draw(st.permutations(range(1 << m))))
+        g = BooleanFunction(m, data.draw(st.integers(0, (1 << (1 << m)) - 1)))
+        p = MMParams(spec, lam, data.draw(st.integers(0, n)), pi, g)
+        f, seed_dual, rep = mm_function(p), mm_dual(p), thmm_build(p, (mu,), alpha, proj)
+    assert rep.ok
+    assert rep.h == f ^ linear_form(spec, mu)
+    assert rep.h_star == translate(seed_dual, mu)
 
 
 def test_thfromgold_full_build(g64):
@@ -199,8 +232,6 @@ def test_thfromgold_full_build(g64):
 
 def test_thfromgold_rejects_bad_tuples(g64):
     p = first_gold(g64, 1)
-    from bentkit.families import _gold_pair_condition
-
     bad = next(
         (a, b)
         for a in range(1, 64)

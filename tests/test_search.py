@@ -33,13 +33,7 @@ from bentkit.boolfun import (
     translate,
 )
 from bentkit.constructions import _d2_nonzero, zlj_build
-from bentkit.families import (
-    GoldParams,
-    _cor9_pair_condition,
-    _gold_pair_condition,
-    gold_bent_admissible,
-    gold_function,
-)
+from bentkit.families import GoldParams, gold_bent_admissible, gold_function
 from bentkit.search import (
     MuSearchSpec,
     _ascending,
@@ -51,6 +45,8 @@ from bentkit.search import (
 )
 from util import (
     BatchSummary,
+    _cor9_pair_condition,
+    _gold_pair_condition,
     batch_verify,
     brute_force_bent_check,
     d2_nonzero_unpacked,
@@ -61,6 +57,7 @@ from util import (
     random_affine_image,
     random_function,
     random_mm_bent,
+    scalar_cor9_tables,
     xor_rank,
     xor_span,
 )
@@ -266,12 +263,16 @@ def test_partner_covector_is_the_pair_condition(data):
     spec = gf2n.make_field(n)
     a, b = data.draw(st.integers(0, (1 << n) - 1)), data.draw(st.integers(0, (1 << n) - 1))
     p = GoldParams(spec, data.draw(st.integers(0, (1 << n) - 1)), data.draw(st.integers(0, 2 * n)))
+    # parity(k_a & b) is the scalar trace condition and, the duals being
+    # quadratic, the constant second derivative D_a D_b of the dual
     k_a, = _partner_rows(MuSearchSpec("gold-trace", 2, 1, gold=p))(a)
-    assert (k_a & b).bit_count() & 1 == _gold_pair_condition(p, a, b)
+    assert (k_a & b).bit_count() & 1 == _gold_pair_condition(p, a, b) == _d2_nonzero(gold_function(p))(a, b)
     theta = data.draw(st.sampled_from(gf2n.subfield_elements(n // 2, spec)[1:]))
     ms = MuSearchSpec("cor9-trace", 2, 1, theta=theta, spec=spec)
     k_a, = _partner_rows(ms)(a)
-    assert (k_a & b).bit_count() & 1 == _cor9_pair_condition(spec, gf2n.inverse(theta, spec), a, b)
+    _, cor9_dual = scalar_cor9_tables(spec, theta)
+    pair = _cor9_pair_condition(spec, gf2n.inverse(theta, spec), a, b)
+    assert (k_a & b).bit_count() & 1 == pair == _d2_nonzero(cor9_dual)(a, b)
 
 
 @settings(max_examples=30, deadline=None)

@@ -22,7 +22,9 @@ a strategy drawing malformed truth-table files with the nibble-mask
 wire-format reader, the every-omega certificate check, the copying
 Moebius transform, the per-derivative fingerprint, the unpacked
 second-derivative predicate and composition, and the depth-first mu
-search with its pair oracles and the sort-based alpha listing.
+search with the scalar gold and cor9 trace conditions it tests pairs
+by (also the oracles of the families' partner covectors) and the
+sort-based alpha listing.
 """
 
 from __future__ import annotations
@@ -35,15 +37,10 @@ import numpy as np
 from hypothesis import strategies as st
 
 from bentkit import gf2n
-from bentkit.boolfun import MAX_ARITY, BooleanFunction, VectorialFunction, dual, is_bent, to_text, wht
+from bentkit.boolfun import BooleanFunction, VectorialFunction, dual, is_bent, to_text, wht
 from bentkit.constructions import ConstructionReport, PrCertificate, _check_domain
 from bentkit.errors import ArityMismatch, NotADivisor, NotBent, NotBentAdmissible
-from bentkit.families import (
-    _cor9_pair_condition,
-    _gold_pair_condition,
-    _smallest_omega,
-    gold_bent_admissible,
-)
+from bentkit.families import GoldParams, _smallest_omega, gold_bent_admissible
 from bentkit.search import EaFingerprint, MuSearchSpec
 
 
@@ -557,7 +554,7 @@ def from_text_by_nibbles(text: str) -> BooleanFunction:
         n = int(lines[0][2:])
     except ValueError:
         raise ValueError(f"bad arity line {lines[0]!r}") from None
-    if not 1 <= n <= MAX_ARITY:
+    if not 1 <= n <= gf2n.MAX_DEGREE:
         raise ValueError(f"arity {n} out of range")
     body = lines[1].lower()
     size = 1 << n
@@ -672,6 +669,21 @@ def compose_unpacked(F: BooleanFunction, phi: VectorialFunction) -> BooleanFunct
     for i, comp in enumerate(phi.components):
         idx |= comp.bits().astype(np.int64) << i
     return BooleanFunction.from_bits(phi.n, F.bits()[idx])
+
+
+def _gold_pair_condition(p: GoldParams, a: int, b: int) -> int:
+    # Tr(lam * (a^(2^t) b + a b^(2^t))), the second derivative of the gold
+    # function at (a, b); constant in x
+    spec = p.spec
+    v = gf2n.mul(gf2n.frobenius(a, p.t, spec), b, spec) ^ gf2n.mul(a, gf2n.frobenius(b, p.t, spec), spec)
+    return gf2n.trace_abs(gf2n.mul(p.lam, v, spec), spec)
+
+
+def _cor9_pair_condition(spec: gf2n.FieldSpec, th_inv: int, a: int, b: int) -> int:
+    # Tr(theta^(-1) * a * b^(2^m)), the pairwise condition of the t = m
+    # specialization
+    m = spec.n // 2
+    return gf2n.trace_abs(gf2n.mul(th_inv, gf2n.mul(a, gf2n.frobenius(b, m, spec), spec), spec), spec)
 
 
 def _pair_oracle(ms: MuSearchSpec):
