@@ -17,13 +17,14 @@ meets the builder's own side conditions, for every F
     h  = f  + F(psi,  l_mu_1, ..., l_mu_k)
     h~ = f~ + F(psi', f~ + f~(x + mu_1), ..., f~ + f~(x + mu_k)).
 
-`shifted_build` assembles and verifies both sides and owns the shared
-head: given alpha orthogonal to every mu, D_alpha f with companion l_alpha
-(correduced and thm8, cor9, cor10, thm12 in `families`).  zlj has no head;
-cornew passes f + g with companion f~ + g~ under the dual-shift condition
-(B).  Each builder supplies only its seed, companions and side conditions.
-Where f~ is quadratic, D_a D_b f~ = parity(k_a & b) for k_a the linear
-part of D_a f~; `families` states each k_a once, for builder and search.
+`shifted_build` assembles and verifies both sides.  It forms every mu
+companion D_mu f~ itself and owns the shared head: given alpha orthogonal
+to every mu, D_alpha f with companion l_alpha (correduced and thm8, cor9,
+cor10, thm12 in `families`).  zlj has no head; cornew passes f + g with
+companion f~ + g~ under the dual-shift condition (B).  Each builder
+supplies only its seed, dual and side conditions.  Where f~ is quadratic,
+D_a D_b f~ = parity(k_a & b) for k_a the linear part of D_a f~; `families`
+states each k_a once, for builder and search.
 
 The other builders (three-function majority, one- and two-linear-factor
 corrections, the certified generic build) check their own hypotheses.
@@ -180,16 +181,16 @@ def _bent_conditions(
 
 
 def shifted_build(
-    f: BooleanFunction, f_star: BooleanFunction, F: BooleanFunction, mus: tuple[int, ...], companions,
+    f: BooleanFunction, f_star: BooleanFunction, F: BooleanFunction, mus: tuple[int, ...],
     conds: list, params: dict, spec: gf2n.FieldSpec | None, alpha: int | None = None, head: tuple = (),
 ) -> ConstructionReport:
-    """h = f + F(psi, l_mu...), h~ = f~ + F(psi', companions), verified; the caller
+    """h = f + F(psi, l_mu...), h~ = f~ + F(psi', D_mu f~...), verified; the caller
     checked every side condition.  (psi, psi') is (D_alpha f, l_alpha) given alpha,
     else head, if any; params gains alpha, mus and F after the caller's keys."""
     if alpha is not None:
         head, params = (derivative(f, alpha), _lin(f.n, alpha, spec)), {**params, "alpha": alpha}
     phi = VectorialFunction(f.n, F.n, (*head[:1], *(_lin(f.n, mu, spec) for mu in mus)))
-    varphi = VectorialFunction(f.n, F.n, (*head[1:], *companions))
+    varphi = VectorialFunction(f.n, F.n, (*head[1:], *(derivative(f_star, mu) for mu in mus)))
     h = f ^ compose(F, phi)
     h_star = f_star ^ compose(F, varphi)
     params = {**params, "mus": mus, "F": F.table}
@@ -325,8 +326,7 @@ def zlj_build(
     mus = _check_shape(F, f.n, mus, 0)
     conds, (f_star,) = _bent_conditions(spec, f=f)
     conds += _pairwise("second-derivative", mus, 1, _d2_nonzero(f_star))
-    companions = [derivative(f_star, mu) for mu in mus]
-    return shifted_build(f, f_star, F, mus, companions, conds, {}, spec)
+    return shifted_build(f, f_star, F, mus, conds, {}, spec)
 
 
 def cornew_build(
@@ -368,8 +368,7 @@ def cornew_build(
                 "dual-shift", f"fails at omega'={omega:x}, x={x:x}", witness=(omega, x)
             )
     conds.append(("dual-shift", True))
-    companions = [f_star ^ s for s in shifted]
-    return shifted_build(f, f_star, F, mus, companions, conds, {}, spec, head=(f ^ g, f_star ^ g_star))
+    return shifted_build(f, f_star, F, mus, conds, {}, spec, head=(f ^ g, f_star ^ g_star))
 
 
 def correduced_build(
@@ -385,8 +384,7 @@ def correduced_build(
     conds, (f_star,) = _bent_conditions(spec, f=f)
     conds += _alpha_complement(alpha, mus, spec)
     conds += _pairwise("second-derivative", mus, 2, _d2_nonzero(f_star))
-    companions = [derivative(f_star, mu) for mu in mus]
-    return shifted_build(f, f_star, F, mus, companions, conds, {}, spec, alpha)
+    return shifted_build(f, f_star, F, mus, conds, {}, spec, alpha)
 
 
 def report_degrees(report: ConstructionReport) -> tuple[int, int]:

@@ -7,8 +7,7 @@ Two sources feed the generic machinery of `constructions`:
   trace form evaluated at the solution of a linearized equation, plus the
   parity constant (m/d mod 2).  Both, like the cor9 norm forms, are
   quadratic: `boolfun.quadratic_form` doubles their tables from values on
-  the basis and covectors of the bilinear form, with the affine slots and
-  companions as its linear case.
+  the basis and covectors of the bilinear form.
 * Maiorana-MacFarland shapes Tr(lam * x^(2^t) * pi(x + x^(2^m))) +
   g(x + x^(2^m)) for a permutation pi of the half-degree subfield, bent
   exactly when lam stays outside that subfield; the dual rides on the
@@ -19,11 +18,11 @@ Two sources feed the generic machinery of `constructions`:
 All spectral statements here use the trace pairing of the ambient field.
 The shifted-tuple builders (thm8, cor9, cor10, thm12) are instances of
 `constructions.shifted_build`, which forms h = f + F(D_alpha f, Tr(mu_2 x),
-...) and swaps Tr(alpha x) into the dual's head slot.  Each supplies its
-seed, dual, closed-form companions and own side conditions.  Where the
-dual is quadratic, D_a D_b f~ = parity(k_a & b) for k_a the linear part of
-the companion D_a f~: `_gold_partner` and `_cor9_partner` state k_a once,
-for the trace conditions here and the trace modes of `search`.
+...) and h~ = f~ + F(Tr(alpha x), D_mu_2 f~, ...).  Each supplies its seed,
+dual and own side conditions.  Where the dual is quadratic, D_a D_b f~ =
+parity(k_a & b) for k_a the linear part of the companion D_a f~:
+`_gold_partner` and `_cor9_partner` state k_a once, for the trace
+conditions here and the trace modes of `search`.
 """
 
 from __future__ import annotations
@@ -138,24 +137,10 @@ def _gold_partner(p: GoldParams, a: int) -> int:
     return k ^ gf2n.covector(gf2n.mul(p.lam, gf2n.frobenius(a, p.t, spec), spec), spec)
 
 
-def _gold_companion(p: GoldParams, mu: int) -> BooleanFunction:
-    # x -> Tr(lam * (mu x^(2^t) + mu^(2^t) x + mu^(2^t + 1))), affine in x
-    spec = p.spec
-    const = gf2n.trace_abs(gf2n.mul(p.lam, gf2n.mul(gf2n.frobenius(mu, p.t, spec), mu, spec), spec), spec)
-    return quadratic_form(spec.n, _gold_partner(p, mu), (), const)
-
-
 def _cor9_partner(spec: gf2n.FieldSpec, th_inv: int, a: int) -> int:
     # k_a = covector(theta^(-1) a^(2^m)): Tr(theta^(-1) a b^(2^m)) = Tr(theta^(-1)
     # a^(2^m) b) for theta in GF(2^m), the pairwise condition of the t = m case
     return gf2n.covector(gf2n.mul(th_inv, gf2n.frobenius(a, spec.n // 2, spec), spec), spec)
-
-
-def _cor9_companion(spec: gf2n.FieldSpec, th_inv: int, mu: int) -> BooleanFunction:
-    # x -> Tr(theta^(-1) mu^(2^m) x) + Tr_m(theta^(-1) N(mu)), affine in x
-    m = spec.n // 2
-    const = gf2n.trace_abs_in(gf2n.mul(th_inv, gf2n.mul(mu, gf2n.frobenius(mu, m, spec), spec), spec), m, spec)
-    return quadratic_form(spec.n, _cor9_partner(spec, th_inv, mu), (), const)
 
 
 def _trace_condition(mus, partner) -> list[tuple[str, bool]]:
@@ -173,16 +158,14 @@ def thfromgold_build(
 
     The pairwise second derivatives of f's dual (the gold function itself)
     reduce to constants, so the hypotheses become trace conditions on the
-    mu tuple; the companions have the closed form Tr(lam*(mu x^(2^t) +
-    mu^(2^t) x + mu^(2^t+1))).
+    mu tuple.
     """
     spec = p.spec
     mus = _check_shape(F, spec.n, mus, 1, alpha)
     f = gold_dual(p)  # raises NotBentAdmissible for bad parameters
     conds = _trace_condition(mus, functools.partial(_gold_partner, p))
     conds += _alpha_complement(alpha, mus, spec, _TR_ALPHA)
-    companions = [_gold_companion(p, mu) for mu in mus]
-    return shifted_build(f, gold_function(p), F, mus, companions, conds, {"lam": p.lam, "t": p.t}, spec, alpha)
+    return shifted_build(f, gold_function(p), F, mus, conds, {"lam": p.lam, "t": p.t}, spec, alpha)
 
 
 def cort_m_build(
@@ -213,8 +196,7 @@ def cort_m_build(
     omega = _smallest_omega(spec)
     f = _gold_form(spec, gf2n.mul(omega, theta, spec), m, const=1)
     f_star = _gold_form(spec, gf2n.mul(omega, th_inv, spec), m)
-    companions = [_cor9_companion(spec, th_inv, mu) for mu in mus]
-    return shifted_build(f, f_star, F, mus, companions, conds, {"theta": theta}, spec, alpha)
+    return shifted_build(f, f_star, F, mus, conds, {"theta": theta}, spec, alpha)
 
 
 def corn4t_build(
@@ -245,9 +227,8 @@ def corn4t_build(
         raise ZeroDenominator(f"dual coefficient undefined at lam={lam:x}")
     p_lam = gf2n.mul(num, gf2n.inverse(den, spec), spec)
     f = gold_function(GoldParams(spec, p_lam, t))
-    companions = [_gold_companion(p, mu) for mu in mus]
     params = {"lam": lam, "t": t, "p_lam": p_lam}
-    return shifted_build(f, gold_function(p), F, mus, companions, conds, params, spec, alpha)
+    return shifted_build(f, gold_function(p), F, mus, conds, params, spec, alpha)
 
 
 # ---------------------------------------------- Maiorana-MacFarland
@@ -379,8 +360,7 @@ def mm_function(p: MMParams) -> BooleanFunction:
 
 
 def _mm_u(p: MMParams) -> np.ndarray:
-    # u = pi^(-1)(Lam^(-1) * z^(2^t)) over the 2^m indices of z, shared by
-    # the dual and the companions
+    # u = pi^(-1)(Lam^(-1) * z^(2^t)) over the 2^m indices of z
     spec, (_, inv) = p.spec, _subfield_embedding(p.spec, p.m)
     lam_inv = gf2n.inverse(p.lam ^ gf2n.frobenius(p.lam, p.m, spec), spec)
     v = _index_map(p, lambda e: inv[gf2n.mul(lam_inv, gf2n.frobenius(e, p.t, spec), spec)])
@@ -492,13 +472,4 @@ def thmm_build(
     f = mm_function(p)
     f_star = mm_dual(p, omega)  # raises NotBent for subfield lam
     conds += _pairwise("second-derivative", mus, 2, _d2_nonzero(f_star))
-    if omega is None:
-        omega = _smallest_omega(spec)
-    emb, _ = _subfield_embedding(spec, m)
-    z, u = _mm_z(p), _mm_u(p)
-    # x -> Tr(omega mu u(x)), read off the subfield through u's index
-    companions = [
-        BooleanFunction.from_bits(spec.n, gf2n.trace_array(emb[u], spec, gf2n.mul(omega, mu, spec))[z])
-        for mu in mus
-    ]
-    return shifted_build(f, f_star, F, mus, companions, conds, {"lam": p.lam, "t": p.t}, spec, alpha)
+    return shifted_build(f, f_star, F, mus, conds, {"lam": p.lam, "t": p.t}, spec, alpha)

@@ -16,11 +16,11 @@ frobenius, trace_abs, ...) act on single ints and serve per-element work:
 searches, side conditions, basis images.  A GF(2)-linear map is carried by
 its n basis images: apply_linear evaluates it, pull_back composes a
 covector with it, and the Frobenius powers are such images, cached.  The
-array layer (mul_array, trace_array, linear_table, frobenius_table) acts
-on numpy uint32 arrays of elements, which hold every degree up to 24 with
-room for the one-bit overflow of a shift; linear_table tabulates a map
-from its images by doubling, 2^k writes for k images, and the bit-sliced
-products of mul_array serve subfields and batches of candidates.
+array layer (mul_array, linear_table, frobenius_table) acts on numpy
+uint32 arrays of elements, which hold every degree up to 24 with room for
+the one-bit overflow of a shift; linear_table tabulates a map from its
+images by doubling, 2^k writes for k images, and the bit-sliced products
+of mul_array serve subfields and batches of candidates.
 Whole-field truth tables need no field product per point: `boolfun` and
 `families` build them from basis images and covectors.
 """
@@ -285,15 +285,6 @@ def nullspace(rows: list[int], n: int) -> list[int]:
     ]
 
 
-def ortho_complement(mus: tuple[int, ...] | list[int], spec: FieldSpec) -> list[int]:
-    """Basis of {alpha : Tr(alpha * mu_i) = 0 for every mu_i}."""
-    size = 1 << spec.n
-    for mu in mus:
-        if not 0 <= mu < size:
-            raise ValueError(f"element {mu:#x} outside the field")
-    return nullspace([covector(mu, spec) for mu in mus], spec.n)
-
-
 @functools.lru_cache(maxsize=None)
 def subfield_elements(r: int, spec: FieldSpec) -> tuple[int, ...]:
     """All elements of GF(2^r) inside the field, ascending; requires r | n."""
@@ -328,17 +319,6 @@ def mul_array(a, b, spec: FieldSpec) -> np.ndarray:
         tmp *= mod
         x ^= tmp
     return r
-
-
-def trace_array(a, spec: FieldSpec, coeff: int = 1) -> np.ndarray:
-    """Elementwise Tr(coeff * a) as uint8 0/1.
-
-    The product never forms: the covector of coeff is the mask whose
-    parity with a gives that trace, and covector(1) is the trace mask.
-    """
-    counts = np.bitwise_count(np.asarray(a, np.uint32) & np.uint32(covector(coeff, spec)))
-    counts &= 1
-    return counts
 
 
 def linear_table(images) -> np.ndarray:

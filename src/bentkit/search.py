@@ -149,6 +149,14 @@ def find_mu_tuples(ms: MuSearchSpec, cursor: tuple[int, ...] | None = None) -> l
     if cursor is not None and len(cursor) != ms.r:
         raise ValueError(f"cursor length {len(cursor)} does not match r={ms.r}")
     partners = _partner_rows(ms)
+    if ms.require_independent and ms.r > ms.n:
+        return []
+    if ms.mode != "second-derivative" and 2 * ms.r > ms.n:
+        # a tuple spans a totally isotropic subspace of the alternating form
+        # parity(k_a & b), of dimension at most m = (n + dim radical) / 2
+        m = (ms.n + len(gf2n.nullspace([partners(1 << j)[0] for j in range(ms.n)], ms.n))) // 2
+        if ms.r > (m if ms.require_independent else (1 << m) - 1):
+            return []
     out: list[tuple[int, ...]] = []
 
     def walk(chosen: tuple[int, ...], rows: list[int], basis: dict[int, int], start: int) -> bool:
@@ -193,13 +201,12 @@ def find_alphas(
     if limit < 0:
         raise ValueError("limit must be non-negative")
     if spec is not None:
-        basis = gf2n.ortho_complement(tuple(mus), spec)
-    else:
-        if n < 1:
-            raise ValueError(f"degree must be at least 1, got {n}")
-        _check_domain(n, "element", *mus)
-        basis = gf2n.nullspace([mu for mu in mus if mu], n)
-    return list(itertools.islice(_ascending(basis, 0), limit))
+        n = spec.n
+    elif n < 1:
+        raise ValueError(f"degree must be at least 1, got {n}")
+    _check_domain(n, "element", *mus)
+    rows = [mu if spec is None else gf2n.covector(mu, spec) for mu in mus]
+    return list(itertools.islice(_ascending(gf2n.nullspace(rows, n), 0), limit))
 
 
 # candidates per batched order test in find_gold_lambdas

@@ -16,12 +16,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bentkit import gf2n
-from bentkit.boolfun import BooleanFunction, linear_form
+from bentkit.boolfun import BooleanFunction, derivative, linear_form
 from bentkit.families import (
     GoldParams,
     _exp,
     MMParams,
-    _gold_companion,
     _mm_u,
     _mm_z,
     _smallest_omega,
@@ -48,6 +47,7 @@ from util import (
     scalar_mm_u_table,
     scalar_thmm_companion,
     scalar_trace_monomial,
+    trace_array,
 )
 
 SMALL = range(1, 9)
@@ -79,7 +79,7 @@ def test_power_and_trace_arrays_exhaustive(n):
         assert np.array_equal(power_array(xs, e, spec), [gf2n.power(x, e, spec) for x in range(1 << n)])
     for coeff in range(1 << n):
         expected = [gf2n.trace_abs(gf2n.mul(coeff, x, spec), spec) for x in range(1 << n)]
-        assert np.array_equal(gf2n.trace_array(xs, spec, coeff), expected)
+        assert np.array_equal(trace_array(xs, spec, coeff), expected)
     with pytest.raises(ValueError):
         power_array(xs, -1, spec)
 
@@ -104,7 +104,7 @@ def test_array_layer_random_pairs(n):
     e = rng.randrange(1 << n)
     assert np.array_equal(power_array(arr_a, e, spec), [gf2n.power(x, e, spec) for x in a])
     coeff = b[0]
-    assert np.array_equal(gf2n.trace_array(arr_a, spec, coeff),
+    assert np.array_equal(trace_array(arr_a, spec, coeff),
                           [gf2n.trace_abs(gf2n.mul(coeff, x, spec), spec) for x in a])
     k = rng.randrange(2, n)
     table = gf2n.frobenius_table(k, spec)
@@ -138,7 +138,7 @@ def test_gold_tables_match_scalar_oracles(n):
             p = GoldParams(spec, lam, t)
             assert gold_function(p) == scalar_gold_function(p)
             mu = rng.randrange(1 << n)
-            assert _gold_companion(p, mu) == scalar_gold_companion(p, mu)
+            assert derivative(gold_function(p), mu) == scalar_gold_companion(p, mu)
             if gold_bent_admissible(p):
                 admissible += 1
                 assert gold_dual(p) == scalar_gold_dual(p)
@@ -207,7 +207,7 @@ def test_gold_builders_law(data):
     t, mu = data.draw(st.integers(0, 2 * n)), data.draw(st.integers(0, (1 << n) - 1))
     p = GoldParams(spec, data.draw(st.integers(0, (1 << n) - 1)), t)
     assert gold_function(p) == scalar_gold_function(p)
-    assert _gold_companion(p, mu) == scalar_gold_companion(p, mu)
+    assert derivative(gold_function(p), mu) == scalar_gold_companion(p, mu)
     # the dual at the least admissible lam past a drawn cursor, for a t
     # with n/gcd(t, n) even
     s = data.draw(st.sampled_from([s for s in range(1, 2 * n + 1) if (n // math.gcd(s, n)) % 2 == 0]))

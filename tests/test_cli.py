@@ -670,10 +670,14 @@ def test_degree_cap_env(tmp_path, monkeypatch):
 
 
 def test_console_script_entry():
+    # the child imports the package from this checkout's src, as pytest does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bentkit", "field", "info", "--n", "4"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "modulus: 13" in proc.stdout

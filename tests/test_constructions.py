@@ -10,7 +10,10 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from bentkit import gf2n
 from bentkit.boolfun import (
     BooleanFunction,
     VectorialFunction,
@@ -36,6 +39,7 @@ from bentkit.constructions import (
     zlj_build,
 )
 from bentkit.errors import ArityMismatch, CertificateInvalid, SideConditionFailed
+from bentkit.search import MuSearchSpec, find_alphas, find_mu_tuples
 from util import (
     check_odd_sum_condition,
     check_property_pr_every_omega,
@@ -279,6 +283,30 @@ def test_zlj_trace_pairing(g64):
         assert rep.ok
         assert rep.h == f ^ linear_form(g64, mu)
         assert rep.h_star == translate(dual(f, g64), mu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_seed_builders_dual_law(data):
+    # h~ == dual(h) for zlj, correduced and mesnager1 over a drawn MM seed,
+    # mus from the second-derivative search on its dual, alpha from
+    # find_alphas and a drawn F, under both pairings
+    n = data.draw(st.sampled_from([4, 6, 8]))
+    spec = data.draw(st.sampled_from([None, gf2n.make_field(n)]))
+    f = random_mm_bent(random.Random(data.draw(st.integers(0, 2**32))), n)
+    r = data.draw(st.integers(1, 3))
+    ms = MuSearchSpec("second-derivative", r, 64, data.draw(st.booleans()), f_star=dual(f, spec))
+    tuples = find_mu_tuples(ms)
+    assume(tuples)
+    mus = data.draw(st.sampled_from(tuples))
+    alpha = data.draw(st.sampled_from(find_alphas(mus, 1 << n, **({"spec": spec} if spec else {"n": n}))))
+    F, F_head = (BooleanFunction(k, data.draw(st.integers(0, (1 << (1 << k)) - 1))) for k in (r, r + 1))
+    for rep in (
+        zlj_build(f, mus, F, spec),
+        correduced_build(f, alpha, mus, F_head, spec),
+        mesnager_build(f, mus[0], mus[-1], spec),
+    ):
+        assert rep.ok and rep.h_star == dual(rep.h, spec)
 
 
 def test_cornew_with_g_equal_f_matches_zlj():

@@ -48,7 +48,7 @@ from bentkit.families import (
     thmm_build,
 )
 from bentkit.search import find_gold_lambdas
-from util import _gold_pair_condition, gold_power_image, permutation_to_text, scalar_cor9_tables
+from util import _gold_pair_condition, gold_power_image, ortho_complement, permutation_to_text, scalar_cor9_tables
 
 
 def F_bits(n, bits):
@@ -177,10 +177,10 @@ def test_thfromgold_zero_F_returns_the_seed_pair(g64):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_field_family_companion_is_the_derivative(data):
-    # F = projection to the mu slot: h picks up Tr(mu x) and the dual must
-    # shift by the closed-form companion, which equals D_mu of the seed's
-    # dual; so h~ is exactly the translate of the seed's dual, whatever
-    # alpha fills the head slot
+    # F = projection to the mu slot: h picks up Tr(mu x) and the dual
+    # shifts by the companion D_mu of the seed's dual, so h~ is exactly the
+    # translate of the seed's dual, whatever alpha fills the head slot;
+    # rep.ok checks that against the spectral dual of h
     family = data.draw(st.sampled_from(["thm8", "cor9", "cor10", "thm12"]))
     n = data.draw(st.sampled_from((4, 8, 12) if family == "cor10" else (4, 6, 8, 10, 12)))
     spec, m, proj = gf2n.make_field(n), n // 2, F_bits(2, "0011")
@@ -188,7 +188,7 @@ def test_field_family_companion_is_the_derivative(data):
         mu = data.draw(st.sampled_from(gf2n.subfield_elements(m, spec)[1:]))
     else:
         mu = data.draw(st.integers(1, (1 << n) - 1))
-    alpha = gf2n.apply_linear(gf2n.ortho_complement((mu,), spec), data.draw(st.integers(0, (1 << (n - 1)) - 1)))
+    alpha = gf2n.apply_linear(ortho_complement((mu,), spec), data.draw(st.integers(0, (1 << (n - 1)) - 1)))
     if family in ("thm8", "cor10"):
         t = n // 4 if family == "cor10" else data.draw(
             st.sampled_from([s for s in range(1, n) if (n // math.gcd(s, n)) % 2 == 0])

@@ -18,6 +18,7 @@ from bentkit.errors import (
     SingularMap,
     UnsupportedDegree,
 )
+from bentkit.search import find_alphas
 from util import from_hex, to_hex, trace_rel, xor_rank, xor_span
 
 
@@ -210,17 +211,16 @@ def test_nullspace_and_ortho_complement(g64):
     # complement of (1, 6): exhaustive filter equals spanned basis
     from util import xor_span
 
-    comp = gf2n.ortho_complement((1, 6), g64)
+    comp = find_alphas((1, 6), 64, spec=g64)
     want = {
         a
         for a in range(64)
         if gf2n.trace_abs(gf2n.mul(a, 1, g64), g64) == 0
         and gf2n.trace_abs(gf2n.mul(a, 6, g64), g64) == 0
     }
-    assert xor_span(comp) == want
-    assert len(comp) == 4  # basis of a codimension-2 subspace
-    full = gf2n.ortho_complement((), g64)
-    assert len(full) == 6
+    assert comp == sorted(want) and xor_span(comp) == want
+    assert len(comp) == 16  # a codimension-2 subspace
+    assert find_alphas((), 64, spec=g64) == list(range(64))
 
 
 @given(st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=n + 2))))

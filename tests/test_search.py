@@ -14,6 +14,7 @@ search implicates the walk's subspace bookkeeping.
 import dataclasses
 import itertools
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -347,6 +348,42 @@ def test_walk_matches_depth_first_oracle(data):
         if data.draw(st.booleans()):
             cursor = tuple(sorted(cursor))
     assert find_mu_tuples(ms, cursor) == find_mu_tuples_dfs(ms, cursor)
+
+
+def test_oversized_trace_tuple_returns_at_once():
+    # the gold form at n = 10, t = 1, lam = 2 has isotropic subspaces of
+    # dimension 5 and none larger; without the bound, r = 6 walks every
+    # isotropic 5-tuple before it gives up
+    p = GoldParams(gf2n.make_field(10), 2, 1)
+    start = time.perf_counter()
+    assert find_mu_tuples(MuSearchSpec("gold-trace", 6, 1, gold=p)) == []
+    assert time.perf_counter() - start < 1
+    assert len(find_mu_tuples(MuSearchSpec("gold-trace", 5, 1, gold=p))) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_trace_walk_past_the_isotropic_dimension_matches_the_oracle(data):
+    # r up to n + 2 crosses the largest isotropic subspace of every form,
+    # the zero form (lam = 0, or t a multiple of n) included
+    mode = data.draw(st.sampled_from(["gold-trace", "cor9-trace"]))
+    n = data.draw(st.sampled_from([2, 4, 6] if mode == "cor9-trace" else range(1, 7)))
+    spec = gf2n.make_field(n)
+    r, independent = data.draw(st.integers(1, n + 2)), data.draw(st.booleans())
+    limit = data.draw(st.sampled_from([1, 5, 60]))
+    if mode == "gold-trace":
+        p = GoldParams(spec, data.draw(st.integers(0, (1 << n) - 1)), data.draw(st.integers(0, 2 * n)))
+        ms = MuSearchSpec(mode, r, limit, independent, gold=p)
+    else:
+        theta = data.draw(st.sampled_from(gf2n.subfield_elements(n // 2, spec)[1:]))
+        ms = MuSearchSpec(mode, r, limit, independent, theta=theta, spec=spec)
+    if independent and r > n:
+        # no r independent vectors in n dimensions; the oracle would first
+        # try every shorter independent tuple, about 10^7 under the zero
+        # form at n = 6
+        assert find_mu_tuples(ms) == []
+    else:
+        assert find_mu_tuples(ms) == find_mu_tuples_dfs(ms)
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,8 +14,9 @@ The last section holds the oracles that only the tests use: the
 direct-summation bent check, the batch re-verifier of construction
 reports, the odd-sum form of the companion property and the enumerated
 gold power image, and the helpers no package module calls (the
-elementwise power over mul_array and the trace monomial tables built on
-it, the relative trace, the hex element format, the permutation file
+elementwise power over mul_array, the elementwise trace through a
+covector and the trace monomial tables built on them, the relative
+trace, the hex element format, the permutation file
 writer).  After them come the package's earlier kernels, kept unchanged
 as references for the ones that replaced them: the copying butterfly,
 a strategy drawing malformed truth-table files with the nibble-mask
@@ -24,7 +25,7 @@ Moebius transform, the per-derivative fingerprint, the unpacked
 second-derivative predicate and composition, and the depth-first mu
 search with the scalar gold and cor9 trace conditions it tests pairs
 by (also the oracles of the families' partner covectors) and the
-sort-based alpha listing.
+sort-based alpha listing over the trace-orthogonal complement.
 """
 
 from __future__ import annotations
@@ -437,10 +438,17 @@ def power_array(a, e: int, spec: gf2n.FieldSpec) -> np.ndarray:
     return r
 
 
+def trace_array(a, spec: gf2n.FieldSpec, coeff: int = 1) -> np.ndarray:
+    """Elementwise Tr(coeff * a) as uint8 0/1, through the covector of coeff."""
+    counts = np.bitwise_count(np.asarray(a, np.uint32) & np.uint32(gf2n.covector(coeff, spec)))
+    counts &= 1
+    return counts
+
+
 def from_trace_monomial(spec: gf2n.FieldSpec, lam: int, e: int) -> BooleanFunction:
     """x -> Tr(lam * x^e) over the field's domain."""
     powers = power_array(np.arange(1 << spec.n, dtype=np.uint32), e, spec)
-    return BooleanFunction.from_bits(spec.n, gf2n.trace_array(powers, spec, lam))
+    return BooleanFunction.from_bits(spec.n, trace_array(powers, spec, lam))
 
 
 def gold_power_image(spec: gf2n.FieldSpec, t: int) -> frozenset[int]:
@@ -716,7 +724,7 @@ def find_mu_tuples_dfs(
         raise ValueError("exhaustive search is capped at degree 16")
     if cursor is not None and len(cursor) != ms.r:
         raise ValueError(f"cursor length {len(cursor)} does not match r={ms.r}")
-    fails = _pair_oracle(ms)
+    fails = functools.lru_cache(maxsize=None)(_pair_oracle(ms))
     size = 1 << ms.n
     out: list[tuple[int, ...]] = []
     chosen: list[int] = []
@@ -755,6 +763,12 @@ def find_mu_tuples_dfs(
     return out
 
 
+def ortho_complement(mus, spec: gf2n.FieldSpec) -> list[int]:
+    """Basis of {alpha : Tr(alpha * mu_i) = 0 for every mu_i}."""
+    _check_domain(spec.n, "element", *mus)
+    return gf2n.nullspace([gf2n.covector(mu, spec) for mu in mus], spec.n)
+
+
 def find_alphas_sorted(
     mus,
     limit: int,
@@ -766,7 +780,7 @@ def find_alphas_sorted(
     if (n is None) == (spec is None):
         raise ValueError("pass exactly one of n or spec")
     if spec is not None:
-        basis = gf2n.ortho_complement(tuple(mus), spec)
+        basis = ortho_complement(tuple(mus), spec)
     else:
         if n < 1:
             raise ValueError(f"degree must be at least 1, got {n}")
