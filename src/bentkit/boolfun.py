@@ -298,8 +298,7 @@ def dual(f: BooleanFunction, spec: gf2n.FieldSpec | None = None) -> BooleanFunct
 
 def translate(f: BooleanFunction, a: int) -> BooleanFunction:
     """x -> f(x + a); index XOR is both vector and field addition."""
-    if not 0 <= a < 1 << f.n:
-        raise ValueError(f"shift {a:#x} outside the domain")
+    gf2n.check_domain(f.n, "shift", a)
     # byte j is byte j ^ (a >> 3) of f moved by a & 7 inside the byte; unlike
     # np.take, indexing casts a narrow index in chunks, not in one int64 copy
     moved = _BYTE_TRANSLATE[a & 7][_table_bytes(f.table, f.n)]
@@ -376,16 +375,12 @@ def algebraic_degree(f: BooleanFunction) -> int:
     return anf(f).degree
 
 
-def derivative_degrees(f: BooleanFunction, shifts: np.ndarray) -> np.ndarray:
-    """Algebraic degree of D_a f for each a in shifts, in one batched
-    Moebius transform of the derivatives' packed tables; with uint16 shifts
-    (n <= 16) the working memory is three bytes per table byte per row."""
-    return next(_derivative_degree_batches(f, [shifts]))
-
-
 def _derivative_degree_batches(f: BooleanFunction, batches):
-    # derivative_degrees per array of shifts; the in-byte Moebius stages,
-    # linear and commuting with byte gathers, run once on f's translates
+    # the algebraic degree of D_a f for each a, per array of shifts, in one
+    # batched Moebius transform of the derivatives' packed tables; with
+    # uint16 shifts (n <= 16) the working memory is three bytes per table
+    # byte per row.  The in-byte Moebius stages, linear and commuting with
+    # byte gathers, run once on f's translates
     moved = _BYTE_MOEBIUS[np.take(_BYTE_TRANSLATE, _table_bytes(f.table, f.n), axis=1)]
     raw = moved[0]  # the translate by 0, f itself
     for shifts in batches:
@@ -434,8 +429,7 @@ def quadratic_form(n: int, linear: int, covectors=(), const: int = 0) -> Boolean
 
 def dot_form(n: int, mask: int) -> BooleanFunction:
     """Linear form x -> parity(mask & x) under the dot pairing."""
-    if not 0 <= mask < 1 << n:
-        raise ValueError(f"mask {mask:#x} outside the domain")
+    gf2n.check_domain(n, "mask", mask)
     return quadratic_form(n, mask)
 
 

@@ -96,12 +96,6 @@ def _maj(a: BooleanFunction, b: BooleanFunction, c: BooleanFunction) -> BooleanF
     return (a & b) ^ (a & c) ^ (b & c)
 
 
-def _check_domain(n: int, name: str, *values: int) -> None:
-    for v in values:
-        if not 0 <= v < 1 << n:
-            raise ValueError(f"{name} {v:#x} outside the {n}-variable domain")
-
-
 def _degeneracy_warnings(mus, n: int) -> list[str]:
     warnings = []
     if any(mu == 0 for mu in mus):
@@ -134,7 +128,7 @@ def _check_shape(F: BooleanFunction, n: int, mus, heads: int, *extra: int) -> tu
     mus = tuple(mus)
     if F.n != len(mus) + heads:
         raise ArityMismatch(f"F takes {F.n} inputs, expected {len(mus) + heads}")
-    _check_domain(n, "element", *extra, *mus)
+    gf2n.check_domain(n, "element", *extra, *mus)
     return mus
 
 
@@ -287,7 +281,7 @@ def mesnager_build(
 ) -> ConstructionReport:
     """h = f + l_a l_b, bent iff the second derivative of the dual by (a, b)
     vanishes; the dual is the majority of f~ and its two shifts."""
-    _check_domain(f.n, "shift", a, b)
+    gf2n.check_domain(f.n, "shift", a, b)
     conds, (f_star,) = _bent_conditions(spec, f=f)
     if _d2_nonzero(f_star)(a, b):
         raise SideConditionFailed("second-derivative", f"D_a D_b of the dual is nonzero (a={a:x}, b={b:x})")
@@ -304,7 +298,7 @@ def mesnager2_build(
     spec: gf2n.FieldSpec | None = None,
 ) -> ConstructionReport:
     """h = f1 + l_a (f1 + f2) for bent f1, f2 with D_a(f1~ + f2~) = 0."""
-    _check_domain(f1.n, "shift", a)
+    gf2n.check_domain(f1.n, "shift", a)
     conds, (d1, d2) = _bent_conditions(spec, f1=f1, f2=f2)
     sd = d1 ^ d2
     if derivative(sd, a).table != 0:

@@ -60,8 +60,7 @@ class GoldParams:
     t: int
 
     def __post_init__(self):
-        if not 0 <= self.lam < 1 << self.spec.n:
-            raise ValueError(f"lam {self.lam:#x} outside the field")
+        gf2n.check_domain(self.spec.n, "lam", self.lam)
         if self.t < 0:
             raise ValueError("t must be non-negative")
 
@@ -254,8 +253,7 @@ class MMParams:
         if self.spec.n % 2:
             raise ValueError("needs an even degree")
         m = self.spec.n // 2
-        if not 0 <= self.lam < 1 << self.spec.n:
-            raise ValueError(f"lam {self.lam:#x} outside the field")
+        gf2n.check_domain(self.spec.n, "lam", self.lam)
         if self.t < 0:
             raise ValueError("t must be non-negative")
         if self.g_sub.n != m:
@@ -322,13 +320,13 @@ def _subfield_embedding(spec: gf2n.FieldSpec, r: int):
 
 @functools.lru_cache(maxsize=None)
 def _smallest_omega(spec: gf2n.FieldSpec) -> int:
-    # least omega with omega + omega^(2^m) = 1; solutions form a coset of
-    # the subfield
-    m = spec.n // 2
-    cols = [gf2n.frobenius(1 << j, m, spec) ^ (1 << j) for j in range(spec.n)]
-    w, rest = gf2n._solve(gf2n._column_echelon(cols)[0], 1)
-    assert rest == 0, "1 must lie in the image of the relative trace"
-    return min(w ^ s for s in gf2n.subfield_elements(m, spec))
+    # least omega with omega + omega^(2^m) = 1: the kernel vector of
+    # (y, s) -> y + y^(2^m) + s with bit n (s) set is zero on the subfield
+    # part's leading bits, so it is the least of its coset of the subfield
+    n = spec.n
+    cols = [f ^ 1 << j for j, f in enumerate(gf2n.frobenius_images(n // 2, spec))] + [1]
+    basis = gf2n.nullspace([gf2n.pull_back(cols, 1 << i) for i in range(n)], n + 1)
+    return next(v for v in basis if v >> n) ^ 1 << n
 
 
 def _mm_z(p: MMParams) -> np.ndarray:

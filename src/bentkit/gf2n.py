@@ -23,6 +23,12 @@ images by doubling, 2^k writes for k images, and the bit-sliced products
 of mul_array serve subfields and batches of candidates.
 Whole-field truth tables need no field product per point: `boolfun` and
 `families` build them from basis images and covectors.
+
+GF(2)-linear systems have one elimination, nullspace, the reduced echelon
+kernel of a list of rows: it spans the searches' subspaces, the subfield
+GF(2^r) (the kernel of x -> x^(2^r) + x) and, as the kernel of [L^T | I],
+the inverse of a map L (solve_linearized).  check_domain is the one range
+check of elements and shifts.
 """
 
 from __future__ import annotations
@@ -95,6 +101,13 @@ def make_field(n: int, modulus: int | None = None) -> FieldSpec:
     elif not is_irreducible(modulus):
         raise NonIrreducible(f"modulus {modulus:#x} is reducible")
     return FieldSpec(n, modulus)
+
+
+def check_domain(n: int, name: str, *values: int) -> None:
+    """Raise ValueError for the first value outside [0, 2^n)."""
+    for v in values:
+        if not 0 <= v < 1 << n:
+            raise ValueError(f"{name} {v:#x} outside the {n}-variable domain")
 
 
 def mul(a: int, b: int, spec: FieldSpec) -> int:
@@ -217,48 +230,23 @@ def covector(mu: int, spec: FieldSpec) -> int:
     return apply_linear(_covector_images(spec), mu)
 
 
-def _column_echelon(cols: list[int]):
-    """Echelonize images of basis vectors, tracking input combinations.
-
-    Returns (rows, kernel): rows is a list of (pivot_bit, vector, combo)
-    with distinct pivots, kernel is a list of input combos mapping to zero.
-    """
-    rows: list[tuple[int, int, int]] = []
-    kernel: list[int] = []
-    for j, v in enumerate(cols):
-        combo = 1 << j
-        for pb, bv, bc in rows:
-            if v >> pb & 1:
-                v ^= bv
-                combo ^= bc
-        if v:
-            rows.append((v.bit_length() - 1, v, combo))
-        else:
-            kernel.append(combo)
-    return rows, kernel
-
-
-def _solve(rows, rhs: int) -> tuple[int, int]:
-    # rhs reduced over _column_echelon rows: (input combination, remainder)
-    y = 0
-    for pb, bv, bc in rows:
-        if rhs >> pb & 1:
-            rhs ^= bv
-            y ^= bc
-    return y, rhs
-
-
 def solve_linearized(lam: int, t: int, rhs, spec: FieldSpec) -> list[int]:
-    """Solve lam*y + lam^(2^t) * y^(2^(2t)) = r for y, for each r in rhs.
+    """Solve L y = lam*y + lam^(2^t) * y^(2^(2t)) = r for y, for each r in rhs.
 
-    The map is GF(2)-linear in y and echelonized once per call; each r then
-    costs O(n) reductions.  Raises SingularMap when it is not invertible.
+    The rows (L e_j, e_j) form [L^T | I], whose kernel is the pairs (a, b)
+    with b = L^T a.  When L is invertible the b bits are exactly the free
+    columns, and free column n + i carries a = L^-T e_i, row i of L^-1, so
+    y = L^-1 r is one pull_back; a free a column is a kernel vector of L^T,
+    so the rank is n minus their number.  Raises SingularMap when L is not
+    invertible.
     """
-    lam_t, images = frobenius(lam, t, spec), frobenius_images(2 * t, spec)
-    rows, _ = _column_echelon([mul(lam, 1 << j, spec) ^ mul(lam_t, images[j], spec) for j in range(spec.n)])
-    if len(rows) < spec.n:
-        raise SingularMap(f"linearized map for lam={lam:#x}, t={t} has rank {len(rows)}")
-    return [_solve(rows, r)[0] for r in rhs]
+    n, lam_t, images = spec.n, frobenius(lam, t, spec), frobenius_images(2 * t, spec)
+    cols = [mul(lam, 1 << j, spec) ^ mul(lam_t, images[j], spec) for j in range(n)]
+    basis = nullspace([col | 1 << (n + j) for j, col in enumerate(cols)], 2 * n)
+    if basis[0] < 1 << n:
+        rank = n - sum(v < 1 << n for v in basis)
+        raise SingularMap(f"linearized map for lam={lam:#x}, t={t} has rank {rank}")
+    return [pull_back(basis, r) for r in rhs]
 
 
 def nullspace(rows: list[int], n: int) -> list[int]:
@@ -266,7 +254,8 @@ def nullspace(rows: list[int], n: int) -> list[int]:
     reduced echelon form: no vector has another's leading bit set, so
     member i, the XOR of the vectors at the set bits of i, grows with i.
     With the rows reduced on their lowest bits, free column j gives
-    1 << j plus pivot bits below j."""
+    1 << j plus pivot bits below j.  The package's one GF(2) elimination:
+    solve_linearized and subfield_elements are kernels of it too."""
     pivots: dict[int, int] = {}  # lowest bit -> row, clear in every other row
     for row in rows:
         for c, r in pivots.items():
@@ -287,17 +276,13 @@ def nullspace(rows: list[int], n: int) -> list[int]:
 
 @functools.lru_cache(maxsize=None)
 def subfield_elements(r: int, spec: FieldSpec) -> tuple[int, ...]:
-    """All elements of GF(2^r) inside the field, ascending; requires r | n."""
+    """All elements of GF(2^r) inside the field, ascending; requires r | n.
+    The kernel of x -> x^(2^r) + x, tabulated from its reduced basis."""
     if r < 1 or spec.n % r:
         raise NotADivisor(f"{r} does not divide {spec.n}")
-    cols = [frobenius(1 << j, r, spec) ^ (1 << j) for j in range(spec.n)]
-    _, kernel = _column_echelon(cols)
-    assert len(kernel) == r
-    elems = [0]
-    for b in kernel:
-        elems += [e ^ b for e in elems]
-    assert len(elems) == 1 << r
-    return tuple(sorted(elems))
+    cols = [f ^ 1 << j for j, f in enumerate(frobenius_images(r, spec))]
+    rows = [pull_back(cols, 1 << i) for i in range(spec.n)]
+    return tuple(linear_table(nullspace(rows, spec.n)).tolist())
 
 
 # ------------------------------------------------------------ array layer

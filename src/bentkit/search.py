@@ -33,7 +33,6 @@ import numpy as np
 
 from . import gf2n
 from .boolfun import BooleanFunction, _derivative_degree_batches, algebraic_degree, derivative, wht
-from .constructions import _check_domain
 from .families import GoldParams, _cor9_partner, _gold_partner
 
 
@@ -75,7 +74,7 @@ class MuSearchSpec:
                 raise ValueError("cor9-trace mode needs theta and a field")
             if self.spec.n % 2:
                 raise ValueError("cor9-trace mode needs an even degree")
-            _check_domain(self.spec.n, "theta", self.theta)
+            gf2n.check_domain(self.spec.n, "theta", self.theta)
             m = self.spec.n // 2
             if self.theta == 0 or not gf2n.in_subfield(self.theta, m, self.spec):
                 raise ValueError(f"theta={self.theta:x} not in GF(2^{m})*")
@@ -204,7 +203,7 @@ def find_alphas(
         n = spec.n
     elif n < 1:
         raise ValueError(f"degree must be at least 1, got {n}")
-    _check_domain(n, "element", *mus)
+    gf2n.check_domain(n, "element", *mus)
     rows = [mu if spec is None else gf2n.covector(mu, spec) for mu in mus]
     return list(itertools.islice(_ascending(gf2n.nullspace(rows, n), 0), limit))
 
@@ -223,6 +222,8 @@ def find_gold_lambdas(spec: gf2n.FieldSpec, t: int, limit: int, cursor: int | No
     GF(2^d); that is tested on batches of candidates."""
     if t < 0:
         raise ValueError("t must be non-negative")
+    if limit < 0:
+        raise ValueError("limit must be non-negative")
     d = math.gcd(t, spec.n)
     if (spec.n // d) % 2:
         return []  # no lam gives a bent function

@@ -195,7 +195,7 @@ def test_fn_derivative_needs_mu(tmp_path):
     parsed = from_text(out)
     assert parsed(0) == F6(0) ^ F6(9)
     code, _, err = run_cli(["fn", "derivative", "--in", path, "--mu", "7f"])
-    assert code == 2  # direction outside the domain
+    assert (code, err) == (2, "error: shift 0x7f outside the 6-variable domain\n")
 
 
 def test_fn_missing_and_malformed_files(tmp_path):
@@ -220,8 +220,8 @@ def test_construct_gold_report_and_files(tmp_path, g64):
     assert "bent: true" in lines and "dual-matches: true" in lines
     assert "degree-h: 2" in lines
     p = GoldParams(g64, 0x2A, 1)
-    assert from_text(open(out_h).read()) == gold_function(p)
-    assert is_bent(from_text(open(out_d).read()))
+    assert from_text(Path(out_h).read_text()) == gold_function(p)
+    assert is_bent(from_text(Path(out_d).read_text()))
 
 
 def test_construct_gold_rejects_power_value(tmp_path):
@@ -518,6 +518,15 @@ def test_search_alphas_rejects_elements_outside_the_domain():
     for pairing in ("dot", "trace"):
         code, out, err = run_cli(["search", "alphas", "--mus", "1,41", "--n", "6", "--pairing", pairing])
         assert (code, out) == (2, "") and err.startswith("error: element 0x41 outside the")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["lambdas", "--n", "6", "--t", "1"], ["alphas", "--n", "6", "--mus", "1"],
+     ["mus", "--mode", "gold-trace", "--n", "6", "--t", "1", "--lambda", "2a", "--r", "2"]],
+)
+def test_search_rejects_a_negative_limit(argv):
+    assert run_cli(["search", *argv, "--limit", "-1"]) == (2, "", "error: limit must be non-negative\n")
 
 
 @pytest.mark.parametrize("n, mus", [("0", "0"), ("-1", "1")])

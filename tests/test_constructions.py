@@ -9,6 +9,7 @@ where the collapse is forced (repeated inputs, zero correction terms).
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -45,6 +46,7 @@ from util import (
     check_property_pr_every_omega,
     from_trace_monomial,
     inner_product_fn,
+    mm_bent_sharing_pi,
     random_function,
     random_mm_bent,
 )
@@ -305,6 +307,35 @@ def test_seed_builders_dual_law(data):
         zlj_build(f, mus, F, spec),
         correduced_build(f, alpha, mus, F_head, spec),
         mesnager_build(f, mus[0], mus[-1], spec),
+    ):
+        assert rep.ok and rep.h_star == dual(rep.h, spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_remaining_builders_dual_law(data):
+    # h~ == dual(h) for cornew, mesnager2, carlet and build_generic, under
+    # both pairings: MM functions sharing pi, mus from the second-derivative
+    # search on the first one's dual, alpha orthogonal to them
+    n = data.draw(st.sampled_from([4, 6, 8]))
+    spec = data.draw(st.sampled_from([None, gf2n.make_field(n)]))
+    f, f2, f3 = mm_bent_sharing_pi(random.Random(data.draw(st.integers(0, 2**32))), n, 3)
+    r = data.draw(st.integers(1, 3))
+    tuples = find_mu_tuples(MuSearchSpec("second-derivative", r, 64, data.draw(st.booleans()), f_star=dual(f, spec)))
+    assume(tuples)
+    mus = data.draw(st.sampled_from(tuples))
+    alpha = data.draw(st.sampled_from(find_alphas(mus, 1 << n, **({"spec": spec} if spec else {"n": n}))))
+    # every a with D_a(f~ + f2~) = 0, by comparing the table with its shifts
+    sd = (dual(f, spec) ^ dual(f2, spec)).bits()
+    idx = np.arange(1 << n)
+    a = data.draw(st.sampled_from([a for a in range(1 << n) if np.array_equal(sd, sd[idx ^ a])]))
+    phi = VectorialFunction(n, r, tuple(linear_form(spec, mu) if spec else dot_form(n, mu) for mu in mus))
+    F, F_head = (BooleanFunction(k, data.draw(st.integers(0, (1 << (1 << k)) - 1))) for k in (r, r + 1))
+    for rep in (
+        cornew_build(f, translate(f, alpha), mus, F_head, spec),
+        mesnager2_build(f, f2, a, spec),
+        carlet_build(f, f2, f3, spec),
+        build_generic(f, F, phi, check_property_pr(f, phi, spec)),
     ):
         assert rep.ok and rep.h_star == dual(rep.h, spec)
 

@@ -7,17 +7,20 @@ shift-and-reduce path in the package.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bentkit import gf2n
+from bentkit.boolfun import BooleanFunction, dot_form, translate
 from bentkit.errors import (
     NonIrreducible,
     NotADivisor,
     SingularMap,
     UnsupportedDegree,
 )
+from bentkit.families import GoldParams, MMParams, _smallest_omega
 from bentkit.search import find_alphas
 from util import from_hex, to_hex, trace_rel, xor_rank, xor_span
 
@@ -187,6 +190,78 @@ def test_solve_linearized_roundtrip(g16):
         assert img == rhs
     with pytest.raises(SingularMap):
         gf2n.solve_linearized(1, 4, [3], g16)
+
+
+@st.composite
+def fields(draw, degrees):
+    # the first irreducible modulus at or after a drawn one, wrapping round
+    n = draw(degrees)
+    start = draw(st.integers(0, (1 << n) - 1))
+    return gf2n.make_field(n, next(
+        p for k in range(1 << n) if gf2n.is_irreducible(p := 1 << n | (start + k) % (1 << n))
+    ))
+
+
+def ref_mul(a: int, b: int, spec) -> int:
+    return ref_mod(ref_clmul(a, b), spec.modulus)
+
+
+def ref_frobenius(a: int, k: int, spec) -> int:
+    for _ in range(k % spec.n):
+        a = ref_mul(a, a, spec)
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields(st.integers(1, 12)), st.data())
+def test_solve_linearized_inverts_the_map_or_names_its_rank(spec, data):
+    # L(y) = lam y + lam^(2^t) y^(2^(2t)), tabulated by linearity from
+    # schoolbook images of the basis
+    n = spec.n
+    lam, t = data.draw(st.integers(0, (1 << n) - 1)), data.draw(st.integers(0, 2 * n))
+    lam_t = ref_frobenius(lam, t, spec)
+    table = [0]
+    for j in range(n):
+        image = ref_mul(lam, 1 << j, spec) ^ ref_mul(lam_t, ref_frobenius(1 << j, 2 * t, spec), spec)
+        table += [v ^ image for v in table]
+    rank = len(set(table)).bit_length() - 1
+    if rank < n:
+        with pytest.raises(SingularMap, match=f"has rank {rank}$"):
+            gf2n.solve_linearized(lam, t, [0], spec)
+    else:
+        ys = gf2n.solve_linearized(lam, t, range(1 << n), spec)
+        assert [table[y] for y in ys] == list(range(1 << n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields(st.integers(1, 16)))
+def test_subfield_elements_are_the_fixed_points(spec):
+    field = np.arange(1 << spec.n)
+    for r in range(1, spec.n + 1):
+        if spec.n % r == 0:
+            fixed = np.flatnonzero(gf2n.frobenius_table(r, spec) == field)
+            assert gf2n.subfield_elements(r, spec) == tuple(fixed.tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(fields(st.integers(1, 8).map(lambda m: 2 * m)))
+def test_smallest_omega_is_the_least_solution(spec):
+    field = np.arange(1 << spec.n)
+    least = np.flatnonzero(gf2n.frobenius_table(spec.n // 2, spec) ^ field == 1)[0]
+    assert _smallest_omega(spec) == least
+
+
+def test_one_domain_check_names_the_value_and_the_domain(g16):
+    zero2, zero4 = BooleanFunction.const(2, 0), BooleanFunction.const(4, 0)
+    for call, why in [
+        (lambda: translate(zero4, 16), "shift 0x10"),
+        (lambda: dot_form(4, -1), "mask -0x1"),
+        (lambda: GoldParams(g16, 16, 1), "lam 0x10"),
+        (lambda: MMParams(g16, 0x1F, 1, 1, zero2), "lam 0x1f"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"{why} outside the 4-variable domain"
 
 
 def test_covector_realizes_the_trace_pairing(g64):

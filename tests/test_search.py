@@ -27,7 +27,6 @@ from bentkit.boolfun import (
     BooleanFunction,
     algebraic_degree,
     derivative,
-    derivative_degrees,
     dot_form,
     dual,
     is_bent,
@@ -51,6 +50,7 @@ from util import (
     batch_verify,
     brute_force_bent_check,
     d2_nonzero_unpacked,
+    derivative_degrees,
     ea_fingerprint_per_derivative,
     find_alphas_sorted,
     find_mu_tuples_dfs,

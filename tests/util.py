@@ -21,7 +21,8 @@ writer).  After them come the package's earlier kernels, kept unchanged
 as references for the ones that replaced them: the copying butterfly,
 a strategy drawing malformed truth-table files with the nibble-mask
 wire-format reader, the every-omega certificate check, the copying
-Moebius transform, the per-derivative fingerprint, the unpacked
+Moebius transform, the per-derivative fingerprint with the one-batch
+derivative degrees it is checked beside, the unpacked
 second-derivative predicate and composition, and the depth-first mu
 search with the scalar gold and cor9 trace conditions it tests pairs
 by (also the oracles of the families' partner covectors) and the
@@ -38,8 +39,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from bentkit import gf2n
-from bentkit.boolfun import BooleanFunction, VectorialFunction, dual, is_bent, to_text, wht
-from bentkit.constructions import ConstructionReport, PrCertificate, _check_domain
+from bentkit.boolfun import BooleanFunction, VectorialFunction, _derivative_degree_batches, dual, is_bent, to_text, wht
+from bentkit.constructions import ConstructionReport, PrCertificate
 from bentkit.errors import ArityMismatch, NotADivisor, NotBent, NotBentAdmissible
 from bentkit.families import GoldParams, _smallest_omega, gold_bent_admissible
 from bentkit.search import EaFingerprint, MuSearchSpec
@@ -78,16 +79,25 @@ def inner_product_fn(n: int) -> BooleanFunction:
 
 def random_mm_bent(rng, n: int) -> BooleanFunction:
     """y.pi(z) + g(z) on half-split coordinates, pi a random permutation."""
+    return mm_bent_sharing_pi(rng, n, 1)[0]
+
+
+def mm_bent_sharing_pi(rng, n: int, k: int) -> list[BooleanFunction]:
+    """k functions y.pi(z) + g_i(z) on half-split coordinates, one random
+    permutation pi and k random g_i."""
     m = n // 2
     mask = (1 << m) - 1
     perm = list(range(1 << m))
     rng.shuffle(perm)
-    gbits = [rng.randrange(2) for _ in range(1 << m)]
-    bits = []
-    for x in range(1 << n):
-        lo, hi = x & mask, x >> m
-        bits.append(((lo & perm[hi]).bit_count() & 1) ^ gbits[hi])
-    return BooleanFunction.from_bits(n, bits)
+    out = []
+    for _ in range(k):
+        gbits = [rng.randrange(2) for _ in range(1 << m)]
+        bits = []
+        for x in range(1 << n):
+            lo, hi = x & mask, x >> m
+            bits.append(((lo & perm[hi]).bit_count() & 1) ^ gbits[hi])
+        out.append(BooleanFunction.from_bits(n, bits))
+    return out
 
 
 def xor_rank(vectors) -> int:
@@ -656,6 +666,12 @@ def ea_fingerprint_per_derivative(h: BooleanFunction) -> EaFingerprint:
     return EaFingerprint(own_deg, tuple(sorted(degs.items())))
 
 
+def derivative_degrees(f: BooleanFunction, shifts: np.ndarray) -> np.ndarray:
+    """Algebraic degree of D_a f for each a in shifts, as one batch of the
+    kernel behind ea_fingerprint."""
+    return next(_derivative_degree_batches(f, [shifts]))
+
+
 def d2_nonzero_unpacked(f_star: BooleanFunction):
     """(a, b) -> whether D_a D_b f_star is nonzero somewhere, on one
     unpacked bit per point with int64 index arrays; the packed
@@ -765,7 +781,7 @@ def find_mu_tuples_dfs(
 
 def ortho_complement(mus, spec: gf2n.FieldSpec) -> list[int]:
     """Basis of {alpha : Tr(alpha * mu_i) = 0 for every mu_i}."""
-    _check_domain(spec.n, "element", *mus)
+    gf2n.check_domain(spec.n, "element", *mus)
     return gf2n.nullspace([gf2n.covector(mu, spec) for mu in mus], spec.n)
 
 
@@ -784,7 +800,7 @@ def find_alphas_sorted(
     else:
         if n < 1:
             raise ValueError(f"degree must be at least 1, got {n}")
-        _check_domain(n, "element", *mus)
+        gf2n.check_domain(n, "element", *mus)
         basis = gf2n.nullspace([mu for mu in mus if mu], n)
     members = [0]
     for b in basis:
