@@ -415,7 +415,7 @@ def cmd_search_mus(args) -> int:
         kwargs["f_star"] = _read_fn(args.f_star)
     elif args.mode == "gold-trace":
         if args.n is None or args.lam is None:
-            raise ValueError("gold-trace mode needs --n, --t and --lambda")
+            raise ValueError("gold-trace mode needs --n and --lambda")
         kwargs["gold"] = GoldParams(_field(args.n, args.modulus), args.lam, args.t)
     else:
         if args.n is None or args.theta is None:

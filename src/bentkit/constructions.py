@@ -22,9 +22,11 @@ companion D_mu f~ itself and owns the shared head: given alpha orthogonal
 to every mu, D_alpha f with companion l_alpha (correduced and thm8, cor9,
 cor10, thm12 in `families`).  zlj has no head; cornew passes f + g with
 companion f~ + g~ under the dual-shift condition (B).  Each builder
-supplies only its seed, dual and side conditions.  Where f~ is quadratic,
-D_a D_b f~ = parity(k_a & b) for k_a the linear part of D_a f~; `families`
-states each k_a once, for builder and search.
+supplies only its seed, dual and side conditions.  cornew's condition (B)
+reduces to the periods D_mu_i(f~ + g~) = 0, mesnager2's derivative-sum
+clause being its r = 1 case.  Where f~ is quadratic, D_a D_b f~ =
+parity(k_a & b) for k_a the linear part of D_a f~; `families` states k_a
+once, for every gold-form dual, for builder and search.
 
 The other builders (three-function majority, one- and two-linear-factor
 corrections, the certified generic build) check their own hypotheses.
@@ -148,6 +150,15 @@ def _d2_nonzero(f_star: BooleanFunction):
     """(a, b) -> whether the second derivative D_a D_b f_star is nonzero
     somewhere; the pairwise hypothesis of the shifted-tuple theorem."""
     return lambda a, b: derivative(derivative(f_star, a), b).table != 0
+
+
+def _first_nonperiod(g: BooleanFunction, mus) -> tuple[int, int] | None:
+    """(i, x) for the first mu_i with D_mu_i g nonzero and the lowest x
+    where it is; None when every mu is a period of g."""
+    for i, mu in enumerate(mus):
+        if diff := derivative(g, mu).table:
+            return i, (diff & -diff).bit_length() - 1
+    return None
 
 
 def _alpha_complement(alpha: int, mus, spec, detail="<alpha, mu_{i}> = 1 (alpha={alpha:x}, mu={mu:x})"):
@@ -301,8 +312,9 @@ def mesnager2_build(
     gf2n.check_domain(f1.n, "shift", a)
     conds, (d1, d2) = _bent_conditions(spec, f1=f1, f2=f2)
     sd = d1 ^ d2
-    if derivative(sd, a).table != 0:
-        raise SideConditionFailed("derivative-sum", f"D_a(f1~ + f2~) is nonzero (a={a:x})")
+    if failed := _first_nonperiod(sd, (a,)):
+        _, x = failed
+        raise SideConditionFailed("derivative-sum", f"D_a(f1~ + f2~) is nonzero (a={a:x})", witness=(a, x))
     conds.append(("derivative-sum", True))
     h = f1 ^ (_lin(f1.n, a, spec) & (f1 ^ f2))
     h_star = d1 ^ (sd & derivative(d1, a))
@@ -333,34 +345,22 @@ def cornew_build(
     """h = f + F(f + g, l_mu2, ..., l_mur) for a second bent g whose dual
     shifts compatibly along the mu span.
 
-    Condition (B) is checked literally: for every selector omega' over the
-    mu tuple and every x,
+    Condition (B): for every selector omega' over the mu tuple and every x,
       g~(x + sum omega_i mu_i) = g~(x) + sum omega_i f~(x + mu_i)
-                                 [+ f~(x) when omega' has odd weight],
-    at a cost of 2^(r-1) table comparisons with early exit.
+                                 [+ f~(x) when omega' has odd weight].
+    Given the pairwise conditions, checked first, D_s D_mu_j f~ = 0 for s
+    in the mu span, so (B) holds once it holds for the r singletons,
+    D_mu_i(f~ + g~) = 0, and the first failing singleton is the first
+    failing omega'.  So it costs r table comparisons with early exit.
     """
     mus = _check_shape(F, f.n, mus, 1)
     if g.n != f.n:
         raise ArityMismatch("f and g disagree on arity")
     conds, (f_star, g_star) = _bent_conditions(spec, f=f, g=g)
     conds += _pairwise("second-derivative", mus, 2, _d2_nonzero(f_star))
-    shifted = [translate(f_star, mu) for mu in mus]
-    for omega in range(1, 1 << len(mus)):
-        s = 0
-        rhs = g_star.table
-        for i in range(len(mus)):
-            if omega >> i & 1:
-                s ^= mus[i]
-                rhs ^= shifted[i].table
-        if omega.bit_count() % 2:
-            rhs ^= f_star.table
-        lhs = translate(g_star, s).table
-        if lhs != rhs:
-            diff = lhs ^ rhs
-            x = (diff & -diff).bit_length() - 1
-            raise SideConditionFailed(
-                "dual-shift", f"fails at omega'={omega:x}, x={x:x}", witness=(omega, x)
-            )
+    if failed := _first_nonperiod(f_star ^ g_star, mus):
+        i, x = failed
+        raise SideConditionFailed("dual-shift", f"fails at omega'={1 << i:x}, x={x:x}", witness=(1 << i, x))
     conds.append(("dual-shift", True))
     return shifted_build(f, f_star, F, mus, conds, {}, spec, head=(f ^ g, f_star ^ g_star))
 

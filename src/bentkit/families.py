@@ -19,10 +19,11 @@ All spectral statements here use the trace pairing of the ambient field.
 The shifted-tuple builders (thm8, cor9, cor10, thm12) are instances of
 `constructions.shifted_build`, which forms h = f + F(D_alpha f, Tr(mu_2 x),
 ...) and h~ = f~ + F(Tr(alpha x), D_mu_2 f~, ...).  Each supplies its seed,
-dual and own side conditions.  Where the dual is quadratic, D_a D_b f~ =
-parity(k_a & b) for k_a the linear part of the companion D_a f~:
-`_gold_partner` and `_cor9_partner` state k_a once, for the trace
-conditions here and the trace modes of `search`.
+dual and own side conditions.  thm8, cor9 and cor10 have a gold dual
+gold_function(q), cor9's norm form Tr_m(theta^(-1) x^(2^m + 1)) being the
+gold form of `_norm_gold`.  So D_a D_b f~ = parity(k_a & b) for k_a the
+linear part of the companion D_a f~: `_gold_partner(q, a)` states k_a
+once, for the trace conditions here and both trace modes of `search`.
 """
 
 from __future__ import annotations
@@ -136,15 +137,17 @@ def _gold_partner(p: GoldParams, a: int) -> int:
     return k ^ gf2n.covector(gf2n.mul(p.lam, gf2n.frobenius(a, p.t, spec), spec), spec)
 
 
-def _cor9_partner(spec: gf2n.FieldSpec, th_inv: int, a: int) -> int:
-    # k_a = covector(theta^(-1) a^(2^m)): Tr(theta^(-1) a b^(2^m)) = Tr(theta^(-1)
-    # a^(2^m) b) for theta in GF(2^m), the pairwise condition of the t = m case
-    return gf2n.covector(gf2n.mul(th_inv, gf2n.frobenius(a, spec.n // 2, spec), spec), spec)
+def _norm_gold(spec: gf2n.FieldSpec, c: int) -> GoldParams:
+    # Tr_m(c N(x)) = Tr(omega c x^(2^m + 1)), as Tr(omega y) = Tr_m(y) on
+    # GF(2^m) for omega + omega^(2^m) = 1: the norm forms are gold forms
+    return GoldParams(spec, gf2n.mul(_smallest_omega(spec), c, spec), spec.n // 2)
 
 
-def _trace_condition(mus, partner) -> list[tuple[str, bool]]:
-    # the pairwise condition of a quadratic dual, D_a D_b f~ = parity(k_a & b)
-    return _pairwise("trace-condition", mus, 2, lambda a, b: (partner(a) & b).bit_count() & 1)
+def _gold_shift_conditions(q: GoldParams, mus, alpha: int) -> list[tuple[str, bool]]:
+    # the side conditions of a shifted-tuple build whose dual is
+    # gold_function(q): D_a D_b f~ = parity(k_a & b), then alpha-complement
+    conds = _pairwise("trace-condition", mus, 2, lambda a, b: (_gold_partner(q, a) & b).bit_count() & 1)
+    return conds + _alpha_complement(alpha, mus, q.spec, _TR_ALPHA)
 
 
 def thfromgold_build(
@@ -162,8 +165,7 @@ def thfromgold_build(
     spec = p.spec
     mus = _check_shape(F, spec.n, mus, 1, alpha)
     f = gold_dual(p)  # raises NotBentAdmissible for bad parameters
-    conds = _trace_condition(mus, functools.partial(_gold_partner, p))
-    conds += _alpha_complement(alpha, mus, spec, _TR_ALPHA)
+    conds = _gold_shift_conditions(p, mus, alpha)
     return shifted_build(f, gold_function(p), F, mus, conds, {"lam": p.lam, "t": p.t}, spec, alpha)
 
 
@@ -186,16 +188,10 @@ def cort_m_build(
     mus = _check_shape(F, spec.n, mus, 1, alpha)
     if theta == 0 or not gf2n.in_subfield(theta, m, spec):
         raise SideConditionFailed("theta-subfield", f"theta={theta:x} not in GF(2^{m})*")
-    th_inv = gf2n.inverse(theta, spec)
-    conds = [("theta-subfield", True)]
-    conds += _trace_condition(mus, functools.partial(_cor9_partner, spec, th_inv))
-    conds += _alpha_complement(alpha, mus, spec, _TR_ALPHA)
-    # Tr_m(c N(x)) = Tr(omega c x^(2^m + 1)), as Tr(omega y) = Tr_m(y) on
-    # GF(2^m) for omega + omega^(2^m) = 1: the norm forms are gold forms
-    omega = _smallest_omega(spec)
-    f = _gold_form(spec, gf2n.mul(omega, theta, spec), m, const=1)
-    f_star = _gold_form(spec, gf2n.mul(omega, th_inv, spec), m)
-    return shifted_build(f, f_star, F, mus, conds, {"theta": theta}, spec, alpha)
+    q = _norm_gold(spec, gf2n.inverse(theta, spec))
+    conds = [("theta-subfield", True), *_gold_shift_conditions(q, mus, alpha)]
+    f = _gold_form(spec, _norm_gold(spec, theta).lam, m, const=1)
+    return shifted_build(f, gold_function(q), F, mus, conds, {"theta": theta}, spec, alpha)
 
 
 def corn4t_build(
@@ -214,9 +210,7 @@ def corn4t_build(
     p = GoldParams(spec, lam, t)
     if gold_in_S(p):
         raise SideConditionFailed("lambda-not-in-S", f"lam={lam:x} lies in the power image")
-    conds = [("lambda-not-in-S", True)]
-    conds += _trace_condition(mus, functools.partial(_gold_partner, p))
-    conds += _alpha_complement(alpha, mus, spec, _TR_ALPHA)
+    conds = [("lambda-not-in-S", True), *_gold_shift_conditions(p, mus, alpha)]
     num = gf2n.power(lam, (1 << (m + 1)) + 1, spec) ^ gf2n.power(
         lam, (1 << t) + (1 << m) + (1 << (3 * t)), spec
     )

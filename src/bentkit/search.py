@@ -5,9 +5,9 @@ Two jobs, both at desk scale:
 * enumerate mu tuples satisfying one of the pairwise side conditions
   (vanishing second derivative of a dual, the gold trace condition, or
   the half-degree trace condition; each defined once, next to the
-  builder that checks it: the trace modes read the families' partner
-  covectors), plus the matching alpha subspaces and admissible gold
-  coefficients;
+  builder that checks it: both trace modes read the partner covector
+  `families._gold_partner` of the dual's gold parameters), plus the
+  matching alpha subspaces and admissible gold coefficients;
 * an EA-invariant fingerprint (degree plus the multiset of derivative
   degrees) strong enough to separate inequivalent outputs.
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import gf2n
 from .boolfun import BooleanFunction, _derivative_degree_batches, algebraic_degree, derivative, wht
-from .families import GoldParams, _cor9_partner, _gold_partner
+from .families import GoldParams, _gold_partner, _norm_gold
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,11 @@ class MuSearchSpec:
     accepts tuples whose pairwise second derivatives of f_star vanish;
     "gold-trace" needs gold params and tests Tr(lam*(a^(2^t) b +
     a b^(2^t))) = 0; "cor9-trace" needs theta and a field and tests
-    Tr(theta^(-1) a b^(2^m)) = 0.  r is the tuple size, limit caps the
-    result list, and require_independent skips linearly dependent
-    tuples (they only produce degenerate compositions).
+    Tr(theta^(-1) a b^(2^m)) = 0, the gold trace condition of cor9's
+    dual, the gold form Tr(omega theta^(-1) x^(2^m + 1)).  r is the
+    tuple size, limit caps the result list, and require_independent
+    skips linearly dependent tuples (they only produce degenerate
+    compositions).
     """
 
     mode: str
@@ -128,11 +130,10 @@ def _partner_rows(ms: MuSearchSpec):
             return rows
 
         return periods
-    # the trace modes: the family's one partner covector k_a
-    if ms.mode == "gold-trace":
-        return lambda a: [_gold_partner(ms.gold, a)]
-    th_inv = gf2n.inverse(ms.theta, ms.spec)
-    return lambda a: [_cor9_partner(ms.spec, th_inv, a)]
+    # the trace modes: the partner covector k_a of the gold dual, cor9's
+    # being the norm form of theta^(-1)
+    q = ms.gold if ms.mode == "gold-trace" else _norm_gold(ms.spec, gf2n.inverse(ms.theta, ms.spec))
+    return lambda a: [_gold_partner(q, a)]
 
 
 def find_mu_tuples(ms: MuSearchSpec, cursor: tuple[int, ...] | None = None) -> list[tuple[int, ...]]:
@@ -150,10 +151,12 @@ def find_mu_tuples(ms: MuSearchSpec, cursor: tuple[int, ...] | None = None) -> l
     partners = _partner_rows(ms)
     if ms.require_independent and ms.r > ms.n:
         return []
-    if ms.mode != "second-derivative" and 2 * ms.r > ms.n:
-        # a tuple spans a totally isotropic subspace of the alternating form
-        # parity(k_a & b), of dimension at most m = (n + dim radical) / 2
-        m = (ms.n + len(gf2n.nullspace([partners(1 << j)[0] for j in range(ms.n)], ms.n))) // 2
+    if 2 * ms.r > ms.n and (ms.mode != "second-derivative" or algebraic_degree(ms.f_star) <= 2):
+        # a quadratic dual has D_a D_b f~ = parity(k_a & b), k_a = 0 for a
+        # constant D_a f~; a tuple spans a totally isotropic subspace of this
+        # alternating form, of dimension at most m = (n + dim radical) / 2
+        rows = [(partners(1 << j) or [0])[0] for j in range(ms.n)]
+        m = (ms.n + len(gf2n.nullspace(rows, ms.n))) // 2
         if ms.r > (m if ms.require_independent else (1 << m) - 1):
             return []
     out: list[tuple[int, ...]] = []

@@ -494,6 +494,7 @@ def test_search_mus_gold_needs_params():
         ["search", "mus", "--mode", "gold-trace", "--r", "2", "--limit", "3"]
     )
     assert code == 2
+    assert "gold-trace mode needs --n and --lambda" in err
 
 
 def test_search_lambdas_stream(g256):

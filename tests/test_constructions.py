@@ -44,6 +44,8 @@ from bentkit.search import MuSearchSpec, find_alphas, find_mu_tuples
 from util import (
     check_odd_sum_condition,
     check_property_pr_every_omega,
+    d2_nonzero_unpacked,
+    dual_shift_literal,
     from_trace_monomial,
     inner_product_fn,
     mm_bent_sharing_pi,
@@ -254,6 +256,16 @@ def test_mesnager2_rejects_bad_shift():
     with pytest.raises(SideConditionFailed) as exc:
         mesnager2_build(F6, F6 ^ lin(8), 1)
     assert exc.value.condition == "derivative-sum"
+    assert exc.value.witness == (1, 0)  # f1~ + f2~ = D_8 F6 = x_0
+    # the witness x is the lowest point where D_a(f1~ + f2~) is 1
+    f2 = random_mm_bent(random.Random(36), 6)
+    sd = (dual(F6) ^ dual(f2)).bits()
+    for a in range(64):
+        ones = np.flatnonzero(sd ^ sd[np.arange(64) ^ a])
+        if ones.size:
+            with pytest.raises(SideConditionFailed) as exc:
+                mesnager2_build(F6, f2, a)
+            assert exc.value.witness == (a, int(ones[0]))
 
 
 def test_zlj_r1_needs_no_conditions():
@@ -367,6 +379,37 @@ def test_cornew_dual_shift_witness():
     assert exc.value.condition == "dual-shift"
     omega, x = exc.value.witness
     assert omega >= 1 and 0 <= x < 64
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cornew_dual_shift_is_the_selector_loop(data):
+    # given the pairwise condition, the r period checks D_mu_i(f~ + g~) = 0
+    # pass exactly when every selector does, and fail with the same witness
+    n = data.draw(st.sampled_from([4, 6, 8]))
+    spec = data.draw(st.sampled_from([None, gf2n.make_field(n)]))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    kind = data.draw(st.sampled_from(["same-pi", "other-pi", "translate"]))
+    if kind == "same-pi":
+        f, g = mm_bent_sharing_pi(rng, n, 2)
+    else:
+        f = random_mm_bent(rng, n)
+        g = random_mm_bent(rng, n) if kind == "other-pi" else translate(f, rng.randrange(1 << n))
+    f_star, g_star = dual(f, spec), dual(g, spec)
+    # each mu among the partners of the earlier ones: zero and repeats pass
+    fails, mus = d2_nonzero_unpacked(f_star), []
+    for _ in range(data.draw(st.integers(1, 3))):
+        mus.append(data.draw(st.sampled_from([b for b in range(1 << n) if not any(fails(a, b) for a in mus)])))
+    F = BooleanFunction(len(mus) + 1, data.draw(st.integers(0, (1 << (2 << len(mus))) - 1)))
+    expected = dual_shift_literal(f_star, g_star, mus)
+    if expected is None:
+        assert cornew_build(f, g, mus, F, spec).ok
+    else:
+        with pytest.raises(SideConditionFailed) as exc:
+            cornew_build(f, g, mus, F, spec)
+        omega, x = expected
+        assert exc.value.witness == expected
+        assert str(exc.value) == f"dual-shift: fails at omega'={omega:x}, x={x:x}"
 
 
 def test_correduced_alpha_zero_is_zlj_restriction():

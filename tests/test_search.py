@@ -361,19 +361,32 @@ def test_oversized_trace_tuple_returns_at_once():
     assert len(find_mu_tuples(MuSearchSpec("gold-trace", 5, 1, gold=p))) == 1
 
 
+def test_oversized_quadratic_dual_tuple_returns_at_once():
+    # the inner-product function is its own dual, with second derivatives
+    # the symplectic form of isotropic dimension n/2; without the bound,
+    # r = n/2 + 1 walks every shorter tuple first
+    for n, r in ((8, 5), (10, 6)):
+        start = time.perf_counter()
+        assert find_mu_tuples(MuSearchSpec("second-derivative", r, 1, f_star=inner_product_fn(n))) == []
+        assert time.perf_counter() - start < 1
+    assert len(find_mu_tuples(MuSearchSpec("second-derivative", 4, 1, f_star=inner_product_fn(8)))) == 1
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_trace_walk_past_the_isotropic_dimension_matches_the_oracle(data):
     # r up to n + 2 crosses the largest isotropic subspace of every form,
-    # the zero form (lam = 0, or t a multiple of n) included
-    mode = data.draw(st.sampled_from(["gold-trace", "cor9-trace"]))
+    # the zero form (lam = 0, or t a multiple of n) included; in
+    # second-derivative mode the quadratic dual is a gold function
+    mode = data.draw(st.sampled_from(["gold-trace", "cor9-trace", "second-derivative"]))
     n = data.draw(st.sampled_from([2, 4, 6] if mode == "cor9-trace" else range(1, 7)))
     spec = gf2n.make_field(n)
     r, independent = data.draw(st.integers(1, n + 2)), data.draw(st.booleans())
     limit = data.draw(st.sampled_from([1, 5, 60]))
-    if mode == "gold-trace":
+    if mode != "cor9-trace":
         p = GoldParams(spec, data.draw(st.integers(0, (1 << n) - 1)), data.draw(st.integers(0, 2 * n)))
-        ms = MuSearchSpec(mode, r, limit, independent, gold=p)
+        kw = {"gold": p} if mode == "gold-trace" else {"f_star": gold_function(p)}
+        ms = MuSearchSpec(mode, r, limit, independent, **kw)
     else:
         theta = data.draw(st.sampled_from(gf2n.subfield_elements(n // 2, spec)[1:]))
         ms = MuSearchSpec(mode, r, limit, independent, theta=theta, spec=spec)

@@ -20,13 +20,14 @@ trace, the hex element format, the permutation file
 writer).  After them come the package's earlier kernels, kept unchanged
 as references for the ones that replaced them: the copying butterfly,
 a strategy drawing malformed truth-table files with the nibble-mask
-wire-format reader, the every-omega certificate check, the copying
-Moebius transform, the per-derivative fingerprint with the one-batch
-derivative degrees it is checked beside, the unpacked
-second-derivative predicate and composition, and the depth-first mu
-search with the scalar gold and cor9 trace conditions it tests pairs
-by (also the oracles of the families' partner covectors) and the
-sort-based alpha listing over the trace-orthogonal complement.
+wire-format reader, the every-omega certificate check, cornew's
+every-selector dual-shift check, the copying Moebius transform, the
+per-derivative fingerprint with the one-batch derivative degrees it is
+checked beside, the unpacked second-derivative predicate and
+composition, and the depth-first mu search with the scalar gold and cor9
+trace conditions it tests pairs by (also the oracles of the families'
+partner covector) and the sort-based alpha listing over the
+trace-orthogonal complement.
 """
 
 from __future__ import annotations
@@ -39,7 +40,16 @@ import numpy as np
 from hypothesis import strategies as st
 
 from bentkit import gf2n
-from bentkit.boolfun import BooleanFunction, VectorialFunction, _derivative_degree_batches, dual, is_bent, to_text, wht
+from bentkit.boolfun import (
+    BooleanFunction,
+    VectorialFunction,
+    _derivative_degree_batches,
+    dual,
+    is_bent,
+    to_text,
+    translate,
+    wht,
+)
 from bentkit.constructions import ConstructionReport, PrCertificate
 from bentkit.errors import ArityMismatch, NotADivisor, NotBent, NotBentAdmissible
 from bentkit.families import GoldParams, _smallest_omega, gold_bent_admissible
@@ -629,6 +639,29 @@ def check_property_pr_every_omega(
             x = (diff & -diff).bit_length() - 1
             return PrCertificate(False, None, witness_omega=omega, witness_x=x, spec=spec)
     return PrCertificate(True, varphi, spec=spec)
+
+
+def dual_shift_literal(f_star: BooleanFunction, g_star: BooleanFunction, mus) -> tuple[int, int] | None:
+    """cornew's condition (B) over every selector omega' of the mu tuple,
+    g~(x + sum omega_i mu_i) = g~(x) + sum omega_i f~(x + mu_i)
+    [+ f~(x) when omega' has odd weight], at 2^r - 1 table comparisons:
+    the first failing (omega', x), or None.  Given the pairwise
+    second-derivative conditions, the builder's r period checks must agree."""
+    shifted = [translate(f_star, mu) for mu in mus]
+    for omega in range(1, 1 << len(mus)):
+        s = 0
+        rhs = g_star.table
+        for i in range(len(mus)):
+            if omega >> i & 1:
+                s ^= mus[i]
+                rhs ^= shifted[i].table
+        if omega.bit_count() % 2:
+            rhs ^= f_star.table
+        lhs = translate(g_star, s).table
+        if lhs != rhs:
+            diff = lhs ^ rhs
+            return omega, (diff & -diff).bit_length() - 1
+    return None
 
 
 def moebius_with_copies(bits: np.ndarray) -> np.ndarray:
