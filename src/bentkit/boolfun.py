@@ -69,8 +69,7 @@ class BooleanFunction:
     table: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= gf2n.MAX_DEGREE:
-            raise ArityMismatch(f"arity must be in 1..{gf2n.MAX_DEGREE}, got {self.n}")
+        gf2n.check_cap("n", self.n)
         if not 0 <= self.table < 1 << (1 << self.n):
             raise ValueError("truth table does not fit 2^n bits")
 
@@ -147,8 +146,7 @@ class VectorialFunction:
     components: tuple[BooleanFunction, ...]
 
     def __post_init__(self):
-        if not 1 <= self.r <= 16:
-            raise ArityMismatch(f"output arity must be in 1..16, got {self.r}")
+        gf2n.check_cap("r of phi", self.r)
         if len(self.components) != self.r:
             raise ArityMismatch("component count does not match r")
         for c in self.components:
@@ -158,8 +156,7 @@ class VectorialFunction:
     @classmethod
     def from_components(cls, comps) -> "VectorialFunction":
         comps = tuple(comps)
-        if not comps:
-            raise ArityMismatch("need at least one component")
+        gf2n.check_cap("r of phi", len(comps))
         return cls(comps[0].n, len(comps), comps)
 
 
@@ -248,7 +245,7 @@ def wht(f: BooleanFunction, spec: gf2n.FieldSpec | None = None) -> WalshSpectrum
 
     The butterfly computes the dot-pairing transform; with a FieldSpec the
     result is reindexed through the covector map so that <mu,x> = Tr(mu*x).
-    Values are exact int32 (|W| <= 2^24 < 2^31).
+    Values are exact int32 (|W| <= 2^n < 2^31).
     """
     if spec is not None and spec.n != f.n:
         raise ArityMismatch(f"field degree {spec.n} != function arity {f.n}")
@@ -261,10 +258,11 @@ def wht(f: BooleanFunction, spec: gf2n.FieldSpec | None = None) -> WalshSpectrum
 def _flat_spectrum(f: BooleanFunction) -> np.ndarray | None:
     """f's int16 Walsh values, which may alias this thread's workspace, when
     every one is +-2^(n/2); else None, odd arity included.  They wrap mod
-    2^16, yet stay exact: if every W = +-2^(n/2) + j 2^16, then |W| >=
-    2^(n/2) (j != 0 gives |W| >= 2^16 - 2^(n/2) > 2^(n/2), as n <= 28), and
-    Parseval, sum W^2 = 2^(2n) over 2^n points, forces |W| = 2^(n/2).  So f
-    is bent iff every int16 value is +-2^(n/2); |W| goes to the spare buffer."""
+    2^16, yet f is bent iff every int16 value is +-2^(n/2): then each W =
+    +-2^(n/2) + j 2^16 has |W| >= 2^(n/2), as j != 0 gives |W| >= 2^16 -
+    2^(n/2) > 2^(n/2) for n <= 28 (test_degree_caps_keep_int16_exact holds
+    gf2n.CAPS there), and Parseval, sum W^2 = 2^(2n) over 2^n points, forces
+    |W| = 2^(n/2).  |W| goes to the spare buffer."""
     if f.n % 2:
         return None
     values, half, spare = _butterfly(f, np.int16), 1 << f.n // 2, _WORKSPACE.buffers[2]
@@ -461,8 +459,7 @@ def from_text(text: str) -> BooleanFunction:
         n = int(lines[0][2:])
     except ValueError:
         raise ValueError(f"bad arity line {lines[0]!r}") from None
-    if not 1 <= n <= gf2n.MAX_DEGREE:
-        raise ValueError(f"arity {n} out of range")
+    gf2n.check_cap("n", n)  # before anything is sized by 1 << n
     body = lines[1].lower()
     size = 1 << n
     if size < 4:

@@ -9,9 +9,9 @@ instead.
 Exit codes: 0 success, 2 malformed input or field errors, 3 a function
 that ought to be bent is not, 4 a construction hypothesis or parameter
 admissibility clause failed.  Field elements are read and written as
-lowercase hex indices; F tables as plain binary strings; the
-BENT_MAX_N environment variable (default 16, hard cap 24) bounds the
-accepted degrees.
+lowercase hex indices; F tables as plain binary strings.  Sizes are
+capped by the rows of gf2n.CAPS; the CLI's own row, "n under BENT_MAX_N",
+is moved by the BENT_MAX_N environment variable within 1..CAPS["n"].
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .errors import (
     NotBentAdmissible,
     SideConditionFailed,
     SingularMap,
-    UnsupportedDegree,
     ZeroDenominator,
 )
 from .families import (
@@ -105,18 +104,17 @@ class Report:
 def max_degree_cap() -> int:
     raw = os.environ.get("BENT_MAX_N")
     if raw is None:
-        return 16
+        return gf2n.CAPS["n under BENT_MAX_N"]
     try:
         cap = int(raw)
     except ValueError:
         raise ValueError(f"BENT_MAX_N is not an integer: {raw!r}") from None
-    return max(1, min(cap, gf2n.MAX_DEGREE))
+    return max(1, min(cap, gf2n.CAPS["n"]))
 
 
 def _guard(n: int) -> None:
-    cap = max_degree_cap()
-    if n > cap:
-        raise UnsupportedDegree(f"degree {n} exceeds the BENT_MAX_N cap of {cap}")
+    gf2n.check_cap("n", n)  # first, so that n < 1 reads as from_text reports it for a file
+    gf2n.check_cap("n under BENT_MAX_N", n, max_degree_cap())
 
 
 def _hex(tok: str) -> int:

@@ -203,9 +203,7 @@ def shifted_build(
 
 
 def check_property_pr(
-    f: BooleanFunction,
-    phi: VectorialFunction,
-    spec: gf2n.FieldSpec | None = None,
+    f: BooleanFunction, phi: VectorialFunction, spec: gf2n.FieldSpec | None = None
 ) -> PrCertificate:
     """Derive the forced companion tuple and verify it for every omega.
 

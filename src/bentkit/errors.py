@@ -11,7 +11,7 @@ class NonIrreducible(ValueError):
 
 
 class UnsupportedDegree(ValueError):
-    """Field degree outside the supported range."""
+    """A degree or arity outside its cap, a row of gf2n.CAPS."""
 
 
 class NotADivisor(ValueError):

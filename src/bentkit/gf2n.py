@@ -6,7 +6,7 @@ an element doubles as its truth-table position.  A FieldSpec pins the degree
 and the reduction modulus (given as the bitmask of the irreducible
 polynomial, e.g. 0b111 for X^2+X+1); all operations take the spec explicitly.
 
-Degrees 1..24 are supported.  When no modulus is supplied the
+Degrees 1..CAPS["n"] are supported.  When no modulus is supplied the
 lexicographically smallest irreducible bitmask of that degree is used, found
 by an ascending scan with trial division, so results are reproducible
 without a shipped table.
@@ -17,8 +17,8 @@ searches, side conditions, basis images.  A GF(2)-linear map is carried by
 its n basis images: apply_linear evaluates it, pull_back composes a
 covector with it, and the Frobenius powers are such images, cached.  The
 array layer (mul_array, linear_table, frobenius_table) acts on numpy
-uint32 arrays of elements, which hold every degree up to 24 with room for
-the one-bit overflow of a shift; linear_table tabulates a map from its
+uint32 arrays of elements, which hold every supported degree with room
+for the one-bit overflow of a shift; linear_table tabulates a map from its
 images by doubling, 2^k writes for k images, and the bit-sliced products
 of mul_array serve subfields and batches of candidates.
 Whole-field truth tables need no field product per point: `boolfun` and
@@ -28,7 +28,8 @@ GF(2)-linear systems have one elimination, nullspace, the reduced echelon
 kernel of a list of rows: it spans the searches' subspaces, the subfield
 GF(2^r) (the kernel of x -> x^(2^r) + x) and, as the kernel of [L^T | I],
 the inverse of a map L (solve_linearized).  check_domain is the one range
-check of elements and shifts.
+check of elements and shifts, check_cap the one check of sizes, each job's
+cap being a row of the table CAPS.
 """
 
 from __future__ import annotations
@@ -41,7 +42,22 @@ import numpy as np
 
 from .errors import NonIrreducible, NotADivisor, SingularMap, UnsupportedDegree
 
-MAX_DEGREE = 24
+# job -> largest value it accepts; the README's cap table mirrors it row by row
+CAPS = {
+    "n": 24,  # field degree and function arity: make_field, BooleanFunction, from_text, find_alphas
+    "n under BENT_MAX_N": 16,  # the CLI's default cap, which BENT_MAX_N moves within 1..CAPS["n"]
+    "n of the second-derivative search": 16,  # one transform per element
+    "n of the fingerprint": 14,  # 2^n derivatives
+    "r of phi": 16,  # 2^r + r + 1 transforms per certificate
+}
+MAX_DEGREE = CAPS["n"]
+
+
+def check_cap(job: str, value: int, cap: int | None = None) -> None:
+    """Raise UnsupportedDegree unless value is an int in 1..cap, CAPS[job] by default."""
+    cap = CAPS[job] if cap is None else cap
+    if not isinstance(value, int) or not 1 <= value <= cap:
+        raise UnsupportedDegree(f"{job} must be in 1..{cap}, got {value}")
 
 
 def _poly_degree(p: int) -> int:
@@ -92,8 +108,7 @@ class FieldSpec:
 
 
 def make_field(n: int, modulus: int | None = None) -> FieldSpec:
-    if not isinstance(n, int) or n < 1 or n > MAX_DEGREE:
-        raise UnsupportedDegree(f"degree must be in 1..{MAX_DEGREE}, got {n}")
+    check_cap("n", n)
     if modulus is None:
         modulus = default_modulus(n)
     elif _poly_degree(modulus) != n:

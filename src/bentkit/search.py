@@ -18,7 +18,8 @@ tuples in lexicographic order, testing no candidate.  Every search takes
 an optional cursor, the last tuple already emitted, and resumes strictly
 after it.  The trace modes do no work of size 2^n, so they take every
 field degree; the second-derivative mode, one transform per element,
-stops at degree 16, and the fingerprint at 14.
+and the fingerprint, 2^n derivatives, stop at their own rows of
+gf2n.CAPS.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ class MuSearchSpec:
         if self.mode == "second-derivative":
             if self.f_star is None:
                 raise ValueError("second-derivative mode needs f_star")
+            gf2n.check_cap("n of the second-derivative search", self.f_star.n)
         elif self.mode == "gold-trace":
             if self.gold is None:
                 raise ValueError("gold-trace mode needs gold parameters")
@@ -144,8 +146,6 @@ def find_mu_tuples(ms: MuSearchSpec, cursor: tuple[int, ...] | None = None) -> l
     resumes strictly after it, so concatenating chunked runs reproduces
     the unchunked list.
     """
-    if ms.mode == "second-derivative" and ms.n > 16:
-        raise ValueError("second-derivative search is capped at degree 16")
     if cursor is not None and len(cursor) != ms.r:
         raise ValueError(f"cursor length {len(cursor)} does not match r={ms.r}")
     partners = _partner_rows(ms)
@@ -188,13 +188,7 @@ def find_mu_tuples(ms: MuSearchSpec, cursor: tuple[int, ...] | None = None) -> l
     return out
 
 
-def find_alphas(
-    mus,
-    limit: int,
-    *,
-    n: int | None = None,
-    spec: gf2n.FieldSpec | None = None,
-) -> list[int]:
+def find_alphas(mus, limit: int, *, n: int | None = None, spec: gf2n.FieldSpec | None = None) -> list[int]:
     """Ascending elements of the subspace orthogonal to every mu, zero
     included, truncated at limit.  Pass spec for the trace pairing or a
     bare n for the dot pairing."""
@@ -204,8 +198,7 @@ def find_alphas(
         raise ValueError("limit must be non-negative")
     if spec is not None:
         n = spec.n
-    elif n < 1:
-        raise ValueError(f"degree must be at least 1, got {n}")
+    gf2n.check_cap("n", n)
     gf2n.check_domain(n, "element", *mus)
     rows = [mu if spec is None else gf2n.covector(mu, spec) for mu in mus]
     return list(itertools.islice(_ascending(gf2n.nullspace(rows, n), 0), limit))
@@ -263,8 +256,7 @@ class EaFingerprint:
 
 
 def ea_fingerprint(h: BooleanFunction) -> EaFingerprint:
-    if h.n > 14:
-        raise ValueError("fingerprint computation is capped at degree 14")
+    gf2n.check_cap("n of the fingerprint", h.n)
     size = 1 << h.n
     # 512 KB of derivative tables per batch: with their uint16 index, two
     # bytes per table byte, the working memory stays under 2 MB

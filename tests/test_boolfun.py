@@ -36,7 +36,7 @@ from bentkit.boolfun import (
     translate,
     wht,
 )
-from bentkit.errors import ArityMismatch, NotBent
+from bentkit.errors import ArityMismatch, NotBent, UnsupportedDegree
 from util import (
     anf_degree_walk,
     butterfly_with_copies,
@@ -193,6 +193,16 @@ def test_bent_dual_agrees_with_the_int32_oracle_at_large_n(n):
         assert bent_dual(g) == dual_int32(n, wht(g).values)
         assert is_bent(g) == (g == f)
     assert bent_dual(f) == f_star
+
+
+# the largest even n (28) whose wrapped int16 values still prove bentness, as in
+# boolfun._flat_spectrum: a wrapped |W| >= 2^16 - 2^(n/2) must exceed 2^(n/2)
+INT16_EXACT_N = max(n for n in range(2, 64, 2) if (1 << 16) - (1 << n // 2) > 1 << n // 2)
+
+
+def test_degree_caps_keep_int16_exact():
+    # raising a degree row of gf2n.CAPS past this fails here, not by a silent wrap
+    assert all(cap <= INT16_EXACT_N for job, cap in gf2n.CAPS.items() if job.split()[0] == "n")
 
 
 def test_is_bent_packs_no_dual(monkeypatch):
@@ -541,6 +551,11 @@ def test_vectorial_validation():
     with pytest.raises(ArityMismatch):
         VectorialFunction(6, 2, (f6,))
     assert VectorialFunction.from_components([f6, f6]).r == 2
+    with pytest.raises(UnsupportedDegree, match=r"^r of phi must be in 1\.\.16, got 0$"):
+        VectorialFunction.from_components([])
+    with pytest.raises(UnsupportedDegree, match=r"^r of phi must be in 1\.\.16, got 17$"):
+        VectorialFunction.from_components([f6] * 17)
+    assert VectorialFunction.from_components([f6] * 16).r == 16
 
 
 def test_trace_monomials(g16, g64):

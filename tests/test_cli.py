@@ -532,7 +532,7 @@ def test_search_rejects_a_negative_limit(argv):
 
 @pytest.mark.parametrize("n, mus", [("0", "0"), ("-1", "1")])
 def test_search_alphas_rejects_degree_below_one(n, mus):
-    why = f"error: degree must be at least 1, got {n}\n"
+    why = f"error: n must be in 1..24, got {n}\n"
     assert run_cli(["search", "alphas", "--n", n, "--mus", mus]) == (2, "", why)
 
 
@@ -669,14 +669,39 @@ def test_spectral_check_at_n24(tmp_path, monkeypatch):
 
 
 def test_degree_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("BENT_MAX_N", "4")
-    path = write_fn(tmp_path / "f.tt", F6)
-    code, _, err = run_cli(["fn", "bent", "--in", path])
-    assert code == 2
-    monkeypatch.setenv("BENT_MAX_N", "64")  # hard cap still applies
     from bentkit.cli import max_degree_cap
 
-    assert max_degree_cap() <= 24
+    # BENT_MAX_N -> the cap it sets, and the message one past it
+    for env, cap, why in [
+        (None, 16, "n under BENT_MAX_N must be in 1..16, got 17"),
+        ("4", 4, "n under BENT_MAX_N must be in 1..4, got 5"),
+        ("24", 24, "n must be in 1..24, got 25"),
+        ("64", 24, "n must be in 1..24, got 25"),  # clamped to the library's row
+        ("0", 1, "n under BENT_MAX_N must be in 1..1, got 2"),
+    ]:
+        if env is None:
+            monkeypatch.delenv("BENT_MAX_N", raising=False)
+        else:
+            monkeypatch.setenv("BENT_MAX_N", env)
+        assert max_degree_cap() == cap
+        alphas = ["search", "alphas", "--mus", "1", "--limit", "1", "--n"]
+        assert run_cli([*alphas, str(cap)]) == (0, "0\n", "")
+        assert run_cli([*alphas, str(cap + 1)]) == (2, "", f"error: {why}\n")
+        if cap < F6.n:  # a table file passes the same cap
+            why = f"error: n under BENT_MAX_N must be in 1..{cap}, got 6\n"
+            assert run_cli(["fn", "bent", "--in", write_fn(tmp_path / "f.tt", F6)]) == (2, "", why)
+    monkeypatch.setenv("BENT_MAX_N", "abc")
+    why = "error: BENT_MAX_N is not an integer: 'abc'\n"
+    assert run_cli(["field", "info", "--n", "4"]) == (2, "", why)
+
+
+def test_degree_zero_reads_the_same_everywhere(tmp_path):
+    # a field, a dot-pairing search and a table file all check n against the library's row first
+    (tmp_path / "zero.tt").write_text("n=0\n0\n")
+    why = "error: n must be in 1..24, got 0\n"
+    for argv in (["field", "info", "--n", "0"], ["search", "alphas", "--n", "0", "--mus", "0"],
+                 ["fn", "bent", "--in", str(tmp_path / "zero.tt")]):
+        assert run_cli(argv) == (2, "", why)
 
 
 def test_console_script_entry():

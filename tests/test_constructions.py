@@ -7,6 +7,7 @@ where the collapse is forced (repeated inputs, zero correction terms).
 """
 
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -40,7 +41,8 @@ from bentkit.constructions import (
     zlj_build,
 )
 from bentkit.errors import ArityMismatch, CertificateInvalid, SideConditionFailed
-from bentkit.search import MuSearchSpec, find_alphas, find_mu_tuples
+from bentkit.families import GoldParams, MMParams, corn4t_build, cort_m_build, thfromgold_build, thmm_build
+from bentkit.search import MuSearchSpec, find_alphas, find_gold_lambdas, find_mu_tuples
 from util import (
     check_odd_sum_condition,
     check_property_pr_every_omega,
@@ -350,6 +352,96 @@ def test_remaining_builders_dual_law(data):
         build_generic(f, F, phi, check_property_pr(f, phi, spec)),
     ):
         assert rep.ok and rep.h_star == dual(rep.h, spec)
+
+
+def _shifted_family(data, family, n, spec):
+    """A drawn admissible instance of one shifted-tuple family: (build, mus,
+    head), build(F) calling the builder and head being the explicit (slot,
+    companion) pair, () for none, or alpha for the head D_alpha f, l_alpha."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    r, indep, m = data.draw(st.integers(1, 3)), data.draw(st.booleans()), n // 2
+    if family in ("zlj", "correduced"):
+        f = random_mm_bent(rng, n)
+        ms = MuSearchSpec("second-derivative", r, 64, indep, f_star=dual(f, spec))
+    elif family == "cornew":
+        # g shares f's pi, so f~ + g~ has the shifts along one half as periods
+        f, g = mm_bent_sharing_pi(rng, n, 2)
+        f_star, g_star = dual(f, spec), dual(g, spec)
+        periods = [a for a in range(1, 1 << n) if not derivative(f_star ^ g_star, a).table]
+        fails, mus = d2_nonzero_unpacked(f_star), []
+        for _ in range(r):
+            partners = [b for b in periods if b not in mus and not any(fails(a, b) for a in mus)]
+            assume(partners)
+            mus.append(data.draw(st.sampled_from(partners)))
+        return (lambda F: cornew_build(f, g, mus, F, spec)), tuple(mus), (f ^ g, f_star ^ g_star)
+    elif family in ("thm8", "cor10"):
+        t = n // 4 if family == "cor10" else data.draw(
+            st.sampled_from([s for s in range(1, n) if (n // math.gcd(s, n)) % 2 == 0])
+        )
+        lams = find_gold_lambdas(spec, t, 1, data.draw(st.integers(0, (1 << n) - 2)))
+        assume(lams)
+        ms = MuSearchSpec("gold-trace", r, 64, indep, gold=GoldParams(spec, lams[0], t))
+    elif family == "cor9":
+        theta = data.draw(st.sampled_from(gf2n.subfield_elements(m, spec)[1:]))
+        ms = MuSearchSpec("cor9-trace", r, 64, indep, theta=theta, spec=spec)
+    else:  # thm12: mus from the nonzero half field, where the conditions hold by themselves
+        lam = data.draw(st.integers(1, (1 << n) - 1))
+        assume(not gf2n.in_subfield(lam, m, spec))
+        g = BooleanFunction(m, data.draw(st.integers(0, (1 << (1 << m)) - 1)))
+        pi = tuple(data.draw(st.permutations(range(1 << m))))
+        p = MMParams(spec, lam, data.draw(st.integers(0, n)), pi, g)
+        half = gf2n.subfield_elements(m, spec)[1:]
+        mus = tuple(sorted(data.draw(st.lists(st.sampled_from(half), min_size=1, max_size=r, unique=True))))
+    if family != "thm12":
+        tuples = find_mu_tuples(ms)
+        assume(tuples)
+        mus = data.draw(st.sampled_from(tuples))
+    if family == "zlj":
+        return (lambda F: zlj_build(f, mus, F, spec)), mus, ()
+    alpha = data.draw(st.sampled_from(find_alphas(mus, 1 << n, **({"spec": spec} if spec else {"n": n}))))
+    build = {
+        "correduced": lambda F: correduced_build(f, alpha, mus, F, spec),
+        "thm8": lambda F: thfromgold_build(ms.gold, mus, alpha, F),
+        "cor10": lambda F: corn4t_build(spec, ms.gold.lam, mus, alpha, F),
+        "cor9": lambda F: cort_m_build(spec, theta, mus, alpha, F),
+        "thm12": lambda F: thmm_build(p, mus, alpha, F),
+    }[family]
+    return build, mus, alpha
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [(family, n) for family in ("zlj", "correduced", "cornew", "thm8", "cor9", "cor10", "thm12")
+     for n in (4, 6, 8, 10) if family != "cor10" or n % 4 == 0],
+)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_shifted_families_are_certified_generic_instances(family, n, data):
+    # the source paper's claim: every shifted-tuple family is an instance of
+    # the generic construction h = f + F(phi), phi being the builder's slots.
+    # The certificate derives every companion spectrally, so unlike the dual
+    # laws it checks the slots the drawn F ignores too
+    spec = gf2n.make_field(n)
+    if family in ("zlj", "correduced", "cornew"):
+        spec = data.draw(st.sampled_from([None, spec]))
+    build, mus, head = _shifted_family(data, family, n, spec)
+    k = len(mus) + (head != ())
+    base = build(BooleanFunction(k, 0))  # F = 0 leaves the seed pair
+    assert base.ok
+    f, f_star = base.h, base.h_star
+    lin = (lambda mu: linear_form(spec, mu)) if spec else (lambda mu: dot_form(n, mu))
+    if not isinstance(head, tuple):
+        head = (derivative(f, head), lin(head))
+    phi = VectorialFunction(n, k, (*head[:1], *map(lin, mus)))
+    cert = check_property_pr(f, phi, spec)
+    assert cert.holds
+    assert cert.varphi.components == (*head[1:], *(derivative(f_star, mu) for mu in mus))
+    # the builder's own companions: F = z_i gives h~ = f~ + companion i
+    assert tuple(build(dot_form(k, 1 << i)).h_star ^ f_star for i in range(k)) == cert.varphi.components
+    F = BooleanFunction(k, data.draw(st.integers(0, (1 << (1 << k)) - 1)))
+    rep, generic = build(F), build_generic(f, F, phi, cert)
+    assert rep.ok and generic.ok
+    assert (generic.h, generic.h_star) == (rep.h, rep.h_star)
 
 
 def test_cornew_with_g_equal_f_matches_zlj():

@@ -6,6 +6,8 @@ shift-and-reduce path in the package.
 """
 
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bentkit import gf2n
-from bentkit.boolfun import BooleanFunction, dot_form, translate
+from bentkit.boolfun import BooleanFunction, VectorialFunction, dot_form, from_text, translate
+from bentkit.cli import _guard
 from bentkit.errors import (
     NonIrreducible,
     NotADivisor,
@@ -21,7 +24,7 @@ from bentkit.errors import (
     UnsupportedDegree,
 )
 from bentkit.families import GoldParams, MMParams, _smallest_omega
-from bentkit.search import find_alphas
+from bentkit.search import MuSearchSpec, ea_fingerprint, find_alphas
 from util import from_hex, to_hex, trace_rel, xor_rank, xor_span
 
 
@@ -75,6 +78,46 @@ def test_make_field_rejects_bad_input():
         gf2n.make_field(4, 0b10101)  # (x^2+x+1)^2
     with pytest.raises(NonIrreducible):
         gf2n.make_field(3, 0b1011 << 1)  # even constant term
+
+
+# every site that checks each row of gf2n.CAPS (a new row needs an entry), the
+# first one cheap enough to run at the cap itself (the fingerprint at n = 14
+# takes about 0.3 s)
+CAP_SITES = {
+    "n": (lambda v: BooleanFunction(v, 0), gf2n.make_field, lambda v: from_text(f"n={v}\n0\n"),
+          lambda v: find_alphas((), 1, n=v)),
+    "n under BENT_MAX_N": (_guard,),
+    "n of the second-derivative search": (
+        lambda v: MuSearchSpec("second-derivative", 1, 0, f_star=BooleanFunction(v, 0)),
+    ),
+    "n of the fingerprint": (lambda v: ea_fingerprint(BooleanFunction(v, 0)),),
+    "r of phi": (lambda v: VectorialFunction(1, v, (BooleanFunction(1, 0),) * max(v, 0)),),
+}
+
+
+@pytest.mark.parametrize("job", list(gf2n.CAPS))
+def test_cap_rejects_outside_one_to_cap(job, monkeypatch):
+    monkeypatch.delenv("BENT_MAX_N", raising=False)
+    cap = gf2n.CAPS[job]
+    CAP_SITES[job][0](cap)
+    for v in (cap + 1, 0, -1):
+        why = f"{job} must be in 1..{cap}, got {v}"
+        with pytest.raises(UnsupportedDegree, match=f"^{re.escape(why)}$"):
+            gf2n.check_cap(job, v)
+        # below 1 the job's input may not exist, and the "n" row rejects it first
+        allowed = {why} if v > cap else {why, f"n must be in 1..{gf2n.CAPS['n']}, got {v}"}
+        for site in CAP_SITES[job]:
+            with pytest.raises(UnsupportedDegree) as exc:
+                site(v)
+            assert str(exc.value) in allowed
+    assert gf2n.MAX_DEGREE == gf2n.CAPS["n"]
+
+
+def test_readme_cap_table_matches_caps():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([^`]+)` \| (\d+) \|", readme, re.M)
+    assert {job: int(cap) for job, cap in rows} == gf2n.CAPS
+    assert len(rows) == len(gf2n.CAPS)
 
 
 def test_gf4_multiplication_table(g4):

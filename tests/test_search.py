@@ -33,6 +33,7 @@ from bentkit.boolfun import (
     translate,
 )
 from bentkit.constructions import _d2_nonzero, zlj_build
+from bentkit.errors import UnsupportedDegree
 from bentkit.families import GoldParams, gold_bent_admissible, gold_function
 from bentkit.search import (
     MuSearchSpec,
@@ -459,7 +460,8 @@ def test_trace_mode_searches_take_every_field_degree():
     theta = gf2n.subfield_elements(10, spec)[5]
     for a, b in find_mu_tuples(MuSearchSpec("cor9-trace", 2, 4, theta=theta, spec=spec)):
         assert not _cor9_pair_condition(spec, gf2n.inverse(theta, spec), a, b)
-    with pytest.raises(ValueError, match="capped at degree 16"):
+    why = r"^n of the second-derivative search must be in 1\.\.16, got 18$"
+    with pytest.raises(UnsupportedDegree, match=why):
         find_mu_tuples(MuSearchSpec("second-derivative", 2, 4, f_star=BooleanFunction(18, 0)))
 
 

@@ -583,7 +583,7 @@ def from_text_by_nibbles(text: str) -> BooleanFunction:
     except ValueError:
         raise ValueError(f"bad arity line {lines[0]!r}") from None
     if not 1 <= n <= gf2n.MAX_DEGREE:
-        raise ValueError(f"arity {n} out of range")
+        raise ValueError(f"n must be in 1..{gf2n.MAX_DEGREE}, got {n}")
     body = lines[1].lower()
     size = 1 << n
     if size < 4:
@@ -683,7 +683,7 @@ def ea_fingerprint_per_derivative(h: BooleanFunction) -> EaFingerprint:
     """The EA fingerprint with one unpacked Moebius transform per
     derivative; the batched ea_fingerprint must give the same result."""
     if h.n > 14:
-        raise ValueError("fingerprint computation is capped at degree 14")
+        raise ValueError(f"n of the fingerprint must be in 1..14, got {h.n}")
     size = 1 << h.n
     bits = h.bits()
     idx = np.arange(size)
@@ -832,7 +832,7 @@ def find_alphas_sorted(
         basis = ortho_complement(tuple(mus), spec)
     else:
         if n < 1:
-            raise ValueError(f"degree must be at least 1, got {n}")
+            raise ValueError(f"n must be in 1..{gf2n.MAX_DEGREE}, got {n}")
         gf2n.check_domain(n, "element", *mus)
         basis = gf2n.nullspace([mu for mu in mus if mu], n)
     members = [0]
