@@ -251,8 +251,6 @@ def build_generic(
     """h = f + F(phi) under a companion certificate; dual from the companions."""
     if not certificate.holds or certificate.varphi is None or certificate.f_star is None:
         raise CertificateInvalid("certificate does not hold")
-    if F.n != phi.r:
-        raise ArityMismatch(f"F takes {F.n} inputs, phi supplies {phi.r}")
     if certificate.varphi.r != phi.r or certificate.varphi.n != phi.n:
         raise CertificateInvalid("certificate shape does not match phi")
     spec = certificate.spec

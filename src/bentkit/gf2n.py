@@ -24,12 +24,16 @@ of mul_array serve subfields and batches of candidates.
 Whole-field truth tables need no field product per point: `boolfun` and
 `families` build them from basis images and covectors.
 
-GF(2)-linear systems have one elimination, nullspace, the reduced echelon
-kernel of a list of rows: it spans the searches' subspaces, the subfield
-GF(2^r) (the kernel of x -> x^(2^r) + x) and, as the kernel of [L^T | I],
-the inverse of a map L (solve_linearized).  check_domain is the one range
-check of elements and shifts, check_cap the one check of sizes, each job's
-cap being a row of the table CAPS.
+GF(2)-linear systems have one kernel solver, nullspace, the reduced
+echelon kernel of a list of rows: it spans the searches' subspaces, the
+subfield GF(2^r) (the kernel of x -> x^(2^r) + x) and, as the kernel of
+[L^T | I], the inverse of a map L (solve_linearized).  The mu search keeps
+two reductions of its own, each cheaper than a kernel where it runs: an
+echelon basis grown by one vector per candidate for its independence
+test, and a numpy reduction of a Walsh support, up to 2^n vectors, to
+period rows.  check_domain is the one range check of elements and shifts,
+check_cap the one check of sizes, each job's cap being a row of the table
+CAPS.
 """
 
 from __future__ import annotations
@@ -269,7 +273,7 @@ def nullspace(rows: list[int], n: int) -> list[int]:
     reduced echelon form: no vector has another's leading bit set, so
     member i, the XOR of the vectors at the set bits of i, grows with i.
     With the rows reduced on their lowest bits, free column j gives
-    1 << j plus pivot bits below j.  The package's one GF(2) elimination:
+    1 << j plus pivot bits below j.  The package's one kernel solver:
     solve_linearized and subfield_elements are kernels of it too."""
     pivots: dict[int, int] = {}  # lowest bit -> row, clear in every other row
     for row in rows:

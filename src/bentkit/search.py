@@ -5,30 +5,35 @@ Two jobs, both at desk scale:
 * enumerate mu tuples satisfying one of the pairwise side conditions
   (vanishing second derivative of a dual, the gold trace condition, or
   the half-degree trace condition; each defined once, next to the
-  builder that checks it: both trace modes read the partner covector
-  `families._gold_partner` of the dual's gold parameters), plus the
-  matching alpha subspaces and admissible gold coefficients;
+  builder that checks it), plus the matching alpha subspaces and
+  admissible gold coefficients;
 * an EA-invariant fingerprint (degree plus the multiset of derivative
   degrees) strong enough to separate inequivalent outputs.
 
 Each pairwise condition is GF(2)-linear in its second element, so the
-partners of a chosen element form a subspace.  Enumeration walks the
-intersection of the chosen prefix's partner spaces in ascending order,
-tuples in lexicographic order, testing no candidate.  Every search takes
-an optional cursor, the last tuple already emitted, and resumes strictly
-after it.  The trace modes do no work of size 2^n, so they take every
-field degree; the second-derivative mode, one transform per element,
-and the fingerprint, 2^n derivatives, stop at their own rows of
-gf2n.CAPS.
+partners of a chosen element form a subspace, the common kernel of the
+covectors MuSearchSpec.partners gives: the Walsh support of D_a f_star,
+or in both trace modes the one partner covector `families._gold_partner`
+of the dual's gold parameters.  Enumeration walks the intersection of
+the chosen prefix's partner spaces in ascending order, tuples in
+lexicographic order, testing no candidate; a tuple is at most the
+`r of phi` row of gf2n.CAPS long, the arity of any F it can feed.  Every
+search takes an optional cursor, the last tuple already emitted, and
+resumes strictly after it.  The trace modes do no work of size 2^n, so
+they take every field degree; the second-derivative mode, one transform
+per element, and the fingerprint, 2^n derivatives, stop at their own
+rows of gf2n.CAPS.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,9 +52,12 @@ class MuSearchSpec:
     a b^(2^t))) = 0; "cor9-trace" needs theta and a field and tests
     Tr(theta^(-1) a b^(2^m)) = 0, the gold trace condition of cor9's
     dual, the gold form Tr(omega theta^(-1) x^(2^m + 1)).  r is the
-    tuple size, limit caps the result list, and require_independent
+    tuple size, in 1..CAPS["r of phi"] as each tuple fills the mu slots
+    of some F; limit caps the result list, and require_independent
     skips linearly dependent tuples (they only produce degenerate
-    compositions).
+    compositions).  The mode is read here once: n is the degree searched
+    and partners(a) the covectors whose common kernel is a's partner
+    space, the b for which the pair (a, b) passes the condition.
     """
 
     mode: str
@@ -60,19 +68,24 @@ class MuSearchSpec:
     gold: GoldParams | None = None
     theta: int | None = None
     spec: gf2n.FieldSpec | None = None
+    n: int = field(init=False)
+    partners: Callable[[int], list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("tuple size must be at least 1")
+        gf2n.check_cap("r of phi", self.r)
         if self.limit < 0:
             raise ValueError("limit must be non-negative")
         if self.mode == "second-derivative":
             if self.f_star is None:
                 raise ValueError("second-derivative mode needs f_star")
             gf2n.check_cap("n of the second-derivative search", self.f_star.n)
-        elif self.mode == "gold-trace":
+            object.__setattr__(self, "n", self.f_star.n)
+            object.__setattr__(self, "partners", functools.partial(_periods, self.f_star))
+            return
+        if self.mode == "gold-trace":
             if self.gold is None:
                 raise ValueError("gold-trace mode needs gold parameters")
+            q = self.gold
         elif self.mode == "cor9-trace":
             if self.theta is None or self.spec is None:
                 raise ValueError("cor9-trace mode needs theta and a field")
@@ -82,16 +95,22 @@ class MuSearchSpec:
             m = self.spec.n // 2
             if self.theta == 0 or not gf2n.in_subfield(self.theta, m, self.spec):
                 raise ValueError(f"theta={self.theta:x} not in GF(2^{m})*")
+            # cor9's dual is the norm form of theta^(-1), a gold form
+            q = _norm_gold(self.spec, gf2n.inverse(self.theta, self.spec))
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
+        object.__setattr__(self, "n", q.spec.n)
+        object.__setattr__(self, "partners", lambda a: [_gold_partner(q, a)])
 
-    @property
-    def n(self) -> int:
-        if self.mode == "second-derivative":
-            return self.f_star.n
-        if self.mode == "gold-trace":
-            return self.gold.spec.n
-        return self.spec.n
+
+def _periods(f_star: BooleanFunction, a: int) -> list[int]:
+    # D_b D_a f_star = 0 exactly when b is a period of D_a f_star, i.e.
+    # orthogonal to the span of its Walsh support
+    vecs, rows = np.flatnonzero(wht(derivative(f_star, a)).values), []
+    while vecs.size and (top := int(vecs.max())):
+        rows.append(top)
+        np.minimum(vecs, vecs ^ top, out=vecs)  # clears top's lead bit
+    return rows
 
 
 def _reduce(basis: dict[int, int], v: int) -> int:
@@ -117,27 +136,6 @@ def _ascending(space: list[int], start: int):
         v ^= flips[(i & -i).bit_length() - 1]
 
 
-def _partner_rows(ms: MuSearchSpec):
-    """a -> covectors whose common kernel is a's partner space, the b for
-    which the pair (a, b) passes the mode's condition."""
-    if ms.mode == "second-derivative":
-
-        def periods(a: int) -> list[int]:
-            # D_b D_a f_star = 0 exactly when b is a period of D_a f_star,
-            # i.e. orthogonal to the span of its Walsh support
-            vecs, rows = np.flatnonzero(wht(derivative(ms.f_star, a)).values), []
-            while vecs.size and (top := int(vecs.max())):
-                rows.append(top)
-                np.minimum(vecs, vecs ^ top, out=vecs)  # clears top's lead bit
-            return rows
-
-        return periods
-    # the trace modes: the partner covector k_a of the gold dual, cor9's
-    # being the norm form of theta^(-1)
-    q = ms.gold if ms.mode == "gold-trace" else _norm_gold(ms.spec, gf2n.inverse(ms.theta, ms.spec))
-    return lambda a: [_gold_partner(q, a)]
-
-
 def find_mu_tuples(ms: MuSearchSpec, cursor: tuple[int, ...] | None = None) -> list[tuple[int, ...]]:
     """Strictly increasing r-tuples of nonzero elements passing the mode's
     pairwise condition, in lexicographic order, at most `limit` of them.
@@ -148,20 +146,19 @@ def find_mu_tuples(ms: MuSearchSpec, cursor: tuple[int, ...] | None = None) -> l
     """
     if cursor is not None and len(cursor) != ms.r:
         raise ValueError(f"cursor length {len(cursor)} does not match r={ms.r}")
-    partners = _partner_rows(ms)
     if ms.require_independent and ms.r > ms.n:
         return []
-    if 2 * ms.r > ms.n and (ms.mode != "second-derivative" or algebraic_degree(ms.f_star) <= 2):
-        # a quadratic dual has D_a D_b f~ = parity(k_a & b), k_a = 0 for a
-        # constant D_a f~; a tuple spans a totally isotropic subspace of this
-        # alternating form, of dimension at most m = (n + dim radical) / 2
-        rows = [(partners(1 << j) or [0])[0] for j in range(ms.n)]
+    if 2 * ms.r > ms.n and (ms.f_star is None or algebraic_degree(ms.f_star) <= 2):
+        # a quadratic dual, as in both trace modes, has D_a D_b f~ =
+        # parity(k_a & b), k_a = 0 for a constant D_a f~; a tuple spans a
+        # totally isotropic subspace of this alternating form, of dimension
+        # at most m = (n + dim radical) / 2
+        rows = [(ms.partners(1 << j) or [0])[0] for j in range(ms.n)]
         m = (ms.n + len(gf2n.nullspace(rows, ms.n))) // 2
         if ms.r > (m if ms.require_independent else (1 << m) - 1):
             return []
-    out: list[tuple[int, ...]] = []
 
-    def walk(chosen: tuple[int, ...], rows: list[int], basis: dict[int, int], start: int) -> bool:
+    def walk(chosen: tuple[int, ...], rows: list[int], basis: dict[int, int], start: int):
         # the next element ranges over the kernel of the chosen ones' rows;
         # basis, as in _reduce, spans the chosen ones
         last = len(chosen) == ms.r - 1
@@ -174,18 +171,12 @@ def find_mu_tuples(ms: MuSearchSpec, cursor: tuple[int, ...] | None = None) -> l
             if red == 0 and ms.require_independent:
                 continue
             if last:
-                out.append((*chosen, cand))
-                if len(out) >= ms.limit:
-                    return True
-                continue
-            grown = {**basis, red.bit_length() - 1: red} if red else basis
-            if walk((*chosen, cand), rows + partners(cand), grown, cand + 1):
-                return True
-        return False
+                yield (*chosen, cand)
+            else:
+                grown = {**basis, red.bit_length() - 1: red} if red else basis
+                yield from walk((*chosen, cand), rows + ms.partners(cand), grown, cand + 1)
 
-    if ms.limit:
-        walk((), [], {}, 1)
-    return out
+    return list(itertools.islice(walk((), [], {}, 1), ms.limit))
 
 
 def find_alphas(mus, limit: int, *, n: int | None = None, spec: gf2n.FieldSpec | None = None) -> list[int]:

@@ -497,6 +497,34 @@ def test_search_mus_gold_needs_params():
     assert "gold-trace mode needs --n and --lambda" in err
 
 
+# lam = 1 and t = n/2 make the gold trace form vanish, so every pair passes
+# and only the r cap stops the walk
+_VANISHING_GOLD = ["search", "mus", "--mode", "gold-trace", "--n", "16", "--lambda", "1", "--t", "8"]
+
+
+def test_search_mus_caps_r_at_the_r_of_phi_row():
+    argv = [*_VANISHING_GOLD, "--allow-dependent", "--limit", "1"]
+    assert run_cli([*argv, "--r", "1500"]) == (2, "", "error: r of phi must be in 1..16, got 1500\n")
+    assert run_cli([*argv, "--r", "16"]) == (0, "1,2,3,4,5,6,7,8,9,a,b,c,d,e,f,10\n", "")
+
+
+def test_search_mus_answers_every_r_with_a_result_or_exit_2(tmp_path):
+    modes = {
+        "second-derivative": ["--f-star", write_fn(tmp_path / "d.tt", dual(inner_product_fn(16)))],
+        "gold-trace": _VANISHING_GOLD[4:],
+        "cor9-trace": ["--n", "16", "--theta", "1"],
+    }
+    for mode, extra in modes.items():
+        for r in (0, 1, 16, 17, 10**6):
+            for dependent in ([], ["--allow-dependent"]):
+                argv = ["search", "mus", "--mode", mode, "--r", str(r), "--limit", "1", *extra, *dependent]
+                code, out, err = run_cli(argv)
+                if 1 <= r <= 16:
+                    assert code == 0 and err == ""
+                else:
+                    assert (code, out, err) == (2, "", f"error: r of phi must be in 1..16, got {r}\n")
+
+
 def test_search_lambdas_stream(g256):
     code, out, _ = run_cli(
         ["search", "lambdas", "--n", "8", "--t", "2", "--limit", "5"]

@@ -354,6 +354,32 @@ def test_remaining_builders_dual_law(data):
         assert rep.ok and rep.h_star == dual(rep.h, spec)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_known_builders_are_generic_particular_cases(data):
+    # the paper's particular cases at F = y1 y2 under both pairings:
+    # mesnager1 is zlj on (a, b), mesnager2 is cornew on (a,), and carlet is
+    # the certified generic build on phi = (f1 + f2, f1 + f3); the dual
+    # halves of MM functions sharing pi are linear, so a and b always exist
+    n = data.draw(st.sampled_from([4, 6, 8]))
+    spec = data.draw(st.sampled_from([None, gf2n.make_field(n)]))
+    f1, f2, f3 = mm_bent_sharing_pi(random.Random(data.draw(st.integers(0, 2**32))), n, 3)
+    F = BooleanFunction(2, 0b1000)
+    a, b = data.draw(st.sampled_from(find_mu_tuples(MuSearchSpec("second-derivative", 2, 64, f_star=dual(f1, spec)))))
+    sd = (dual(f1, spec) ^ dual(f2, spec)).bits()
+    idx = np.arange(1 << n)
+    c = data.draw(st.sampled_from([c for c in range(1 << n) if np.array_equal(sd, sd[idx ^ c])]))
+    phi = VectorialFunction.from_components([f1 ^ f2, f1 ^ f3])
+    cert = check_property_pr(f1, phi, spec)
+    assert cert.holds
+    for known, generic in (
+        (mesnager_build(f1, a, b, spec), zlj_build(f1, (a, b), F, spec)),
+        (mesnager2_build(f1, f2, c, spec), cornew_build(f1, f2, (c,), F, spec)),
+        (carlet_build(f1, f2, f3, spec), build_generic(f1, F, phi, cert)),
+    ):
+        assert (known.h, known.h_star) == (generic.h, generic.h_star)
+
+
 def _shifted_family(data, family, n, spec):
     """A drawn admissible instance of one shifted-tuple family: (build, mus,
     head), build(F) calling the builder and head being the explicit (slot,

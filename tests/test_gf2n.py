@@ -91,7 +91,10 @@ CAP_SITES = {
         lambda v: MuSearchSpec("second-derivative", 1, 0, f_star=BooleanFunction(v, 0)),
     ),
     "n of the fingerprint": (lambda v: ea_fingerprint(BooleanFunction(v, 0)),),
-    "r of phi": (lambda v: VectorialFunction(1, v, (BooleanFunction(1, 0),) * max(v, 0)),),
+    "r of phi": (
+        lambda v: VectorialFunction(1, v, (BooleanFunction(1, 0),) * max(v, 0)),
+        lambda v: MuSearchSpec("second-derivative", v, 0, f_star=BooleanFunction(1, 0)),
+    ),
 }
 
 

@@ -14,6 +14,7 @@ search implicates the walk's subspace bookkeeping.
 import dataclasses
 import itertools
 import random
+import re
 import time
 import tracemalloc
 
@@ -38,7 +39,6 @@ from bentkit.families import GoldParams, gold_bent_admissible, gold_function
 from bentkit.search import (
     MuSearchSpec,
     _ascending,
-    _partner_rows,
     ea_fingerprint,
     find_alphas,
     find_gold_lambdas,
@@ -101,6 +101,26 @@ def test_mu_search_spec_validation(g64):
         MuSearchSpec("no-such-mode", 2, 5)
     with pytest.raises(ValueError):
         MuSearchSpec("cor9-trace", 2, 5, theta=1, spec=gf2n.make_field(5))
+
+
+@pytest.mark.parametrize("mode", ["second-derivative", "gold-trace", "cor9-trace"])
+def test_mu_search_r_is_capped_by_the_r_of_phi_row(mode):
+    # each tuple fills the mu slots of some F, whose arity is capped at 16
+    spec = gf2n.make_field(6)
+    kw = {"second-derivative": {"f_star": F6}, "gold-trace": {"gold": GoldParams(spec, 1, 3)},
+          "cor9-trace": {"theta": 1, "spec": spec}}[mode]
+    for r in (0, 17):
+        why = f"r of phi must be in 1..16, got {r}"
+        with pytest.raises(UnsupportedDegree, match=f"^{re.escape(why)}$"):
+            MuSearchSpec(mode, r, 1, **kw)
+    # only the vanishing gold form (lam = 1, t = n/2) has 16 pairwise
+    # partners, all of them dependent; the other forms are isotropic in at
+    # most 3 dimensions
+    for independent in (True, False):
+        ms = MuSearchSpec(mode, 16, 1, independent, **kw)
+        assert (ms.r, ms.n) == (16, 6)
+        vanishing = mode == "gold-trace" and not independent
+        assert find_mu_tuples(ms) == ([tuple(range(1, 17))] if vanishing else [])
 
 
 def test_second_derivative_search_matches_rescan():
@@ -267,11 +287,11 @@ def test_partner_covector_is_the_pair_condition(data):
     p = GoldParams(spec, data.draw(st.integers(0, (1 << n) - 1)), data.draw(st.integers(0, 2 * n)))
     # parity(k_a & b) is the scalar trace condition and, the duals being
     # quadratic, the constant second derivative D_a D_b of the dual
-    k_a, = _partner_rows(MuSearchSpec("gold-trace", 2, 1, gold=p))(a)
+    k_a, = MuSearchSpec("gold-trace", 2, 1, gold=p).partners(a)
     assert (k_a & b).bit_count() & 1 == _gold_pair_condition(p, a, b) == _d2_nonzero(gold_function(p))(a, b)
     theta = data.draw(st.sampled_from(gf2n.subfield_elements(n // 2, spec)[1:]))
     ms = MuSearchSpec("cor9-trace", 2, 1, theta=theta, spec=spec)
-    k_a, = _partner_rows(ms)(a)
+    k_a, = ms.partners(a)
     _, cor9_dual = scalar_cor9_tables(spec, theta)
     pair = _cor9_pair_condition(spec, gf2n.inverse(theta, spec), a, b)
     assert (k_a & b).bit_count() & 1 == pair == _d2_nonzero(cor9_dual)(a, b)
@@ -293,7 +313,7 @@ def test_period_space_is_the_vanishing_second_derivative(data):
     else:
         f = random_function(rng, n)
     a = data.draw(st.integers(0, (1 << n) - 1))
-    rows = _partner_rows(MuSearchSpec("second-derivative", 2, 1, f_star=f))(a)
+    rows = MuSearchSpec("second-derivative", 2, 1, f_star=f).partners(a)
     fails, packed = d2_nonzero_unpacked(f), _d2_nonzero(f)
     assert xor_span(gf2n.nullspace(rows, n)) == {b for b in range(1 << n) if not fails(a, b)}
     assert all(packed(a, b) == fails(a, b) for b in range(1 << n))
