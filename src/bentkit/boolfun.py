@@ -156,8 +156,7 @@ class VectorialFunction:
     @classmethod
     def from_components(cls, comps) -> "VectorialFunction":
         comps = tuple(comps)
-        gf2n.check_cap("r of phi", len(comps))
-        return cls(comps[0].n, len(comps), comps)
+        return cls(comps[0].n if comps else 1, len(comps), comps)
 
 
 @functools.cache

@@ -17,21 +17,26 @@ meets the builder's own side conditions, for every F
     h  = f  + F(psi,  l_mu_1, ..., l_mu_k)
     h~ = f~ + F(psi', f~ + f~(x + mu_1), ..., f~ + f~(x + mu_k)).
 
-`shifted_build` assembles and verifies both sides.  It forms every mu
-companion D_mu f~ itself and owns the shared head: given alpha orthogonal
-to every mu, D_alpha f with companion l_alpha (correduced and thm8, cor9,
-cor10, thm12 in `families`).  zlj has no head; cornew passes f + g with
-companion f~ + g~ under the dual-shift condition (B).  Each builder
-supplies only its seed, dual and side conditions.  cornew's condition (B)
-reduces to the periods D_mu_i(f~ + g~) = 0, mesnager2's derivative-sum
-clause being its r = 1 case.  Where f~ is quadratic, D_a D_b f~ =
-parity(k_a & b) for k_a the linear part of D_a f~; `families` states k_a
-once, for every gold-form dual, for builder and search.
+`shifted_build` is the one assembly step of every certified secondary
+build.  It forms every mu companion D_mu f~ itself and places the head
+pairs (psi, psi') before the mu slots; given alpha orthogonal to every mu,
+its one pair is D_alpha f with companion l_alpha (correduced and thm8,
+cor9, cor10, thm12 in `families`).  zlj has no head; cornew passes f + g
+with companion f~ + g~ under the dual-shift condition (B); the generic
+build passes its r certified pairs (phi_i, phi'_i) and no mu.  Each
+builder supplies only its seed, dual and side conditions.  cornew's
+condition (B) reduces to the periods D_mu_i(f~ + g~) = 0, mesnager2's
+derivative-sum clause being its r = 1 case.  Where f~ is quadratic,
+D_a D_b f~ = parity(k_a & b) for k_a the linear part of D_a f~;
+`families` states k_a once, for every gold-form dual, for builder and
+search.
 
-The other builders (three-function majority, one- and two-linear-factor
-corrections, the certified generic build) check their own hypotheses.
-Every builder raises SideConditionFailed naming the violated clause and
-verifies the built pair spectrally before reporting.
+The known builders carlet (three-function majority), mesnager1 and
+mesnager2 (two- and one-linear-factor corrections) keep their closed
+forms: each is two or three big-int operations, where `compose` works per
+point.  Every builder raises SideConditionFailed naming the violated
+clause, so a report lists the clauses that held, and verifies the built
+pair spectrally before reporting.
 
 Every entry point takes an optional FieldSpec selecting the trace pairing
 for linear forms, complements, and duals; the default is the dot pairing
@@ -74,7 +79,7 @@ class PrCertificate:
 class ConstructionReport:
     h: BooleanFunction
     h_star: BooleanFunction
-    side_conditions: list[tuple[str, bool]]
+    side_conditions: tuple[str, ...]  # the clauses that held; a failing one raises instead
     params: dict
     warnings: list[str] = field(default_factory=list)
     bent: bool = False
@@ -83,11 +88,7 @@ class ConstructionReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            all(passed for _, passed in self.side_conditions)
-            and self.bent
-            and self.dual_matches
-        )
+        return self.bent and self.dual_matches
 
 
 def _lin(n: int, mu: int, spec: gf2n.FieldSpec | None) -> BooleanFunction:
@@ -111,17 +112,9 @@ def _degeneracy_warnings(mus, n: int) -> list[str]:
 
 
 def _finish(h, h_star, conds, params, warnings, spec) -> ConstructionReport:
-    report = ConstructionReport(
-        h=h,
-        h_star=h_star,
-        side_conditions=conds,
-        params=params,
-        warnings=warnings,
-        spec=spec,
-    )
-    report.bent = is_bent(h)
-    report.dual_matches = report.bent and dual(h, spec) == h_star
-    return report
+    bent = is_bent(h)
+    dual_matches = bent and dual(h, spec) == h_star
+    return ConstructionReport(h, h_star, tuple(conds), params, warnings, bent, dual_matches, spec)
 
 
 def _check_shape(F: BooleanFunction, n: int, mus, heads: int, *extra: int) -> tuple[int, ...]:
@@ -134,7 +127,7 @@ def _check_shape(F: BooleanFunction, n: int, mus, heads: int, *extra: int) -> tu
     return mus
 
 
-def _pairwise(label: str, mus, first: int, fails) -> list[tuple[str, bool]]:
+def _pairwise(label: str, mus, first: int, fails) -> list[str]:
     """The conditions label[i,j] over every pair of the mu tuple, slots
     numbered from `first`; raises at the first pair where fails(mu_i, mu_j)."""
     conds = []
@@ -142,7 +135,7 @@ def _pairwise(label: str, mus, first: int, fails) -> list[tuple[str, bool]]:
         name = f"{label}[{i},{j}]"
         if fails(a, b):
             raise SideConditionFailed(name)
-        conds.append((name, True))
+        conds.append(name)
     return conds
 
 
@@ -168,34 +161,36 @@ def _alpha_complement(alpha: int, mus, spec, detail="<alpha, mu_{i}> = 1 (alpha=
     for i, mu in enumerate(mus, 2):
         if (k & mu).bit_count() & 1:
             raise SideConditionFailed("alpha-complement", detail.format(i=i, alpha=alpha, mu=mu))
-    return [("alpha-complement", True)]
+    return ["alpha-complement"]
 
 
 def _bent_conditions(
     spec: gf2n.FieldSpec | None, **fns: BooleanFunction
-) -> tuple[list[tuple[str, bool]], list[BooleanFunction]]:
+) -> tuple[list[str], list[BooleanFunction]]:
     """The name-bent conditions, with the duals their transforms gave, in order."""
     conds, duals = [], []
     for name, g in fns.items():
         g_star = bent_dual(g, spec)
         if g_star is None:
             raise SideConditionFailed(f"{name}-bent")
-        conds.append((f"{name}-bent", True))
+        conds.append(f"{name}-bent")
         duals.append(g_star)
     return conds, duals
 
 
 def shifted_build(
     f: BooleanFunction, f_star: BooleanFunction, F: BooleanFunction, mus: tuple[int, ...],
-    conds: list, params: dict, spec: gf2n.FieldSpec | None, alpha: int | None = None, head: tuple = (),
+    conds: list, params: dict, spec: gf2n.FieldSpec | None, alpha: int | None = None, heads=(),
 ) -> ConstructionReport:
-    """h = f + F(psi, l_mu...), h~ = f~ + F(psi', D_mu f~...), verified; the caller
-    checked every side condition.  (psi, psi') is (D_alpha f, l_alpha) given alpha,
-    else head, if any; params gains alpha, mus and F after the caller's keys."""
+    """h = f + F(psi..., l_mu...), h~ = f~ + F(psi'..., D_mu f~...), verified; the
+    caller checked every side condition.  The (psi, psi') slot pairs are heads,
+    or the one pair (D_alpha f, l_alpha) given alpha; build_generic passes its r
+    certified pairs and no mu.  params gains alpha, mus and F after the caller's keys."""
     if alpha is not None:
-        head, params = (derivative(f, alpha), _lin(f.n, alpha, spec)), {**params, "alpha": alpha}
-    phi = VectorialFunction(f.n, F.n, (*head[:1], *(_lin(f.n, mu, spec) for mu in mus)))
-    varphi = VectorialFunction(f.n, F.n, (*head[1:], *(derivative(f_star, mu) for mu in mus)))
+        heads, params = [(derivative(f, alpha), _lin(f.n, alpha, spec))], {**params, "alpha": alpha}
+    slots = (*heads, *((_lin(f.n, mu, spec), derivative(f_star, mu)) for mu in mus))
+    # compose, not the tuple, checks F's arity against the slot count
+    phi, varphi = (VectorialFunction.from_components(side) for side in zip(*slots))
     h = f ^ compose(F, phi)
     h_star = f_star ^ compose(F, varphi)
     params = {**params, "mus": mus, "F": F.table}
@@ -248,16 +243,16 @@ def build_generic(
     phi: VectorialFunction,
     certificate: PrCertificate,
 ) -> ConstructionReport:
-    """h = f + F(phi) under a companion certificate; dual from the companions."""
+    """h = f + F(phi) under a companion certificate: shifted_build with the r
+    certified (phi_i, phi'_i) pairs as heads and no mu."""
     if not certificate.holds or certificate.varphi is None or certificate.f_star is None:
         raise CertificateInvalid("certificate does not hold")
     if certificate.varphi.r != phi.r or certificate.varphi.n != phi.n:
         raise CertificateInvalid("certificate shape does not match phi")
-    spec = certificate.spec
-    h = f ^ compose(F, phi)
-    h_star = certificate.f_star ^ compose(F, certificate.varphi)
-    params = {"r": phi.r, "F": F.table}
-    return _finish(h, h_star, [("certificate-holds", True)], params, [], spec)
+    heads = zip(phi.components, certificate.varphi.components)
+    return shifted_build(
+        f, certificate.f_star, F, (), ["certificate-holds"], {"r": phi.r}, certificate.spec, heads=heads
+    )
 
 
 def carlet_build(
@@ -271,10 +266,10 @@ def carlet_build(
     s_star = bent_dual(f1 ^ f2 ^ f3, spec)
     if s_star is None:
         raise SideConditionFailed("sum-bent")
-    conds.append(("sum-bent", True))
+    conds.append("sum-bent")
     if s_star != d1 ^ d2 ^ d3:
         raise SideConditionFailed("dual-additive")
-    conds.append(("dual-additive", True))
+    conds.append("dual-additive")
     h = _maj(f1, f2, f3)
     h_star = _maj(d1, d2, d3)
     return _finish(h, h_star, conds, {}, [], spec)
@@ -292,7 +287,7 @@ def mesnager_build(
     conds, (f_star,) = _bent_conditions(spec, f=f)
     if _d2_nonzero(f_star)(a, b):
         raise SideConditionFailed("second-derivative", f"D_a D_b of the dual is nonzero (a={a:x}, b={b:x})")
-    conds.append(("second-derivative", True))
+    conds.append("second-derivative")
     h = f ^ (_lin(f.n, a, spec) & _lin(f.n, b, spec))
     h_star = _maj(f_star, translate(f_star, a), translate(f_star, b))
     return _finish(h, h_star, conds, {"a": a, "b": b}, [], spec)
@@ -311,7 +306,7 @@ def mesnager2_build(
     if failed := _first_nonperiod(sd, (a,)):
         _, x = failed
         raise SideConditionFailed("derivative-sum", f"D_a(f1~ + f2~) is nonzero (a={a:x})", witness=(a, x))
-    conds.append(("derivative-sum", True))
+    conds.append("derivative-sum")
     h = f1 ^ (_lin(f1.n, a, spec) & (f1 ^ f2))
     h_star = d1 ^ (sd & derivative(d1, a))
     return _finish(h, h_star, conds, {"a": a}, [], spec)
@@ -357,8 +352,8 @@ def cornew_build(
     if failed := _first_nonperiod(f_star ^ g_star, mus):
         i, x = failed
         raise SideConditionFailed("dual-shift", f"fails at omega'={1 << i:x}, x={x:x}", witness=(1 << i, x))
-    conds.append(("dual-shift", True))
-    return shifted_build(f, f_star, F, mus, conds, {}, spec, head=(f ^ g, f_star ^ g_star))
+    conds.append("dual-shift")
+    return shifted_build(f, f_star, F, mus, conds, {}, spec, heads=[(f ^ g, f_star ^ g_star)])
 
 
 def correduced_build(

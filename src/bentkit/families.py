@@ -143,7 +143,7 @@ def _norm_gold(spec: gf2n.FieldSpec, c: int) -> GoldParams:
     return GoldParams(spec, gf2n.mul(_smallest_omega(spec), c, spec), spec.n // 2)
 
 
-def _gold_shift_conditions(q: GoldParams, mus, alpha: int) -> list[tuple[str, bool]]:
+def _gold_shift_conditions(q: GoldParams, mus, alpha: int) -> list[str]:
     # the side conditions of a shifted-tuple build whose dual is
     # gold_function(q): D_a D_b f~ = parity(k_a & b), then alpha-complement
     conds = _pairwise("trace-condition", mus, 2, lambda a, b: (_gold_partner(q, a) & b).bit_count() & 1)
@@ -189,7 +189,7 @@ def cort_m_build(
     if theta == 0 or not gf2n.in_subfield(theta, m, spec):
         raise SideConditionFailed("theta-subfield", f"theta={theta:x} not in GF(2^{m})*")
     q = _norm_gold(spec, gf2n.inverse(theta, spec))
-    conds = [("theta-subfield", True), *_gold_shift_conditions(q, mus, alpha)]
+    conds = ["theta-subfield", *_gold_shift_conditions(q, mus, alpha)]
     f = _gold_form(spec, _norm_gold(spec, theta).lam, m, const=1)
     return shifted_build(f, gold_function(q), F, mus, conds, {"theta": theta}, spec, alpha)
 
@@ -210,7 +210,7 @@ def corn4t_build(
     p = GoldParams(spec, lam, t)
     if gold_in_S(p):
         raise SideConditionFailed("lambda-not-in-S", f"lam={lam:x} lies in the power image")
-    conds = [("lambda-not-in-S", True), *_gold_shift_conditions(p, mus, alpha)]
+    conds = ["lambda-not-in-S", *_gold_shift_conditions(p, mus, alpha)]
     num = gf2n.power(lam, (1 << (m + 1)) + 1, spec) ^ gf2n.power(
         lam, (1 << t) + (1 << m) + (1 << (3 * t)), spec
     )
@@ -385,7 +385,7 @@ def mm_dual(p: MMParams, omega: int | None = None) -> BooleanFunction:
     return _index_form(spec.n, _mm_z(p), d[u], big_g[u])
 
 
-def _gold_conditions(p: GoldParams) -> list[tuple[str, bool]]:
+def _gold_conditions(p: GoldParams) -> list[str]:
     # the admissibility clauses as named side conditions, so the front end
     # can refuse bad parameters before any table is built
     if (p.spec.n // p.d) % 2:
@@ -394,7 +394,7 @@ def _gold_conditions(p: GoldParams) -> list[tuple[str, bool]]:
         raise SideConditionFailed(
             "lambda-not-in-S", f"lambda in S: {p.lam:x} is a (2^t + 1)-th power"
         )
-    return [("n-over-d-even", True), ("lambda-not-in-S", True)]
+    return ["n-over-d-even", "lambda-not-in-S"]
 
 
 def gold_build(p: GoldParams) -> ConstructionReport:
@@ -410,12 +410,12 @@ def gold_dual_build(p: GoldParams) -> ConstructionReport:
     return _finish(gold_dual(p), gold_function(p), conds, {"lam": p.lam, "t": p.t}, [], p.spec)
 
 
-def _mm_conditions(p: MMParams) -> list[tuple[str, bool]]:
+def _mm_conditions(p: MMParams) -> list[str]:
     if gf2n.in_subfield(p.lam, p.m, p.spec):
         raise SideConditionFailed(
             "lambda-not-in-subfield", f"lambda={p.lam:x} lies in GF(2^{p.m})"
         )
-    return [("lambda-not-in-subfield", True)]
+    return ["lambda-not-in-subfield"]
 
 
 def mm_build(p: MMParams, omega: int | None = None) -> ConstructionReport:
@@ -454,12 +454,12 @@ def thmm_build(
     second-derivative hypotheses hold automatically (still asserted)."""
     spec, m = p.spec, p.m
     mus = _check_shape(F, spec.n, mus, 1, alpha)
-    conds: list[tuple[str, bool]] = []
+    conds: list[str] = []
     for i, mu in enumerate(mus, 2):
         name = f"mu-subfield[{i}]"
         if mu == 0 or not gf2n.in_subfield(mu, m, spec):
             raise SideConditionFailed(name, f"mu={mu:x} not in GF(2^{m})*")
-        conds.append((name, True))
+        conds.append(name)
     conds += _alpha_complement(alpha, mus, spec, _TR_ALPHA)
     f = mm_function(p)
     f_star = mm_dual(p, omega)  # raises NotBent for subfield lam

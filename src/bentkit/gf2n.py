@@ -54,7 +54,6 @@ CAPS = {
     "n of the fingerprint": 14,  # 2^n derivatives
     "r of phi": 16,  # 2^r + r + 1 transforms per certificate
 }
-MAX_DEGREE = CAPS["n"]
 
 
 def check_cap(job: str, value: int, cap: int | None = None) -> None:

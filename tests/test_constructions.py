@@ -180,8 +180,24 @@ def test_build_generic_rejects_bad_certificate():
         build_generic(F6, F_bits(1, "01"), VectorialFunction(6, 1, (QUART,)), bad)
     phi = VectorialFunction(6, 1, (lin(1),))
     cert = check_property_pr(F6, phi)
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(ArityMismatch, match=r"^F takes 2 inputs, phi supplies 1$"):
         build_generic(F6, F_bits(2, "0110"), phi, cert)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_build_generic_catches_a_certificate_of_another_seed(n):
+    # f and g share pi, so phi = (l_{1<<m}, l_{3<<m}) on the pi half certifies
+    # both, with the same companions; a certificate made for g gives h~ =
+    # g~ + F(phi'), which misses dual(h) = f~ + F(phi') by f~ + g~, and the
+    # spectral check, not the certificate, decides the verdict
+    m = n // 2
+    f, g = mm_bent_sharing_pi(random.Random(n), n, 2)
+    assert f != g
+    phi = VectorialFunction.from_components([dot_form(n, 1 << m), dot_form(n, 3 << m)])
+    F = BooleanFunction(2, 0b1000)  # y1 y2
+    assert build_generic(f, F, phi, check_property_pr(f, phi)).ok
+    rep = build_generic(f, F, phi, check_property_pr(g, phi))
+    assert rep.bent and not rep.dual_matches and not rep.ok
 
 
 def test_carlet_collapse_rules():
@@ -284,7 +300,7 @@ def test_zlj_conditions_and_warnings():
     rep = zlj_build(F6, (1, 2, 3), F_bits(3, "00000001"))
     assert rep.ok
     assert "linearly dependent mu tuple" in rep.warnings
-    assert ("second-derivative[1,2]", True) in rep.side_conditions
+    assert "second-derivative[1,2]" in rep.side_conditions
     with pytest.raises(SideConditionFailed) as exc:
         zlj_build(F6, (1, 8), F_bits(2, "0001"))
     assert exc.value.condition == "second-derivative[1,2]"
@@ -573,7 +589,7 @@ def test_report_surface():
     broken = ConstructionReport(
         h=rep.h,
         h_star=rep.h_star,
-        side_conditions=[("f-bent", True)],
+        side_conditions=("f-bent",),
         params={},
         bent=False,
         dual_matches=True,

@@ -300,7 +300,7 @@ def test_cort_m_full_build(g64):
     alpha = orthogonal_alpha(g64, pair)
     rep = cort_m_build(g64, theta, pair, alpha, F_bits(3, "00010111"))
     assert rep.ok
-    assert ("trace-condition[2,3]", True) in rep.side_conditions
+    assert "trace-condition[2,3]" in rep.side_conditions
 
 
 def test_cort_m_rejects_theta_outside_subfield(g64):
@@ -492,7 +492,7 @@ def test_thmm_full_build(g64):
         F = F_bits(3, "".join(str(rng.randrange(2)) for _ in range(8)))
         rep = thmm_build(p, mus, alpha, F)
         assert rep.ok
-        assert ("second-derivative[2,3]", True) in rep.side_conditions
+        assert "second-derivative[2,3]" in rep.side_conditions
         assert rep.h_star == dual(rep.h, g64)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bentkit import gf2n
+from bentkit import cli, gf2n
 from bentkit.boolfun import BooleanFunction, VectorialFunction, dot_form, from_text, translate
 from bentkit.cli import _guard
 from bentkit.errors import (
@@ -93,6 +93,7 @@ CAP_SITES = {
     "n of the fingerprint": (lambda v: ea_fingerprint(BooleanFunction(v, 0)),),
     "r of phi": (
         lambda v: VectorialFunction(1, v, (BooleanFunction(1, 0),) * max(v, 0)),
+        lambda v: VectorialFunction.from_components((BooleanFunction(1, 0),) * max(v, 0)),
         lambda v: MuSearchSpec("second-derivative", v, 0, f_star=BooleanFunction(1, 0)),
     ),
 }
@@ -107,13 +108,14 @@ def test_cap_rejects_outside_one_to_cap(job, monkeypatch):
         why = f"{job} must be in 1..{cap}, got {v}"
         with pytest.raises(UnsupportedDegree, match=f"^{re.escape(why)}$"):
             gf2n.check_cap(job, v)
-        # below 1 the job's input may not exist, and the "n" row rejects it first
-        allowed = {why} if v > cap else {why, f"n must be in 1..{gf2n.CAPS['n']}, got {v}"}
+        # below 1 the job's input may not exist, and the "n" row rejects it first;
+        # a site that counts a sequence (from_components) sees none at v = -1
+        allowed = {why} if v > cap else {why, f"n must be in 1..{gf2n.CAPS['n']}, got {v}",
+                                         f"{job} must be in 1..{cap}, got {max(v, 0)}"}
         for site in CAP_SITES[job]:
             with pytest.raises(UnsupportedDegree) as exc:
                 site(v)
             assert str(exc.value) in allowed
-    assert gf2n.MAX_DEGREE == gf2n.CAPS["n"]
 
 
 def test_readme_cap_table_matches_caps():
@@ -121,6 +123,16 @@ def test_readme_cap_table_matches_caps():
     rows = re.findall(r"^\| `([^`]+)` \| (\d+) \|", readme, re.M)
     assert {job: int(cap) for job, cap in rows} == gf2n.CAPS
     assert len(rows) == len(gf2n.CAPS)
+
+
+def test_readme_construct_table_matches_constructions():
+    # the table under the "| name | builds |" header, up to the first blank line;
+    # the cap table's rows also start with a backticked name, so never read past it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.search(r"^\| name \| builds \|\n\|---\|---\|\n((?:\|.*\n)+)", readme, re.M).group(1)
+    names = [name for row in table.splitlines() for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert len(names) == len(set(names)) == len(cli.CONSTRUCTIONS)
+    assert set(names) == set(cli.CONSTRUCTIONS)
 
 
 def test_gf4_multiplication_table(g4):

@@ -510,18 +510,16 @@ def test_batch_verify_counts(g64):
     assert isinstance(summary, BatchSummary)
     assert summary.all_ok
     assert summary.total == 5 and summary.bent_ok == 5
-    assert summary.dual_ok == 5 and summary.conditions_ok == 5
+    assert summary.dual_ok == 5
     assert summary.failures == ()
-    # corrupt one dual table and one side condition
+    # corrupt one dual table
     broken = zlj_build(F6, (2,), BooleanFunction.from_bits(1, [0, 1]))
     broken.h_star = broken.h_star ^ BooleanFunction.from_bits(6, [1] + [0] * 63)
-    flagged = zlj_build(F6, (3,), BooleanFunction.from_bits(1, [0, 1]))
-    flagged.side_conditions = [("f-bent", False)]
-    summary = batch_verify(reports + [broken, flagged])
+    summary = batch_verify(reports + [broken])
     assert not summary.all_ok
-    assert summary.total == 7
-    assert summary.dual_ok == 6 and summary.conditions_ok == 6
-    assert len(summary.failures) == 2
+    assert summary.total == 6
+    assert summary.bent_ok == 6 and summary.dual_ok == 5
+    assert summary.failures == (5,)
 
 
 def test_fingerprint_basics():

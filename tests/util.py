@@ -376,7 +376,6 @@ class BatchSummary:
     total: int
     bent_ok: int
     dual_ok: int
-    conditions_ok: int
     failures: tuple[int, ...]
 
     @property
@@ -386,9 +385,9 @@ class BatchSummary:
 
 def batch_verify(reports: list[ConstructionReport]) -> BatchSummary:
     """Recheck every report from scratch: h bent, h_star equal to the
-    spectral dual under the report's pairing, all recorded side
-    conditions true.  Counts successes and collects failing indices."""
-    bent_ok = dual_ok = conds_ok = 0
+    spectral dual under the report's pairing.  Counts successes and
+    collects failing indices."""
+    bent_ok = dual_ok = 0
     failures = []
     for i, rep in enumerate(reports):
         w = wht(rep.h, rep.spec)
@@ -398,13 +397,11 @@ def batch_verify(reports: list[ConstructionReport]) -> BatchSummary:
         if bent:
             dual_bits = (w.values == -target).astype(np.uint8)
             dmatch = bool(np.array_equal(dual_bits, rep.h_star.bits()))
-        conds = all(okay for _, okay in rep.side_conditions)
         bent_ok += bent
         dual_ok += dmatch
-        conds_ok += conds
-        if not (bent and dmatch and conds):
+        if not (bent and dmatch):
             failures.append(i)
-    return BatchSummary(len(reports), bent_ok, dual_ok, conds_ok, tuple(failures))
+    return BatchSummary(len(reports), bent_ok, dual_ok, tuple(failures))
 
 
 def check_odd_sum_condition(
@@ -582,8 +579,8 @@ def from_text_by_nibbles(text: str) -> BooleanFunction:
         n = int(lines[0][2:])
     except ValueError:
         raise ValueError(f"bad arity line {lines[0]!r}") from None
-    if not 1 <= n <= gf2n.MAX_DEGREE:
-        raise ValueError(f"n must be in 1..{gf2n.MAX_DEGREE}, got {n}")
+    if not 1 <= n <= gf2n.CAPS["n"]:
+        raise ValueError(f"n must be in 1..{gf2n.CAPS['n']}, got {n}")
     body = lines[1].lower()
     size = 1 << n
     if size < 4:
@@ -832,7 +829,7 @@ def find_alphas_sorted(
         basis = ortho_complement(tuple(mus), spec)
     else:
         if n < 1:
-            raise ValueError(f"n must be in 1..{gf2n.MAX_DEGREE}, got {n}")
+            raise ValueError(f"n must be in 1..{gf2n.CAPS['n']}, got {n}")
         gf2n.check_domain(n, "element", *mus)
         basis = gf2n.nullspace([mu for mu in mus if mu], n)
     members = [0]
