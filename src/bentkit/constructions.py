@@ -114,7 +114,8 @@ def _degeneracy_warnings(mus, n: int) -> list[str]:
 def _finish(h, h_star, conds, params, warnings, spec) -> ConstructionReport:
     bent = is_bent(h)
     dual_matches = bent and dual(h, spec) == h_star
-    return ConstructionReport(h, h_star, tuple(conds), params, warnings, bent, dual_matches, spec)
+    return ConstructionReport(h=h, h_star=h_star, side_conditions=tuple(conds), params=params,
+                              warnings=warnings, bent=bent, dual_matches=dual_matches, spec=spec)
 
 
 def _check_shape(F: BooleanFunction, n: int, mus, heads: int, *extra: int) -> tuple[int, ...]:
