@@ -5,6 +5,7 @@ tests stay independent of the pytest capture mode; one subprocess call
 at the end proves the installed entry point works.
 """
 
+import argparse
 import contextlib
 import errno
 import hashlib
@@ -875,6 +876,163 @@ def test_golden_passes_and_fails_every_shape(golden):
         assert 0 in codes and codes - {0}, shape
 
 
+# ---------------------------------------------------------- leaf golden
+#
+# Every other leaf, with its error paths, pinned the same way: exit code
+# (argparse's SystemExit included), report lines minus elapsed-ms, or a
+# hash of a longer stream, and stderr; plus the usage line of every leaf.
+# COLUMNS is fixed, since argparse wraps usage to the terminal width.
+
+LEAF_GOLDEN_PATH = Path(__file__).with_name("leaf_golden.json")
+
+_MUS_SD = "search mus --mode second-derivative --r 2 --f-star fstar.tt"
+_MUS_GOLD = "search mus --mode gold-trace --n 6 --lambda 2a --r 2"
+_MUS_COR9 = "search mus --mode cor9-trace --n 6 --theta 1 --r 2"
+LEAF_CASES = [
+    "field info --n 8",
+    "field info --n 8 --modulus 11d",
+    "field info --n 9 --modulus 201",
+    "field info --n 0",
+    "field info --n 17",
+    "field info",
+    "field info --n 8 --modulus zz",
+    "field info --n 8 --modulus=-3",
+    *(f"fn {op} --in {table}{extra}"
+      for op, mu in [("walsh", ""), ("bent", ""), ("dual", ""), ("degree", ""), ("anf", ""), ("derivative", " --mu 9")]
+      for table, extra in [("f.tt", mu), ("gold.tt", mu + " --pairing trace"), ("gold.tt", mu + " --pairing trace --modulus 5b")]),
+    "fn bent --in quart.tt",
+    "fn dual --in quart.tt",
+    "fn derivative --in f.tt",
+    "fn derivative --in f.tt --mu 7f",
+    "fn bent --in missing.tt",
+    "fn bent --in f.tt --pairing trace --modulus 201",
+    "fn walsh --in f.tt --mu zz",
+    "fn bogus --in f.tt",
+    "fn bent",
+    f"{_MUS_SD} --limit 5",
+    f"{_MUS_SD} --limit 5 --cursor 1,3",
+    f"{_MUS_SD} --limit 5 --allow-dependent",
+    f"{_MUS_SD} --cursor 1",
+    f"{_MUS_SD} --cursor 1,2,3",
+    f"{_MUS_SD} --cursor zz",
+    f"{_MUS_SD} --limit -1",
+    "search mus --mode second-derivative --r 2",
+    "search mus --mode second-derivative --r 0 --f-star fstar.tt",
+    "search mus --mode second-derivative --r 17 --f-star fstar.tt",
+    f"{_MUS_GOLD} --limit 4",
+    f"{_MUS_GOLD} --limit 4 --t 2 --modulus 5b",
+    f"{_MUS_GOLD} --limit 4 --cursor 1,2",
+    f"{_MUS_GOLD} --cursor 1",
+    f"{_MUS_GOLD} --limit -1",
+    "search mus --mode gold-trace --r 2",
+    "search mus --mode gold-trace --n 6 --r 2",
+    "search mus --mode gold-trace --n 6 --lambda 2a --r 0",
+    f"{_MUS_COR9} --limit 3",
+    f"{_MUS_COR9} --cursor 1",
+    "search mus --mode cor9-trace --n 6 --r 2",
+    "search mus --mode cor9-trace --n 6 --theta 0 --r 2",
+    "search mus --mode cor9-trace --n 6 --theta 1 --r 0",
+    "search mus --mode bogus --r 2",
+    "search mus --r 2",
+    "search mus --mode gold-trace",
+    "search alphas --mus 1,6 --n 6 --limit 4",
+    "search alphas --mus 1,6 --n 6 --limit 4 --pairing trace",
+    "search alphas --mus 1,6 --n 6 --limit 4 --pairing trace --modulus 5b",
+    "search alphas --mus 1,41 --n 6",
+    "search alphas --mus 0 --n 0",
+    "search alphas --mus 1 --n 6 --limit -1",
+    "search alphas --mus zz --n 6",
+    "search alphas --mus 1,zz --n 6",
+    "search alphas --mus 1",
+    "search lambdas --n 8 --t 2 --limit 5",
+    "search lambdas --n 8 --t 2 --limit 5 --cursor 2",
+    "search lambdas --n 8 --t 2 --limit 5 --modulus 11d",
+    "search lambdas --n 8 --t 2 --cursor 1,2",
+    "search lambdas --n 8 --t 2 --cursor zz",
+    "search lambdas --n 8 --t 2 --limit -1",
+    "search lambdas --n 8",
+    "search lambdas --n 0 --t 1",
+    "verify pr --f f.tt --phi p1.tt p6.tt",
+    "verify pr --f gold.tt --phi p1.tt --pairing trace",
+    "verify pr --f gold.tt --phi p1.tt --pairing trace --modulus 5b",
+    "verify pr --f f.tt --phi p1.tt p8.tt",
+    "verify pr --f quart.tt --phi p1.tt",
+    "verify pr --f f.tt --phi quart.tt",
+    "verify pr --f f.tt --phi p4.tt",
+    "verify pr --f f.tt --phi p1.tt p4.tt",
+    "verify pr --f f.tt --phi missing.tt",
+    "verify pr --f missing.tt --phi p1.tt",
+    "verify pr --f f.tt --phi p1.tt --pairing trace --modulus 201",
+    "verify pr --f f.tt",
+    "verify pr --f f.tt --phi p1.tt --pairing bogus",
+    "fingerprint --in f.tt",
+    "fingerprint --in fp10.tt",
+    "fingerprint --in quart.tt",
+    "fingerprint --in missing.tt",
+    "fingerprint",
+]
+
+
+def write_leaf_seeds(workdir: Path) -> None:
+    write_golden_seeds(workdir)
+    for name, f in {"fstar.tt": dual(F6), "p8.tt": dot_form(6, 8), "p4.tt": dot_form(4, 1),
+                    "fp10.tt": _lifted_plus_inner_product(55)}.items():
+        write_fn(workdir / name, f)
+
+
+def leaf_record(case: str) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(shlex.split(case))
+        except SystemExit as exc:
+            code = exc.code
+    text = out.getvalue()
+    stdout = report_lines(text) if len(text) <= 300 else "sha256:" + hashlib.sha256(text.encode()).hexdigest()[:16]
+    return {"code": code, "stdout": stdout, "stderr": err.getvalue()}
+
+
+def leaf_usages() -> dict:
+    # the usage line of every leaf parser, by its prog
+    from bentkit.cli import build_parser
+
+    usages, todo = {}, [build_parser()]
+    while todo:
+        parser = todo.pop(0)
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if subs:
+            todo.extend(subs[0].choices.values())
+        else:
+            usages[parser.prog] = parser.format_usage()
+    return usages
+
+
+@pytest.fixture(scope="module")
+def leaf_dir(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("leaf_golden")
+    write_leaf_seeds(workdir)
+    return workdir
+
+
+@pytest.fixture(scope="module")
+def leaf_golden():
+    return json.loads(LEAF_GOLDEN_PATH.read_text())
+
+
+@pytest.mark.parametrize("case", LEAF_CASES)
+def test_leaf_golden(case, leaf_golden, leaf_dir, monkeypatch):
+    monkeypatch.chdir(leaf_dir)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert leaf_record(case) == leaf_golden["cases"][case]
+
+
+def test_leaf_usage_lines(leaf_golden, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    usages = leaf_usages()
+    assert len(usages) == 22 and set(leaf_golden["cases"]) == set(LEAF_CASES)
+    assert usages == leaf_golden["usage"]
+
+
 if __name__ == "__main__":
     import os
     import tempfile
@@ -883,4 +1041,8 @@ if __name__ == "__main__":
         os.chdir(tmp)
         write_golden_seeds(Path(tmp))
         records = {case: golden_record(case) for case in GOLDEN_CASES}
+        write_leaf_seeds(Path(tmp))
+        os.environ["COLUMNS"] = "80"
+        leaves = {"cases": {case: leaf_record(case) for case in LEAF_CASES}, "usage": leaf_usages()}
     GOLDEN_PATH.write_text(json.dumps(records, indent=1) + "\n")
+    LEAF_GOLDEN_PATH.write_text(json.dumps(leaves, indent=1) + "\n")
