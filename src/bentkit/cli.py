@@ -2,9 +2,11 @@
 
 Every command prints a flat report of "key: value" lines in a fixed
 order, the timing line always last, so two runs of the same command
-produce byte-identical output apart from elapsed-ms.  Data outputs
-(truth tables, spectra, search streams) print in their wire formats
-instead.
+produce byte-identical output apart from elapsed-ms, which times the
+whole command.  Data outputs (truth tables, spectra, search streams)
+print in their wire formats instead.  The parser is one table: _ARGS
+declares each flag once, and each row of _LEAVES names one command's
+handler and flags.
 
 Exit codes: 0 success, 2 malformed input or field errors, 3 a function
 that ought to be bent is not, 4 a construction hypothesis or parameter
@@ -117,24 +119,19 @@ def _guard(n: int) -> None:
     gf2n.check_cap("n under BENT_MAX_N", n, max_degree_cap())
 
 
-def _hex(tok: str) -> int:
+def _hex(tok: str, bad: str = "") -> int:  # bad: the message for a token that is not hex
     try:
         v = int(tok, 16)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a hex field element: {tok!r}") from None
+        raise argparse.ArgumentTypeError(bad or f"not a hex field element: {tok!r}") from None
     if v < 0:
         raise argparse.ArgumentTypeError("field elements are non-negative")
     return v
 
 
 def _hex_tuple(tok: str) -> tuple[int, ...]:
-    tok = tok.strip()
-    if not tok:
-        return ()
-    try:
-        return tuple(int(p, 16) for p in tok.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated hex tuple: {tok!r}") from None
+    bad = f"not a comma-separated hex tuple: {tok.strip()!r}"
+    return tuple(_hex(p, bad) for p in tok.split(",")) if tok.strip() else ()
 
 
 def _hx(v: int) -> str:
@@ -224,8 +221,8 @@ def _emit_construction(rep: Report, cons, args) -> int:
 
 
 def cmd_field_info(args) -> int:
-    spec = _field(args.n, args.modulus)
     rep = Report("field info")
+    spec = _field(args.n, args.modulus)
     rep.add("n", spec.n)
     rep.add("modulus", _hx(spec.modulus))
     rep.add("modulus-poly", _poly_str(spec.modulus))
@@ -236,24 +233,19 @@ def cmd_field_info(args) -> int:
 
 
 def cmd_fn(args) -> int:
+    rep = Report(f"fn {args.op}")  # emitted by the two report ops, bent and degree
     f = _read_fn(args.infile)
     spec = _field_for(f, args)
     if args.op == "walsh":
         w = wht(f, spec).values
         for lo in range(0, w.size, 65536):  # formatted and written per block of 2^16 lines
             sys.stdout.write("".join(map("{:x} {}\n".format, range(lo, w.size), w[lo : lo + 65536].tolist())))
-    elif args.op == "bent":
-        rep = Report("fn bent")
+    elif args.op in ("bent", "degree"):
         rep.add("n", f.n)
-        rep.add("bent", _b(is_bent(f)))
+        rep.add(args.op, _b(is_bent(f)) if args.op == "bent" else algebraic_degree(f))
         rep.emit()
     elif args.op == "dual":
         sys.stdout.write(to_text(dual(f, spec)))
-    elif args.op == "degree":
-        rep = Report("fn degree")
-        rep.add("n", f.n)
-        rep.add("degree", algebraic_degree(f))
-        rep.emit()
     elif args.op == "anf":
         _write_anf(anf(f), sys.stdout.write)
     else:
@@ -265,16 +257,14 @@ def cmd_fn(args) -> int:
 
 def _mm_params(args, spec: gf2n.FieldSpec, rep: Report) -> MMParams:
     m = spec.n // 2
-    rep.add("lambda", _hx(args.lam))
-    rep.add("t", args.t)
+    _echo(rep, args, ("lambda", "t"))
+    pi: int | tuple[int, ...] = args.pi_power
     if args.pi_file is not None:
-        fm, images = parse_permutation_text(Path(args.pi_file).read_text())
+        fm, pi = parse_permutation_text(Path(args.pi_file).read_text())
         if fm != m:
             raise ValueError(f"permutation acts on GF(2^{fm}), the field needs GF(2^{m})")
-        pi: int | tuple[int, ...] = images
         rep.add("pi", f"file:{args.pi_file}")
     else:
-        pi = args.pi_power
         rep.add("pi", f"power:{args.pi_power}")
     if args.g_file is not None:
         g = _read_fn(args.g_file)
@@ -285,45 +275,77 @@ def _mm_params(args, spec: gf2n.FieldSpec, rep: Report) -> MMParams:
     else:
         g = BooleanFunction.const(m, 0)
         rep.add("g", "0" * (1 << m))
+    if args.omega is not None:
+        rep.add("omega", _hx(args.omega))
     return MMParams(spec, args.lam, args.t, pi, g)
 
 
-def _generic(args, spec: gf2n.FieldSpec | None, fns: dict):
-    phi = VectorialFunction.from_components(tuple(_read_fn(p) for p in args.phi))
-    F = parse_bitstring(args.F, phi.r)
-    cert = check_property_pr(fns["f"], phi, spec)
+def _certify(spec: gf2n.FieldSpec | None, tables: dict):
+    """Property P_r of the seed tables f and phi, as verify pr reports it and construct
+    generic requires it: the certificate, and its witness as (name, element) pairs."""
+    cert = check_property_pr(tables["f"], tables["phi"], spec)
+    witness = [] if cert.holds else [("omega", cert.witness_omega), ("x", cert.witness_x)]
+    return cert, [(k, v) for k, v in witness if v is not None]
+
+
+def _generic(args, spec: gf2n.FieldSpec | None, tables: dict):
+    F = parse_bitstring(args.F, tables["phi"].r)
+    cert, witness = _certify(spec, tables)
     if not cert.holds:
-        detail = f"companion property fails at omega={cert.witness_omega:x}"
-        if cert.witness_x is not None:
-            detail += f", x={cert.witness_x:x}"
-        raise CertificateInvalid(detail)
-    return build_generic(fns["f"], F, phi, cert)
+        raise CertificateInvalid("companion property fails at " + ", ".join(f"{k}={v:x}" for k, v in witness))
+    return build_generic(tables["f"], F, tables["phi"], cert)
 
 
-_HEX_ARG = ({"type": _hex}, _hx)
-_FILE_ARG = ({"metavar": "FILE"}, str)
-# echoed argument -> (argparse keywords beyond --<key> and required, report form)
-_ARGS: dict[str, tuple[dict, Callable]] = {
-    "t": ({"type": int}, str),
-    "lambda": ({"dest": "lam", "type": _hex}, _hx),
-    **dict.fromkeys(("theta", "alpha", "a", "b"), _HEX_ARG),
-    "mus": ({"type": _hex_tuple, "metavar": "HEX,HEX,..."}, lambda v: ",".join(map(_hx, v))),
-    "F": ({"metavar": "BITS", "help": "truth table of F as a binary string"}, str),
-    "phi": ({"nargs": "+", "metavar": "FILE"}, ",".join),
-    **dict.fromkeys(("f", "g", "f1", "f2", "f3"), _FILE_ARG),
+class Arg(NamedTuple):
+    """One flag: its argparse keywords beyond the name and required, how a
+    report echoes its value, and, for a seed table, how it is read."""
+
+    kwargs: dict
+    form: Callable = str
+    read: Callable | None = None
+
+
+# every flag of every command, declared once under its command-line name;
+# "--cursor hex" is search lambdas' --cursor, one element where search mus reads a tuple
+_ARGS: dict[str, Arg] = {
+    "op": Arg({"choices": ("walsh", "bent", "dual", "degree", "anf", "derivative")}),
+    "--in": Arg({"dest": "infile", "metavar": "FILE"}),
+    "--n": Arg({"type": int}),
+    "--modulus": Arg({"type": _hex, "help": "field modulus (under --pairing, read only for trace)"}),
+    "--pairing": Arg({"choices": ("dot", "trace"), "default": "dot"}),
+    "--mu": Arg({"type": _hex, "help": "direction for the derivative"}),
+    "--t": Arg({"type": int, "default": 1}),
+    "--lambda": Arg({"dest": "lam", "type": _hex}, _hx),
+    **dict.fromkeys(("--theta", "--alpha", "--a", "--b"), Arg({"type": _hex}, _hx)),
+    "--mus": Arg({"type": _hex_tuple, "metavar": "HEX,HEX,..."}, lambda v: ",".join(map(_hx, v))),
+    "--F": Arg({"metavar": "BITS", "help": "truth table of F as a binary string"}),
+    "--phi": Arg({"nargs": "+", "metavar": "FILE"}, ",".join,
+                 lambda paths: VectorialFunction.from_components(tuple(map(_read_fn, paths)))),
+    **dict.fromkeys(("--f", "--g", "--f1", "--f2", "--f3"), Arg({"metavar": "FILE"}, read=_read_fn)),
+    "--pi-power": Arg({"type": int, "default": 1, "metavar": "K"}),
+    **dict.fromkeys(("--pi-file", "--g-file"), Arg({"metavar": "PATH"})),
+    "--g-bits": Arg({"metavar": "BITS"}),
+    "--omega": Arg({"type": _hex, "help": "override the canonical omega"}),
+    "--out-h": Arg({"default": "h.tt", "metavar": "PATH", "help": "truth table of h"}),
+    "--out-dual": Arg({"default": "h-dual.tt", "metavar": "PATH", "help": "truth table of the dual"}),
+    "--mode": Arg({"choices": ("second-derivative", "gold-trace", "cor9-trace")}),
+    "--r": Arg({"type": int}),
+    "--limit": Arg({"type": int, "default": 16}),
+    "--cursor": Arg({"type": _hex_tuple, "help": "last tuple already emitted"}),
+    "--cursor hex": Arg({"type": _hex}),
+    "--allow-dependent": Arg({"action": "store_true"}),
+    "--f-star": Arg({"metavar": "FILE", "help": "dual table for second-derivative mode"}),
 }
 
 
 class Shape(NamedTuple):
-    """One construct shape; it drives both the parser and the report.
+    """One construct shape, which drives both its parser row and its report.
 
-    kind: "field" (--n, --modulus), "mm" (those plus the MM flags that
-    _mm_params reads) or "seed" (the truth-table files named in echo,
-    plus --pairing).  echo: the shape's own arguments in report order,
-    each a required flag.  build(args, spec, inputs): the builder call,
-    inputs being None, the MMParams or the seed tables by name.  after:
-    (report key, param) pairs echoed in hex once the build returns.
-    """
+    kind: "field", "mm" or "seed", naming the flags before the shape's own
+    (_KIND_FLAGS).  echo: the shape's own arguments in report order, each a
+    required flag.  build(args, spec, inputs): the builder call, inputs being
+    None, the MMParams or the seed tables by name.  after: (report key,
+    param) pairs echoed in hex once the build returns."""
 
     kind: str
     echo: tuple[str, ...]
@@ -338,9 +360,8 @@ CONSTRUCTIONS: dict[str, Shape] = {
     ),
     "thm8": Shape(
         "field", ("lambda", "t", "mus", "alpha", "F"),
-        lambda a, spec, _: thfromgold_build(
-            GoldParams(spec, a.lam, a.t), a.mus, a.alpha, parse_bitstring(a.F)
-        ),
+        lambda a, spec, _: thfromgold_build(GoldParams(spec, a.lam, a.t), a.mus, a.alpha,
+                                            parse_bitstring(a.F)),
     ),
     "cor9": Shape(
         "field", ("theta", "mus", "alpha", "F"),
@@ -377,28 +398,43 @@ CONSTRUCTIONS: dict[str, Shape] = {
     ),
     "generic": Shape("seed", ("f", "phi", "F"), _generic),
 }
+# a construct shape's flags before its echo keys, by kind
+_KIND_FLAGS = {
+    "field": ("--n!", "--modulus"),
+    "mm": ("--n!", "--modulus", "--t!", "--lambda!", ("--pi-power", "--pi-file"), ("--g-bits", "--g-file"),
+           "--omega"),
+    "seed": ("--pairing", "--modulus"),
+}
+
+
+def _echo(rep: Report, args, keys) -> None:
+    for key in keys:
+        arg = _ARGS[f"--{key}"]
+        rep.add(key, arg.form(getattr(args, arg.kwargs.get("dest", key))))
+
+
+def _seed_inputs(rep: Report, args, keys) -> tuple[gf2n.FieldSpec | None, dict]:
+    """The seed step of verify pr and the seed construct shapes: read the tables among keys,
+    build the pairing's field from the first, and echo the pairing lines and keys."""
+    tables = {k: _ARGS[f"--{k}"].read(getattr(args, k)) for k in keys if _ARGS[f"--{k}"].read}
+    first = next(iter(tables.values()))
+    spec = _field_for(first, args)
+    _pairing_lines(rep, first.n, spec, args.pairing)
+    _echo(rep, args, keys)
+    return spec, tables
 
 
 def cmd_construct(args) -> int:
     """Echo the shape's inputs in report order, build, then write h and its dual."""
     shape = CONSTRUCTIONS[args.shape]
     rep = Report(f"construct {args.shape}")
-    inputs = None
     if shape.kind == "seed":
-        inputs = {k: _read_fn(getattr(args, k)) for k in shape.echo if _ARGS[k] is _FILE_ARG}
-        first = next(iter(inputs.values()))
-        spec = _field_for(first, args)
-        _pairing_lines(rep, first.n, spec, args.pairing)
+        spec, inputs = _seed_inputs(rep, args, shape.echo)
     else:
         spec = _field(args.n, args.modulus)
         _pairing_lines(rep, spec.n, spec, "trace")
-        if shape.kind == "mm":
-            inputs = _mm_params(args, spec, rep)
-            if args.omega is not None:
-                rep.add("omega", _hx(args.omega))
-    for key in shape.echo:
-        kwargs, form = _ARGS[key]
-        rep.add(key, form(getattr(args, kwargs.get("dest", key))))
+        inputs = _mm_params(args, spec, rep) if shape.kind == "mm" else None
+        _echo(rep, args, shape.echo)
     cons = shape.build(args, spec, inputs)
     for key, param in shape.after:
         rep.add(key, _hx(cons.params[param]))
@@ -442,28 +478,21 @@ def cmd_search_lambdas(args) -> int:
 
 
 def cmd_verify_pr(args) -> int:
-    f = _read_fn(args.f)
-    phi = VectorialFunction.from_components(tuple(_read_fn(p) for p in args.phi))
-    spec = _field_for(f, args)
     rep = Report("verify pr")
-    _pairing_lines(rep, f.n, spec, args.pairing)
-    rep.add("f", args.f)
-    rep.add("phi", ",".join(args.phi))
-    rep.add("r", phi.r)
-    cert = check_property_pr(f, phi, spec)
+    spec, tables = _seed_inputs(rep, args, ("f", "phi"))
+    rep.add("r", tables["phi"].r)
+    cert, witness = _certify(spec, tables)
     rep.add("holds", _b(cert.holds))
-    if not cert.holds:
-        rep.add("witness-omega", _hx(cert.witness_omega))
-        if cert.witness_x is not None:
-            rep.add("witness-x", _hx(cert.witness_x))
+    for key, v in witness:
+        rep.add(f"witness-{key}", _hx(v))
     rep.emit()
     return 0
 
 
 def cmd_fingerprint(args) -> int:
+    rep = Report("fingerprint")
     f = _read_fn(args.infile)
     fp = ea_fingerprint(f)
-    rep = Report("fingerprint")
     rep.add("n", f.n)
     rep.add("degree", fp.degree)
     rep.add("derivative-degrees", ",".join(f"{d}:{c}" for d, c in fp.derivative_degrees))
@@ -474,113 +503,61 @@ def cmd_fingerprint(args) -> int:
 # -------------------------------------------------------------- parser
 
 
-def _add_out(sp) -> None:
-    sp.add_argument("--out-h", default="h.tt", metavar="PATH", help="truth table of h")
-    sp.add_argument("--out-dual", default="h-dual.tt", metavar="PATH", help="truth table of the dual")
+class Leaf(NamedTuple):
+    """One command: its path, its handler, its flags in usage order (a trailing "!" marking a
+    required one, a tuple of them a mutually exclusive group) and its line in the parent's help."""
+
+    path: str
+    func: Callable
+    flags: tuple
+    help: str | None = None
 
 
-def _add_pairing(sp) -> None:
-    sp.add_argument("--pairing", choices=("dot", "trace"), default="dot")
-    sp.add_argument("--modulus", type=_hex, help="field modulus when --pairing trace")
-
-
-def _add_mm_flags(sp) -> None:
-    sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--lambda", dest="lam", type=_hex, required=True)
-    pi = sp.add_mutually_exclusive_group()
-    pi.add_argument("--pi-power", type=int, default=1, metavar="K")
-    pi.add_argument("--pi-file", metavar="PATH")
-    g = sp.add_mutually_exclusive_group()
-    g.add_argument("--g-bits", metavar="BITS")
-    g.add_argument("--g-file", metavar="PATH")
-    sp.add_argument("--omega", type=_hex, help="override the canonical omega")
+_LEAVES: tuple[Leaf, ...] = (
+    Leaf("field info", cmd_field_info, ("--n!", "--modulus"), "modulus and subfield lattice"),
+    Leaf("fn", cmd_fn, ("op", "--in!", "--mu", "--pairing", "--modulus"),
+         "pointwise operators on one truth table"),
+    *(Leaf(f"construct {name}", cmd_construct,
+           (*_KIND_FLAGS[shape.kind], *(f"--{k}!" for k in shape.echo), "--out-h", "--out-dual"))
+      for name, shape in CONSTRUCTIONS.items()),
+    Leaf("search mus", cmd_search_mus, ("--mode!", "--r!", "--limit", "--cursor", "--allow-dependent",
+                                        "--f-star", "--n", "--modulus", "--t", "--lambda", "--theta")),
+    Leaf("search alphas", cmd_search_alphas, ("--mus!", "--limit", "--n!", "--pairing", "--modulus")),
+    Leaf("search lambdas", cmd_search_lambdas, ("--n!", "--modulus", "--t!", "--limit", "--cursor hex")),
+    Leaf("verify pr", cmd_verify_pr, ("--f!", "--phi!", "--pairing", "--modulus")),
+    Leaf("fingerprint", cmd_fingerprint, ("--in!",), "EA-invariant fingerprint of one table"),
+)
+# command group -> its line in the top-level help, and the name its subcommand is stored under
+_GROUPS = {
+    "field": ("field structure queries", "sub"),
+    "construct": ("run one construction and verify it", "shape"),
+    "search": ("parameter enumeration, one result per line", "sub"),
+    "verify": ("check certified properties", "sub"),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The whole command tree, built on first use and then shared: it takes
-    milliseconds to build, and parsing leaves it unchanged."""
+    """The whole command tree, one parser per row of _LEAVES, built on first use and then
+    shared: it takes milliseconds to build, and parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="bentkit",
         description="construct and exhaustively verify bent functions and their duals",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p_field = sub.add_parser("field", help="field structure queries")
-    fsub = p_field.add_subparsers(dest="sub", required=True)
-    p_info = fsub.add_parser("info", help="modulus and subfield lattice")
-    p_info.add_argument("--n", type=int, required=True)
-    p_info.add_argument("--modulus", type=_hex)
-    p_info.set_defaults(func=cmd_field_info)
-
-    p_fn = sub.add_parser("fn", help="pointwise operators on one truth table")
-    p_fn.add_argument("op", choices=("walsh", "bent", "dual", "degree", "anf", "derivative"))
-    p_fn.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p_fn.add_argument("--mu", type=_hex, help="direction for the derivative")
-    _add_pairing(p_fn)
-    p_fn.set_defaults(func=cmd_fn)
-
-    p_con = sub.add_parser("construct", help="run one construction and verify it")
-    csub = p_con.add_subparsers(dest="shape", required=True)
-
-    for name, shape in CONSTRUCTIONS.items():
-        sp = csub.add_parser(name)
-        if shape.kind == "seed":
-            _add_pairing(sp)
-        else:
-            sp.add_argument("--n", type=int, required=True)
-            sp.add_argument("--modulus", type=_hex)
-            if shape.kind == "mm":
-                _add_mm_flags(sp)
-        for key in shape.echo:
-            sp.add_argument(f"--{key}", required=True, **_ARGS[key][0])
-        _add_out(sp)
-        sp.set_defaults(func=cmd_construct)
-
-    p_search = sub.add_parser("search", help="parameter enumeration, one result per line")
-    ssub = p_search.add_subparsers(dest="sub", required=True)
-
-    sp = ssub.add_parser("mus")
-    sp.add_argument("--mode", choices=("second-derivative", "gold-trace", "cor9-trace"), required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--limit", type=int, default=16)
-    sp.add_argument("--cursor", type=_hex_tuple, help="last tuple already emitted")
-    sp.add_argument("--allow-dependent", action="store_true")
-    sp.add_argument("--f-star", metavar="FILE", help="dual table for second-derivative mode")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--modulus", type=_hex)
-    sp.add_argument("--t", type=int, default=1)
-    sp.add_argument("--lambda", dest="lam", type=_hex)
-    sp.add_argument("--theta", type=_hex)
-    sp.set_defaults(func=cmd_search_mus)
-
-    sp = ssub.add_parser("alphas")
-    sp.add_argument("--mus", type=_hex_tuple, required=True, metavar="HEX,HEX,...")
-    sp.add_argument("--limit", type=int, default=16)
-    sp.add_argument("--n", type=int, required=True)
-    _add_pairing(sp)
-    sp.set_defaults(func=cmd_search_alphas)
-
-    sp = ssub.add_parser("lambdas")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--modulus", type=_hex)
-    sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--limit", type=int, default=16)
-    sp.add_argument("--cursor", type=_hex)
-    sp.set_defaults(func=cmd_search_lambdas)
-
-    p_verify = sub.add_parser("verify", help="check certified properties")
-    vsub = p_verify.add_subparsers(dest="sub", required=True)
-    sp = vsub.add_parser("pr")
-    sp.add_argument("--f", required=True, metavar="FILE")
-    sp.add_argument("--phi", required=True, nargs="+", metavar="FILE")
-    _add_pairing(sp)
-    sp.set_defaults(func=cmd_verify_pr)
-
-    p_fp = sub.add_parser("fingerprint", help="EA-invariant fingerprint of one table")
-    p_fp.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p_fp.set_defaults(func=cmd_fingerprint)
-
+    subs = {"": ap.add_subparsers(dest="command", required=True)}
+    for leaf in _LEAVES:
+        group, _, name = leaf.path.rpartition(" ")
+        if group not in subs:
+            text, dest = _GROUPS[group]
+            subs[group] = subs[""].add_parser(group, help=text).add_subparsers(dest=dest, required=True)
+        sp = subs[group].add_parser(name, **({"help": leaf.help} if leaf.help else {}))
+        for item in leaf.flags:
+            into = sp.add_mutually_exclusive_group() if isinstance(item, tuple) else sp
+            for flag in item if isinstance(item, tuple) else (item,):
+                key = flag.rstrip("!")
+                required = {"required": True} if flag.endswith("!") else {}
+                into.add_argument(key.split()[0], **_ARGS[key].kwargs, **required)
+        sp.set_defaults(func=leaf.func)
     return ap
 
 

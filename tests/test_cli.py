@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import errno
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -592,6 +593,38 @@ def test_parser_is_built_once_and_survives_a_rejected_call():
     assert code == 0 and report_lines(after) == report_lines(before)
     assert "modulus: 11b" in after
 
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["search mus --mode gold-trace --n 6 --lambda 2a --r 2 --cursor=-5,3", "search lambdas --n 6 --t 1 --cursor=-5",
+     "search alphas --n 6 --mus=-1"],
+)
+def test_hex_elements_are_non_negative_alone_and_in_tuples(case):
+    record = leaf_record(case)
+    assert record["code"] == 2 and "field elements are non-negative" in record["stderr"]
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [("bentkit.cli.ea_fingerprint", "fingerprint --in f.tt"), ("bentkit.gf2n.make_field", "field info --n 6"),
+     ("bentkit.cli.from_text", "fn bent --in f.tt"), ("bentkit.cli.from_text", "fn degree --in f.tt"),
+     ("bentkit.cli.from_text", "verify pr --f f.tt --phi p1.tt")],
+)
+def test_elapsed_ms_times_the_whole_command(tmp_path, monkeypatch, target, argv):
+    module, name = target.rsplit(".", 1)
+    slow = getattr(importlib.import_module(module), name)
+
+    def sleep_then_call(*args, **kwargs):
+        time.sleep(0.05)
+        return slow(*args, **kwargs)
+
+    monkeypatch.setattr(target, sleep_then_call)
+    monkeypatch.chdir(tmp_path)
+    write_fn(tmp_path / "f.tt", F6)
+    write_fn(tmp_path / "p1.tt", dot_form(6, 1))
+    code, out, _ = run_cli(argv.split())
+    assert code == 0 and float(out.splitlines()[-1].removeprefix("elapsed-ms: ")) >= 50
 
 def _lifted_plus_inner_product(seed: int) -> BooleanFunction:
     # a random function of x1..x5 plus the 10-variable inner product, so

@@ -139,6 +139,13 @@ def test_readme_construct_table_matches_constructions():
     assert set(names) == set(cli.CONSTRUCTIONS)
 
 
+
+def test_readme_command_list_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"exposes \w+ subcommands: ([^.]+)\.", readme).group(1)
+    (top,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    assert re.findall(r"`([^`]+)`", listed) == list(top.choices)
+
 def test_gf4_multiplication_table(g4):
     # full table of the four-element field
     assert gf2n.mul(2, 2, g4) == 3
