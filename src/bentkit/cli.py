@@ -296,13 +296,12 @@ def _generic(args, spec: gf2n.FieldSpec | None, tables: dict):
     return build_generic(tables["f"], F, tables["phi"], cert)
 
 
-class Arg(NamedTuple):
+class Arg:
     """One flag: its argparse keywords beyond the name and required, how a
     report echoes its value, and, for a seed table, how it is read."""
 
-    kwargs: dict
-    form: Callable = str
-    read: Callable | None = None
+    def __init__(self, kwargs: dict, form: Callable = str, read: Callable | None = None):
+        self.kwargs, self.form, self.read = kwargs, form, read
 
 
 # every flag of every command, declared once under its command-line name;
@@ -503,14 +502,12 @@ def cmd_fingerprint(args) -> int:
 # -------------------------------------------------------------- parser
 
 
-class Leaf(NamedTuple):
+class Leaf:
     """One command: its path, its handler, its flags in usage order (a trailing "!" marking a
     required one, a tuple of them a mutually exclusive group) and its line in the parent's help."""
 
-    path: str
-    func: Callable
-    flags: tuple
-    help: str | None = None
+    def __init__(self, path: str, func: Callable, flags: tuple, help: str | None = None):
+        self.path, self.func, self.flags, self.help = path, func, flags, help
 
 
 _LEAVES: tuple[Leaf, ...] = (
