@@ -33,10 +33,13 @@ search.
 
 The known builders carlet (three-function majority), mesnager1 and
 mesnager2 (two- and one-linear-factor corrections) keep their closed
-forms: each is two or three big-int operations, where `compose` works per
-point.  Every builder raises SideConditionFailed naming the violated
-clause, so a report lists the clauses that held, and verifies the built
-pair spectrally before reporting.
+forms, whose params are the named builder's own: the `shifted_build`
+route would add mus and F to each report.  Since `compose` muxes packed
+tables, that route costs the same within noise (0.85-1.29x at n = 16
+and 18 for carlet and mesnager1).  Every builder raises
+SideConditionFailed naming the violated clause, so a report lists the
+clauses that held, and verifies the built pair spectrally before
+reporting.
 
 Every entry point takes an optional FieldSpec selecting the trace pairing
 for linear forms, complements, and duals; the default is the dot pairing

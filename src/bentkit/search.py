@@ -146,6 +146,7 @@ def find_mu_tuples(ms: MuSearchSpec, cursor: tuple[int, ...] | None = None) -> l
     """
     if cursor is not None and len(cursor) != ms.r:
         raise ValueError(f"cursor length {len(cursor)} does not match r={ms.r}")
+    gf2n.check_domain(ms.n, "cursor", *(cursor or ()))
     if ms.require_independent and ms.r > ms.n:
         return []
     if 2 * ms.r > ms.n and (ms.f_star is None or algebraic_degree(ms.f_star) <= 2):
@@ -211,12 +212,14 @@ def find_gold_lambdas(spec: gf2n.FieldSpec, t: int, limit: int, cursor: int | No
         raise ValueError("t must be non-negative")
     if limit < 0:
         raise ValueError("limit must be non-negative")
+    if cursor is not None:
+        gf2n.check_domain(spec.n, "cursor", cursor)
     d = math.gcd(t, spec.n)
     if (spec.n // d) % 2:
         return []  # no lam gives a bent function
     frob = gf2n.frobenius_table(d, spec)
     out: list[int] = []
-    lo = 0 if cursor is None else max(cursor + 1, 0)
+    lo = 0 if cursor is None else cursor + 1
     while len(out) < limit and lo < 1 << spec.n:
         lam = np.arange(lo, min(lo + _LAMBDA_CHUNK, 1 << spec.n), dtype=np.uint32)
         norm = conj = lam

@@ -498,32 +498,55 @@ def test_compose_rules():
         compose(random_function(rng, 2), phi)
 
 
-@settings(max_examples=40, deadline=None)
+def _structured_table(kind: str, r: int, rng: random.Random) -> int:
+    # F tables that reach the mux tree's pruning: constant, F ignoring its
+    # top inputs (equal halves, repeatedly), a projection; else random
+    if kind == "constant":
+        return rng.choice([0, (1 << (1 << r)) - 1])
+    if kind == "equal halves":
+        low = rng.randrange(r + 1)
+        table = rng.getrandbits(1 << low)
+        for j in range(low, r):
+            table |= table << (1 << j)
+        return table
+    if kind == "projection":
+        i = rng.randrange(r)
+        return sum(1 << z for z in range(1 << r) if z >> i & 1)
+    return rng.getrandbits(1 << r)
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_compose_matches_unpacked_oracle(data):
-    # r up to 10 takes the uint16 index, n = 17 two blocks of 2^16 points,
-    # n < 3 the padded single byte
+    # r <= 8 takes the mux tree, r >= 9 the gather (a uint16 index, n = 17
+    # two blocks of 2^16 points); n < 3 pads a single byte
     n = data.draw(st.sampled_from([1, 2, 3, 4, 7, 9, 17]))
-    r = data.draw(st.integers(1, 10))
+    r = data.draw(st.integers(1, 12))
+    kind = data.draw(st.sampled_from(["random", "constant", "equal halves", "projection"]))
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     phi = VectorialFunction(n, r, tuple(BooleanFunction(n, rng.getrandbits(1 << n)) for _ in range(r)))
-    F = BooleanFunction(r, rng.getrandbits(1 << r))
+    F = BooleanFunction(r, _structured_table(kind, r, rng))
     assert compose(F, phi) == compose_unpacked(F, phi)
 
 
 def test_compose_memory_stays_near_the_tables():
-    # three 128 KB components; an int64 index as long as the table would be 8 MB
-    rng = random.Random(22)
-    phi = VectorialFunction(20, 3, tuple(BooleanFunction(20, rng.getrandbits(1 << 20)) for _ in range(3)))
-    F = BooleanFunction(3, 0b10010110)  # the parity of the three components
-    tracemalloc.start()
-    try:
-        h = compose(F, phi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert h.table == phi.components[0].table ^ phi.components[1].table ^ phi.components[2].table
-    assert peak < 2 << 20
+    # r 128 KB components, the parity F; an int64 index as long as the table
+    # would be 8 MB.  r = 3 and 8 take the mux tree, r = 9 the gather
+    for r in (3, 8, 9):
+        rng = random.Random(22)
+        phi = VectorialFunction(20, r, tuple(BooleanFunction(20, rng.getrandbits(1 << 20)) for _ in range(r)))
+        F = BooleanFunction(r, sum(1 << z for z in range(1 << r) if z.bit_count() % 2))
+        tracemalloc.start()
+        try:
+            h = compose(F, phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = 0
+        for c in phi.components:
+            want ^= c.table
+        assert h.table == want, r
+        assert peak < 2 << 20, (r, peak)
 
 
 @settings(max_examples=60, deadline=None)

@@ -606,6 +606,18 @@ def test_hex_elements_are_non_negative_alone_and_in_tuples(case):
 
 
 @pytest.mark.parametrize(
+    "case, value",
+    [("search mus --mode gold-trace --n 6 --lambda 2a --r 2 --cursor 99,3", "0x99"),
+     ("search mus --mode gold-trace --n 6 --lambda 2a --r 2 --cursor 1,40", "0x40"),
+     ("search lambdas --n 6 --t 1 --cursor 99", "0x99"), ("search lambdas --n 6 --t 1 --cursor 40", "0x40")],
+)
+def test_cursor_outside_the_domain_is_a_usage_error(case, value):
+    record = leaf_record(case)
+    assert record["code"] == 2 and record["stdout"] == []
+    assert f"cursor {value} outside the 6-variable domain" in record["stderr"]
+
+
+@pytest.mark.parametrize(
     "target, argv",
     [("bentkit.cli.ea_fingerprint", "fingerprint --in f.tt"), ("bentkit.gf2n.make_field", "field info --n 6"),
      ("bentkit.cli.from_text", "fn bent --in f.tt"), ("bentkit.cli.from_text", "fn degree --in f.tt"),

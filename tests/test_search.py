@@ -163,6 +163,9 @@ def test_search_limit_and_cursor_chunking():
         assert collected == full
     with pytest.raises(ValueError):
         find_mu_tuples(ms, cursor=(1,))
+    for bad in ((-5, 3), (1, 1 << 6)):
+        with pytest.raises(ValueError, match="outside the 6-variable domain"):
+            find_mu_tuples(ms, cursor=bad)
     assert find_mu_tuples(MuSearchSpec("second-derivative", 2, 0, f_star=dual(F6))) == []
 
 
@@ -261,6 +264,9 @@ def test_find_gold_lambdas_matches_admissibility_at_every_small_degree():
             assert find_gold_lambdas(spec, t, 7, cursor) == [lam for lam in want if lam > cursor][:7]
     with pytest.raises(ValueError):
         find_gold_lambdas(gf2n.make_field(6), -1, 4)
+    for bad in (-5, 0x40, 0x99):
+        with pytest.raises(ValueError, match="outside the 6-variable domain"):
+            find_gold_lambdas(gf2n.make_field(6), 1, 4, bad)
 
 
 def test_find_gold_lambdas_odd_quotient_tests_no_candidate(monkeypatch):
@@ -368,6 +374,10 @@ def test_walk_matches_depth_first_oracle(data):
         cursor = tuple(data.draw(st.lists(st.integers(-1, (1 << n) + 1), min_size=ms.r, max_size=ms.r)))
         if data.draw(st.booleans()):
             cursor = tuple(sorted(cursor))
+        if not all(0 <= c < 1 << n for c in cursor):
+            with pytest.raises(ValueError, match=f"cursor .* outside the {n}-variable domain"):
+                find_mu_tuples(ms, cursor)
+            return
     assert find_mu_tuples(ms, cursor) == find_mu_tuples_dfs(ms, cursor)
 
 
