@@ -6,7 +6,8 @@ produce byte-identical output apart from elapsed-ms, which times the
 whole command.  Data outputs (truth tables, spectra, search streams)
 print in their wire formats instead.  The parser is one table: _ARGS
 declares each flag once, and each row of _LEAVES names one command's
-handler and flags.
+handler and flags.  An argv whose first words name a leaf is parsed by
+that leaf's parser alone; any other goes through the whole tree.
 
 Exit codes: 0 success, 2 malformed input or field errors, 3 a function
 that ought to be bent is not, 4 a construction hypothesis or parameter
@@ -24,7 +25,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -337,7 +338,7 @@ _ARGS: dict[str, Arg] = {
 }
 
 
-class Shape(NamedTuple):
+class Shape:
     """One construct shape, which drives both its parser row and its report.
 
     kind: "field", "mm" or "seed", naming the flags before the shape's own
@@ -346,10 +347,8 @@ class Shape(NamedTuple):
     None, the MMParams or the seed tables by name.  after: (report key,
     param) pairs echoed in hex once the build returns."""
 
-    kind: str
-    echo: tuple[str, ...]
-    build: Callable
-    after: tuple[tuple[str, str], ...] = ()
+    def __init__(self, kind: str, echo: tuple[str, ...], build: Callable, after: tuple = ()):
+        self.kind, self.echo, self.build, self.after = kind, echo, build, after
 
 
 CONSTRUCTIONS: dict[str, Shape] = {
@@ -533,6 +532,10 @@ _GROUPS = {
 }
 
 
+# each leaf's parser in the tree, by its path's words, as build_parser records them
+_LEAF_PARSERS: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The whole command tree, one parser per row of _LEAVES, built on first use and then
@@ -548,6 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
             text, dest = _GROUPS[group]
             subs[group] = subs[""].add_parser(group, help=text).add_subparsers(dest=dest, required=True)
         sp = subs[group].add_parser(name, **({"help": leaf.help} if leaf.help else {}))
+        _LEAF_PARSERS[tuple(leaf.path.split())] = sp
         for item in leaf.flags:
             into = sp.add_mutually_exclusive_group() if isinstance(item, tuple) else sp
             for flag in item if isinstance(item, tuple) else (item,):
@@ -558,8 +562,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _parse(argv: list[str] | None = None) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with an argv whose first words name a leaf parsed by
+    that leaf's parser alone: the levels above it would only hand it the rest, and set
+    command and the group's dest, which are preset here instead."""
+    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    for path in (tuple(argv[:2]), tuple(argv[:1])):
+        if leaf := _LEAF_PARSERS.get(path):
+            preset = {_GROUPS[path[0]][1]: path[1]} if len(path) == 2 else {}
+            args, rest = leaf.parse_known_args(argv[len(path):], argparse.Namespace(command=path[0], **preset))
+            if rest:  # reported as parse_args reports them: by the top-level parser
+                ap.error("unrecognized arguments: %s" % " ".join(rest))
+            return args
+    return ap.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except NotBent as exc:

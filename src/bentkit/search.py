@@ -80,7 +80,8 @@ class MuSearchSpec:
                 raise ValueError("second-derivative mode needs f_star")
             gf2n.check_cap("n of the second-derivative search", self.f_star.n)
             object.__setattr__(self, "n", self.f_star.n)
-            object.__setattr__(self, "partners", functools.partial(_periods, self.f_star))
+            # one transform per distinct shift, not one per node of the walk that picks it
+            object.__setattr__(self, "partners", functools.cache(functools.partial(_periods, self.f_star)))
             return
         if self.mode == "gold-trace":
             if self.gold is None:

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bentkit import boolfun, gf2n
 from bentkit.boolfun import (
@@ -35,7 +36,7 @@ from bentkit.boolfun import (
     to_text,
     translate,
 )
-from bentkit.cli import main
+from bentkit.cli import _ARGS, _LEAVES, _hex, _hex_tuple, _parse, build_parser, main
 from bentkit.families import GoldParams, gold_function
 from util import (
     from_trace_monomial,
@@ -579,8 +580,6 @@ def test_search_mus_cor9_rejects_theta_outside_the_half_field(theta, why):
 
 
 def test_parser_is_built_once_and_survives_a_rejected_call():
-    from bentkit.cli import build_parser
-
     assert build_parser() is build_parser()
     code, custom, _ = run_cli(["field", "info", "--n", "8", "--modulus", "11d"])
     assert code == 0 and "modulus: 11d" in custom
@@ -778,18 +777,23 @@ def test_degree_zero_reads_the_same_everywhere(tmp_path):
         assert run_cli(argv) == (2, "", why)
 
 
-def test_console_script_entry():
-    # the child imports the package from this checkout's src, as pytest does
+def test_console_script_entry(monkeypatch):
+    # the child imports the package from this checkout's src, as pytest does,
+    # and main() reads its argv from sys.argv, where a usage error reads as in process
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bentkit", "field", "info", "--n", "4"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def child(case):
+        return subprocess.run([sys.executable, "-m", "bentkit", *case.split()], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+
+    proc = child("field info --n 4")
     assert proc.returncode == 0
     assert "modulus: 13" in proc.stdout
+    proc, record = child("field info --n 4 --bogus"), leaf_record("field info --n 4 --bogus")
+    assert record["code"] == proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == record["stderr"] != ""
 
 
 # --------------------------------------------------------------- golden
@@ -1039,8 +1043,6 @@ def leaf_record(case: str) -> dict:
 
 def leaf_usages() -> dict:
     # the usage line of every leaf parser, by its prog
-    from bentkit.cli import build_parser
-
     usages, todo = {}, [build_parser()]
     while todo:
         parser = todo.pop(0)
@@ -1076,6 +1078,80 @@ def test_leaf_usage_lines(leaf_golden, monkeypatch):
     usages = leaf_usages()
     assert len(usages) == 22 and set(leaf_golden["cases"]) == set(LEAF_CASES)
     assert usages == leaf_golden["usage"]
+
+
+_TOP_USAGE = "usage: bentkit [-h] {field,fn,construct,search,verify,fingerprint} ...\n"
+
+
+@pytest.mark.parametrize(
+    "case, stderr",
+    [(f"{_MUS_GOLD} --bogus", f"{_TOP_USAGE}bentkit: error: unrecognized arguments: --bogus\n"),
+     ("fingerprint --in F stray", f"{_TOP_USAGE}bentkit: error: unrecognized arguments: stray\n"),
+     ("fn bent --in F x y", f"{_TOP_USAGE}bentkit: error: unrecognized arguments: x y\n"),
+     ("fingerprint stray", "usage: bentkit fingerprint [-h] --in FILE\n"
+                           "bentkit fingerprint: error: the following arguments are required: --in\n")],
+)
+def test_leftover_arguments_are_reported_by_the_top_level_parser(case, stderr, monkeypatch):
+    # only once the leaf has parsed, so its own errors, a missing flag among them, come first
+    monkeypatch.setenv("COLUMNS", "80")
+    assert leaf_record(case) == {"code": 2, "stdout": [], "stderr": stderr}
+
+
+# --------------------------------------------------------- dispatch law
+#
+# main parses an argv that names a leaf with that leaf's parser alone; an
+# argv that names none goes through the tree.  Either way the result must
+# be what the tree gives: the same Namespace, or the same exit, stdout and
+# stderr.
+
+_NO_LEAF = [[], ["-h"], ["--help"], ["field"], ["construct"], ["search"], ["verify"], ["serch", "mus"],
+            ["search", "mu"], ["construct", "nope"], ["search mus"], ["--", "fn"], ["-h", "fingerprint"], ["FN"]]
+_BAD_VALUES = ["zz", "-1", "", "1,zz", "=", "--bogus"]
+_NOISE = ["--bogus", "--lim", "--h", "--pai", "--m", "-h", "--", "stray", "zz", "--n=6", "--limit=-2", "bent"]
+
+
+def _valid_value(key: str) -> list[str]:
+    kw = _ARGS[key].kwargs
+    if kw.get("action") == "store_true":
+        return []
+    if "choices" in kw:
+        return [kw["choices"][-1]]
+    return [{int: "6", _hex: "2a", _hex_tuple: "1,2"}.get(kw.get("type"), "f.tt")]
+
+
+@st.composite
+def dispatch_argvs(draw):
+    leaf = draw(st.sampled_from(_LEAVES))
+    head = leaf.path.split() if draw(st.integers(0, 3)) else draw(st.sampled_from(_NO_LEAF))
+    parts = []
+    for item in leaf.flags:
+        for flag in item if isinstance(item, tuple) else (item,):
+            key = flag.rstrip("!")
+            if draw(st.integers(0, 9)) < (9 if flag.endswith("!") else 3):
+                value = _valid_value(key) if draw(st.integers(0, 4)) else [draw(st.sampled_from(_BAD_VALUES))]
+                parts.append([key.split()[0]] * key.startswith("-") + value)
+    tokens = [tok for part in draw(st.permutations(parts)) for tok in part]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_NOISE)))
+    return head + tokens
+
+
+def _outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=dispatch_argvs())
+def test_leaf_dispatch_parses_as_the_tree(argv):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "80")
+        assert _outcome(_parse, argv) == _outcome(build_parser().parse_args, argv)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bentkit import families, gf2n
+from bentkit import families, gf2n, search
 from bentkit.boolfun import (
     BooleanFunction,
     algebraic_degree,
@@ -32,6 +32,7 @@ from bentkit.boolfun import (
     dual,
     is_bent,
     translate,
+    wht,
 )
 from bentkit.constructions import _d2_nonzero, zlj_build
 from bentkit.errors import UnsupportedDegree
@@ -401,6 +402,18 @@ def test_oversized_quadratic_dual_tuple_returns_at_once():
         assert find_mu_tuples(MuSearchSpec("second-derivative", r, 1, f_star=inner_product_fn(n))) == []
         assert time.perf_counter() - start < 1
     assert len(find_mu_tuples(MuSearchSpec("second-derivative", 4, 1, f_star=inner_product_fn(8)))) == 1
+
+
+def test_second_derivative_walk_transforms_each_shift_once(monkeypatch):
+    # the cubic x0x3 + x1x4 + x2x5 + x3x4x5 has no independent 4-tuple, so
+    # r = 4 walks every shorter tuple, picking each shift at many nodes
+    n = 6
+    f_star = BooleanFunction.from_bits(n, [(x & x >> 3 & 7).bit_count() + (x >> 3 & 7 == 7) & 1 for x in range(1 << n)])
+    transforms, shifts = [], set()
+    monkeypatch.setattr(search, "wht", lambda f, *a: transforms.append(f) or wht(f, *a))
+    monkeypatch.setattr(search, "derivative", lambda f, a: shifts.add(a) or derivative(f, a))
+    assert find_mu_tuples(MuSearchSpec("second-derivative", 4, 100, f_star=f_star)) == []
+    assert 0 < len(transforms) <= len(shifts) <= (1 << n) - 1
 
 
 @settings(max_examples=80, deadline=None)
