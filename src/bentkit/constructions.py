@@ -31,15 +31,14 @@ D_a D_b f~ = parity(k_a & b) for k_a the linear part of D_a f~;
 `families` states k_a once, for every gold-form dual, for builder and
 search.
 
-The known builders carlet (three-function majority), mesnager1 and
-mesnager2 (two- and one-linear-factor corrections) keep their closed
-forms, whose params are the named builder's own: the `shifted_build`
-route would add mus and F to each report.  Since `compose` muxes packed
-tables, that route costs the same within noise (0.85-1.29x at n = 16
-and 18 for carlet and mesnager1).  Every builder raises
-SideConditionFailed naming the violated clause, so a report lists the
-clauses that held, and verifies the built pair spectrally before
-reporting.
+The known builders are the theorem's particular cases at F = y1 y2:
+carlet's majority of three is the head pairs (f1 + f2, f1~ + f2~) and
+(f1 + f3, f1~ + f3~), mesnager1's f + l_a l_b the mus (a, b), and
+mesnager2's f1 + l_a (f1 + f2) the head (f1 + f2, f1~ + f2~) with the mu
+a.  So every secondary builder, the eleven here and in `families`, goes
+through `shifted_build`.  Every builder raises SideConditionFailed
+naming the violated clause, so a report lists the clauses that held,
+and verifies the built pair spectrally before reporting.
 
 Every entry point takes an optional FieldSpec selecting the trace pairing
 for linear forms, complements, and duals; the default is the dot pairing
@@ -63,7 +62,6 @@ from .boolfun import (
     dual,
     is_bent,
     linear_form,
-    translate,
 )
 from .errors import ArityMismatch, CertificateInvalid, SideConditionFailed
 
@@ -98,8 +96,7 @@ def _lin(n: int, mu: int, spec: gf2n.FieldSpec | None) -> BooleanFunction:
     return linear_form(spec, mu) if spec is not None else dot_form(n, mu)
 
 
-def _maj(a: BooleanFunction, b: BooleanFunction, c: BooleanFunction) -> BooleanFunction:
-    return (a & b) ^ (a & c) ^ (b & c)
+_Y1Y2 = BooleanFunction(2, 0b1000)  # F = y1 y2, the known builders' selector
 
 
 def _degeneracy_warnings(mus, n: int) -> list[str]:
@@ -274,9 +271,8 @@ def carlet_build(
     if s_star != d1 ^ d2 ^ d3:
         raise SideConditionFailed("dual-additive")
     conds.append("dual-additive")
-    h = _maj(f1, f2, f3)
-    h_star = _maj(d1, d2, d3)
-    return _finish(h, h_star, conds, {}, [], spec)
+    heads = [(f1 ^ f2, d1 ^ d2), (f1 ^ f3, d1 ^ d3)]
+    return shifted_build(f1, d1, _Y1Y2, (), conds, {}, spec, heads=heads)
 
 
 def mesnager_build(
@@ -292,9 +288,7 @@ def mesnager_build(
     if _d2_nonzero(f_star)(a, b):
         raise SideConditionFailed("second-derivative", f"D_a D_b of the dual is nonzero (a={a:x}, b={b:x})")
     conds.append("second-derivative")
-    h = f ^ (_lin(f.n, a, spec) & _lin(f.n, b, spec))
-    h_star = _maj(f_star, translate(f_star, a), translate(f_star, b))
-    return _finish(h, h_star, conds, {"a": a, "b": b}, [], spec)
+    return shifted_build(f, f_star, _Y1Y2, (a, b), conds, {"a": a, "b": b}, spec)
 
 
 def mesnager2_build(
@@ -306,14 +300,11 @@ def mesnager2_build(
     """h = f1 + l_a (f1 + f2) for bent f1, f2 with D_a(f1~ + f2~) = 0."""
     gf2n.check_domain(f1.n, "shift", a)
     conds, (d1, d2) = _bent_conditions(spec, f1=f1, f2=f2)
-    sd = d1 ^ d2
-    if failed := _first_nonperiod(sd, (a,)):
+    if failed := _first_nonperiod(d1 ^ d2, (a,)):
         _, x = failed
         raise SideConditionFailed("derivative-sum", f"D_a(f1~ + f2~) is nonzero (a={a:x})", witness=(a, x))
     conds.append("derivative-sum")
-    h = f1 ^ (_lin(f1.n, a, spec) & (f1 ^ f2))
-    h_star = d1 ^ (sd & derivative(d1, a))
-    return _finish(h, h_star, conds, {"a": a}, [], spec)
+    return shifted_build(f1, d1, _Y1Y2, (a,), conds, {"a": a}, spec, heads=[(f1 ^ f2, d1 ^ d2)])
 
 
 def zlj_build(

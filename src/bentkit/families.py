@@ -71,7 +71,8 @@ class GoldParams:
 
     @property
     def exponent(self) -> int:
-        return (1 << self.t) + 1
+        # x^(2^t) = x^(2^(t mod n)) on GF(2^n), so no int grows with t
+        return (1 << self.t % self.spec.n) + 1
 
 
 def _gold_form(spec: gf2n.FieldSpec, lam: int, t: int, images=None, const: int = 0) -> BooleanFunction:
@@ -186,6 +187,7 @@ def cort_m_build(
         raise ValueError("needs an even degree")
     m = spec.n // 2
     mus = _check_shape(F, spec.n, mus, 1, alpha)
+    gf2n.check_domain(spec.n, "theta", theta)
     if theta == 0 or not gf2n.in_subfield(theta, m, spec):
         raise SideConditionFailed("theta-subfield", f"theta={theta:x} not in GF(2^{m})*")
     q = _norm_gold(spec, gf2n.inverse(theta, spec))

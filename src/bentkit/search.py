@@ -168,7 +168,12 @@ def find_mu_tuples(ms: MuSearchSpec, cursor: tuple[int, ...] | None = None) -> l
             # on the cursor's own path nothing below its next entry, and in
             # the last slot nothing up to it, gives a tuple beyond the cursor
             start = max(start, cursor[len(chosen)] + last)
-        for cand in _ascending(gf2n.nullspace(rows, ms.n), start):
+        space = gf2n.nullspace(rows, ms.n)
+        # each element is its own period and pairs are mutual, so the whole
+        # tuple lies in this kernel: r independent ones need r dimensions
+        if ms.require_independent and len(space) < ms.r:
+            return
+        for cand in _ascending(space, start):
             red = _reduce(basis, cand)
             if red == 0 and ms.require_independent:
                 continue

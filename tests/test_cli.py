@@ -236,6 +236,26 @@ def test_construct_gold_rejects_power_value(tmp_path):
     assert "lambda-not-in-S" in err
 
 
+def test_construct_gold_reduces_t_modulo_n(tmp_path):
+    # x^(2^t + 1) = x^(2^(t mod n) + 1) on GF(2^n): a huge t writes the
+    # tables of t mod n without an int of t bits
+    def build(t):
+        argv = ["construct", "gold", "--n", "8", "--lambda", "3", "--t", t,
+                "--out-h", str(tmp_path / f"h{t}.tt"), "--out-dual", str(tmp_path / f"d{t}.tt")]
+        return run_cli(argv)
+
+    build("1")
+    tracemalloc.start()
+    try:
+        code, out, _ = build("1000000001")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "t: 1000000001" in report_lines(out) and peak < 2**20, peak
+    for side in "hd":
+        assert (tmp_path / f"{side}1.tt").read_text() == (tmp_path / f"{side}1000000001.tt").read_text()
+
+
 GOLD6 = ["construct", "gold", "--n", "6", "--t", "1", "--lambda", "2a"]
 
 
@@ -331,6 +351,16 @@ def test_construct_rejects_elements_outside_the_field(tmp_path, argv):
     assert not (tmp_path / "h.tt").exists()
 
 
+def test_construct_cor9_rejects_theta_outside_the_field(tmp_path):
+    # range-checked like search mus --theta, before the half-field clause
+    code, out, err = run_cli(
+        ["construct", "cor9", "--n", "6", "--theta", "1ff", "--mus", "1", "--alpha", "0", "--F", "0110",
+         "--out-h", str(tmp_path / "h.tt"), "--out-dual", str(tmp_path / "d.tt")]
+    )
+    assert (code, out, err) == (2, "", "error: theta 0x1ff outside the 6-variable domain\n")
+    assert not (tmp_path / "h.tt").exists()
+
+
 def test_construct_mm_with_pi_file(tmp_path, g64):
     rng = random.Random(60)
     tab = list(range(8))
@@ -423,6 +453,17 @@ def test_construct_carlet_equals_mesnager1(tmp_path):
     assert code == 0
     assert (tmp_path / "hc.tt").read_text() == (tmp_path / "hm.tt").read_text()
     assert (tmp_path / "dc.tt").read_text() == (tmp_path / "dm.tt").read_text()
+
+
+def test_construct_mesnager1_warns_on_a_repeated_shift(tmp_path):
+    f_path = write_fn(tmp_path / "f.tt", F6)
+    code, out, _ = run_cli(
+        ["construct", "mesnager1", "--f", f_path, "--a", "3", "--b", "3",
+         "--out-h", str(tmp_path / "h.tt"), "--out-dual", str(tmp_path / "d.tt")]
+    )
+    lines = report_lines(out)
+    assert code == 0 and "warning: repeated element in the mu tuple" in lines
+    assert lines.index("condition[second-derivative]: pass") < lines.index("warning: repeated element in the mu tuple")
 
 
 def test_construct_mesnager2_rejects_bad_shift(tmp_path):

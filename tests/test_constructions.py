@@ -44,12 +44,15 @@ from bentkit.errors import ArityMismatch, CertificateInvalid, SideConditionFaile
 from bentkit.families import GoldParams, MMParams, corn4t_build, cort_m_build, thfromgold_build, thmm_build
 from bentkit.search import MuSearchSpec, find_alphas, find_gold_lambdas, find_mu_tuples
 from util import (
+    carlet_closed_form,
     check_odd_sum_condition,
     check_property_pr_every_omega,
     d2_nonzero_unpacked,
     dual_shift_literal,
     from_trace_monomial,
     inner_product_fn,
+    mesnager1_closed_form,
+    mesnager2_closed_form,
     mm_bent_sharing_pi,
     random_function,
     random_mm_bent,
@@ -232,9 +235,13 @@ def test_carlet_rejects_non_additive_duals():
 def test_mesnager_degenerate_and_valid_pairs():
     rep = mesnager_build(F6, 3, 3)
     assert rep.ok and rep.h == F6 ^ lin(3)  # a = b squares the linear factor
+    assert rep.warnings == ["repeated element in the mu tuple"]
+    rep = mesnager_build(F6, 0, 5)
+    assert rep.ok and rep.h == F6 and rep.warnings == ["zero element among the mu tuple"]
     rep = mesnager_build(F6, 1, 6)
     assert rep.ok and rep.h == F6 ^ (lin(1) & lin(6))
     assert rep.h_star == dual(rep.h)
+    assert rep.warnings == [] and rep.params == {"a": 1, "b": 6, "mus": (1, 6), "F": 8}
 
 
 def test_mesnager_rejects_and_certifies_non_bent():
@@ -257,9 +264,11 @@ def test_mesnager2_collapses():
     f1 = random_mm_bent(rng, 6)
     rep = mesnager2_build(f1, f1, 9)
     assert rep.ok and rep.h == f1  # f2 = f1 kills the correction
+    assert rep.warnings == [] and rep.params == {"a": 9, "mus": (9,), "F": 8}
     f2 = random_mm_bent(rng, 6)
     rep = mesnager2_build(f1, f2, 0)
     assert rep.ok and rep.h == f1  # a = 0 kills the linear factor
+    assert rep.warnings == ["zero element among the mu tuple"]
 
 
 def test_mesnager2_reduces_to_two_linear_factors():
@@ -373,27 +382,24 @@ def test_remaining_builders_dual_law(data):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_known_builders_are_generic_particular_cases(data):
-    # the paper's particular cases at F = y1 y2 under both pairings:
-    # mesnager1 is zlj on (a, b), mesnager2 is cornew on (a,), and carlet is
-    # the certified generic build on phi = (f1 + f2, f1 + f3); the dual
+    # the paper's particular cases at F = y1 y2 under both pairings: each
+    # known builder, one shifted_build call, gives its closed form; the dual
     # halves of MM functions sharing pi are linear, so a and b always exist
     n = data.draw(st.sampled_from([4, 6, 8]))
     spec = data.draw(st.sampled_from([None, gf2n.make_field(n)]))
     f1, f2, f3 = mm_bent_sharing_pi(random.Random(data.draw(st.integers(0, 2**32))), n, 3)
-    F = BooleanFunction(2, 0b1000)
-    a, b = data.draw(st.sampled_from(find_mu_tuples(MuSearchSpec("second-derivative", 2, 64, f_star=dual(f1, spec)))))
+    ms = MuSearchSpec("second-derivative", 2, 64, data.draw(st.booleans()), f_star=dual(f1, spec))
+    a, b = data.draw(st.sampled_from(find_mu_tuples(ms)))
     sd = (dual(f1, spec) ^ dual(f2, spec)).bits()
     idx = np.arange(1 << n)
     c = data.draw(st.sampled_from([c for c in range(1 << n) if np.array_equal(sd, sd[idx ^ c])]))
-    phi = VectorialFunction.from_components([f1 ^ f2, f1 ^ f3])
-    cert = check_property_pr(f1, phi, spec)
-    assert cert.holds
-    for known, generic in (
-        (mesnager_build(f1, a, b, spec), zlj_build(f1, (a, b), F, spec)),
-        (mesnager2_build(f1, f2, c, spec), cornew_build(f1, f2, (c,), F, spec)),
-        (carlet_build(f1, f2, f3, spec), build_generic(f1, F, phi, cert)),
+    for rep, closed, params in (
+        (carlet_build(f1, f2, f3, spec), carlet_closed_form(f1, f2, f3, spec), {"mus": (), "F": 8}),
+        (mesnager_build(f1, a, b, spec), mesnager1_closed_form(f1, a, b, spec), {"a": a, "b": b, "mus": (a, b), "F": 8}),
+        (mesnager2_build(f1, f2, c, spec), mesnager2_closed_form(f1, f2, c, spec), {"a": c, "mus": (c,), "F": 8}),
     ):
-        assert (known.h, known.h_star) == (generic.h, generic.h_star)
+        assert rep.ok and (rep.h, rep.h_star) == closed
+        assert rep.params == params and list(rep.params) == list(params)
 
 
 def _shifted_family(data, family, n, spec):

@@ -404,16 +404,30 @@ def test_oversized_quadratic_dual_tuple_returns_at_once():
     assert len(find_mu_tuples(MuSearchSpec("second-derivative", 4, 1, f_star=inner_product_fn(8)))) == 1
 
 
+# the cubic x0x3 + x1x4 + x2x5 + x3x4x5, with no independent 4-tuple
+CUBIC6 = BooleanFunction.from_bits(6, [(x & x >> 3 & 7).bit_count() + (x >> 3 & 7 == 7) & 1 for x in range(64)])
+
+
 def test_second_derivative_walk_transforms_each_shift_once(monkeypatch):
-    # the cubic x0x3 + x1x4 + x2x5 + x3x4x5 has no independent 4-tuple, so
-    # r = 4 walks every shorter tuple, picking each shift at many nodes
-    n = 6
-    f_star = BooleanFunction.from_bits(n, [(x & x >> 3 & 7).bit_count() + (x >> 3 & 7 == 7) & 1 for x in range(1 << n)])
+    # r = 4 walks many shorter tuples, picking each shift at many nodes
     transforms, shifts = [], set()
     monkeypatch.setattr(search, "wht", lambda f, *a: transforms.append(f) or wht(f, *a))
     monkeypatch.setattr(search, "derivative", lambda f, a: shifts.add(a) or derivative(f, a))
-    assert find_mu_tuples(MuSearchSpec("second-derivative", 4, 100, f_star=f_star)) == []
-    assert 0 < len(transforms) <= len(shifts) <= (1 << n) - 1
+    assert find_mu_tuples(MuSearchSpec("second-derivative", 4, 100, f_star=CUBIC6)) == []
+    assert 0 < len(transforms) <= len(shifts) <= (1 << CUBIC6.n) - 1
+
+
+def test_independent_walk_skips_kernels_below_r_dimensions(monkeypatch):
+    # each element is its own period and pairs are mutual, so a tuple lies in
+    # the kernel of its prefix's period rows; a kernel of fewer than r
+    # dimensions holds no independent completion and is never walked
+    dims = []
+    monkeypatch.setattr(search, "_ascending", lambda space, start: dims.append(len(space)) or _ascending(space, start))
+    for r in (3, 4):
+        ms = MuSearchSpec("second-derivative", r, 1000, f_star=CUBIC6)
+        dims.clear()
+        assert find_mu_tuples(ms) == find_mu_tuples_dfs(ms)
+        assert dims and min(dims) >= r
 
 
 @settings(max_examples=80, deadline=None)

@@ -21,7 +21,9 @@ writer).  After them come the package's earlier kernels, kept unchanged
 as references for the ones that replaced them: the copying butterfly,
 a strategy drawing malformed truth-table files with the nibble-mask
 wire-format reader, the every-omega certificate check, cornew's
-every-selector dual-shift check, the copying Moebius transform, the
+every-selector dual-shift check, the closed forms of the known builders
+carlet, mesnager1 and mesnager2 (majorities and linear-factor
+corrections), the copying Moebius transform, the
 per-derivative fingerprint with the one-batch derivative degrees it is
 checked beside, the unpacked second-derivative predicate and
 composition, and the depth-first mu search with the scalar gold and cor9
@@ -50,7 +52,7 @@ from bentkit.boolfun import (
     translate,
     wht,
 )
-from bentkit.constructions import ConstructionReport, PrCertificate
+from bentkit.constructions import ConstructionReport, PrCertificate, _lin
 from bentkit.errors import ArityMismatch, NotADivisor, NotBent, NotBentAdmissible
 from bentkit.families import GoldParams, _smallest_omega, gold_bent_admissible
 from bentkit.search import EaFingerprint, MuSearchSpec
@@ -659,6 +661,29 @@ def dual_shift_literal(f_star: BooleanFunction, g_star: BooleanFunction, mus) ->
             diff = lhs ^ rhs
             return omega, (diff & -diff).bit_length() - 1
     return None
+
+
+def maj(a: BooleanFunction, b: BooleanFunction, c: BooleanFunction) -> BooleanFunction:
+    """The pointwise majority of three functions."""
+    return (a & b) ^ (a & c) ^ (b & c)
+
+
+def carlet_closed_form(f1, f2, f3, spec=None) -> tuple[BooleanFunction, BooleanFunction]:
+    """(maj(f1, f2, f3), maj(f1~, f2~, f3~)), carlet's closed form; the
+    builder's shifted_build route must give the same pair."""
+    return maj(f1, f2, f3), maj(*(dual(g, spec) for g in (f1, f2, f3)))
+
+
+def mesnager1_closed_form(f, a: int, b: int, spec=None) -> tuple[BooleanFunction, BooleanFunction]:
+    """(f + l_a l_b, maj(f~, f~(x + a), f~(x + b))), mesnager1's closed form."""
+    d = dual(f, spec)
+    return f ^ (_lin(f.n, a, spec) & _lin(f.n, b, spec)), maj(d, translate(d, a), translate(d, b))
+
+
+def mesnager2_closed_form(f1, f2, a: int, spec=None) -> tuple[BooleanFunction, BooleanFunction]:
+    """(f1 + l_a (f1 + f2), f1~ + (f1~ + f2~) D_a f1~), mesnager2's closed form."""
+    d1, d2 = dual(f1, spec), dual(f2, spec)
+    return f1 ^ (_lin(f1.n, a, spec) & (f1 ^ f2)), d1 ^ ((d1 ^ d2) & (d1 ^ translate(d1, a)))
 
 
 def moebius_with_copies(bits: np.ndarray) -> np.ndarray:
