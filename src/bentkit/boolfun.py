@@ -44,9 +44,6 @@ _BYTE_BITS = np.arange(256, dtype=np.uint8)[:, None] >> np.arange(8, dtype=np.ui
 _BYTE_SCORE = (_BYTE_BITS * (1 + np.bitwise_count(np.arange(8, dtype=np.uint8)))).max(axis=1).astype(np.int8)
 _BYTE_SCORE[0] = -64
 
-# _BIT_REVERSE[b] is byte b in reverse bit order, as the wire format writes it
-_BIT_REVERSE = np.packbits(_BYTE_BITS, axis=1).tobytes()
-
 # _H8[u, j] = (-1)^popcount(u & j), the 8-point Sylvester-Hadamard matrix
 _H8 = 1 - 2 * (np.bitwise_count(np.arange(8)[:, None] & np.arange(8)).astype(np.int32) & 1)
 
@@ -56,11 +53,12 @@ _BYTE_MOEBIUS = np.packbits(
     _BYTE_BITS @ (np.arange(8)[:, None] & ~np.arange(8) == 0) & 1, axis=1, bitorder="little"
 ).ravel()
 
-# _BYTE_TRANSLATE[s, b] is byte b with bit j moved to bit j ^ s, i.e. the
-# 8-point table x -> b(x + s)
-_BYTE_TRANSLATE = np.packbits(
-    _BYTE_BITS[:, np.arange(8) ^ np.arange(8)[:, None]], axis=2, bitorder="little"
-)[:, :, 0].T
+# _BYTE_SHIFTS[s] is the bytes.translate table moving bit j of a byte to bit
+# j ^ s, i.e. b to the 8-point table x -> b(x + s); s = 7 reverses the bit
+# order, as the wire format writes it
+_BYTE_SHIFTS = tuple(np.packbits(_BYTE_BITS[:, np.arange(8) ^ s], axis=1, bitorder="little").tobytes() for s in range(8))
+_FLIPS = {"0": slice(None), "1": slice(None, None, -1)}  # keep or reverse an axis, by binary digit
+_WORDS = tuple(np.dtype(f"u{width}") for width in (2, 4, 8))
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ class BooleanFunction:
 
     def __post_init__(self):
         gf2n.check_cap("n", self.n)
-        if not 0 <= self.table < 1 << (1 << self.n):
+        if self.table < 0 or self.table.bit_length() > 1 << self.n:
             raise ValueError("truth table does not fit 2^n bits")
 
     @classmethod
@@ -294,16 +292,26 @@ def dual(f: BooleanFunction, spec: gf2n.FieldSpec | None = None) -> BooleanFunct
 
 
 def translate(f: BooleanFunction, a: int) -> BooleanFunction:
-    """x -> f(x + a); index XOR is both vector and field addition."""
+    """x -> f(x + a); index XOR is both vector and field addition.
+
+    Bit i of packed byte j comes from bit i ^ (a & 7) of byte j ^ (a >> 3),
+    moved with no index array: inside each byte by bytes.translate, words of
+    up to 8 bytes by axis flips of a word view, and bytes inside a word by
+    byteswaps: widths 2, 4, 8 send j to j ^ 1, j ^ 3, j ^ 7, so bit i of the
+    Gray code of c = (a >> 3) & 7 picks width 2 << i."""
     gf2n.check_domain(f.n, "shift", a)
-    # byte j is byte j ^ (a >> 3) of f moved by a & 7 inside the byte; unlike
-    # np.take, indexing casts a narrow index in chunks, not in one int64 copy
-    moved = _BYTE_TRANSLATE[a & 7][_table_bytes(f.table, f.n)]
-    idx = np.arange(moved.size, dtype=np.min_scalar_type(moved.size - 1))
-    idx ^= a >> 3
-    moved = moved[idx]
-    del idx
-    return BooleanFunction(f.n, int.from_bytes(moved.tobytes(), "little"))
+    raw = f.table.to_bytes(max(1, (1 << f.n) // 8), "little")
+    if a & 7:
+        raw = raw.translate(_BYTE_SHIFTS[a & 7])
+    if a >> 3:
+        # 2^k words viewed as (1, 2, ..., 2), flipped by the k + 1 binary digits of a >> 6
+        k, c = max(0, len(raw).bit_length() - 4), a >> 3 & 7
+        words = np.ndarray((1,) + (2,) * k, _WORDS[min(len(raw), 8).bit_length() - 2], raw)
+        raw = words[tuple(map(_FLIPS.get, bin(a >> 6 | 2 << k)[3:]))].copy()
+        for i, word in enumerate(_WORDS):
+            if (c ^ c >> 1) >> i & 1:
+                raw.view(word).byteswap(inplace=True)
+    return BooleanFunction(f.n, int.from_bytes(raw, "little"))
 
 
 def derivative(f: BooleanFunction, mu: int) -> BooleanFunction:
@@ -369,7 +377,8 @@ def anf(f: BooleanFunction) -> AnfForm:
 
 
 def algebraic_degree(f: BooleanFunction) -> int:
-    return anf(f).degree
+    """anf(f).degree, from one transformed copy of the table bytes."""
+    return int(_degrees(_moebius(_table_bytes(f.table, f.n), f.n)))
 
 
 def _derivative_degree_batches(f: BooleanFunction, batches):
@@ -378,7 +387,8 @@ def _derivative_degree_batches(f: BooleanFunction, batches):
     # uint16 shifts (n <= 16) the working memory is three bytes per table
     # byte per row.  The in-byte Moebius stages, linear and commuting with
     # byte gathers, run once on f's translates
-    moved = _BYTE_MOEBIUS[np.take(_BYTE_TRANSLATE, _table_bytes(f.table, f.n), axis=1)]
+    table = f.table.to_bytes(max(1, (1 << f.n) // 8), "little")
+    moved = _BYTE_MOEBIUS[np.frombuffer(b"".join(map(table.translate, _BYTE_SHIFTS)), np.uint8).reshape(8, -1)]
     raw = moved[0]  # the translate by 0, f itself
     for shifts in batches:
         # row a reads byte j ^ (a >> 3) of the copy translated by a & 7, an
@@ -473,21 +483,40 @@ def to_text(f: BooleanFunction) -> str:
     """
     size = 1 << f.n
     # below n = 3 the one byte is part padding, read as binary below n = 2
-    raw = f.table.to_bytes(max(1, size // 8), "little").translate(_BIT_REVERSE)
+    raw = f.table.to_bytes(max(1, size // 8), "little").translate(_BYTE_SHIFTS[7])
     body = raw.hex()[: size // 4] if size >= 4 else f"{raw[0]:08b}"[:size]
     return f"n={f.n}\n{body}\n"
 
 
 def from_text(text: str) -> BooleanFunction:
+    """Inverse of to_text: the non-blank lines of text, stripped, must be
+    "n=<int>" and the table, in hex digits of either case.
+
+    The usual shape is cut at its first two newlines, so that only
+    bytes.fromhex scans the table.  A table read from that cut holds digits
+    only, hence no line break, so the full line split reads the same one;
+    every other shape and every error go through that split."""
+    head, body, tail = (text.split("\n", 2) + ["", ""])[:3]
+    if len(head.splitlines()) == 1 and not tail.strip():
+        try:
+            return _read_table(head.strip(), body.strip())
+        except ValueError:
+            pass
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 2 or not lines[0].startswith("n="):
+    if len(lines) != 2:
+        raise ValueError("expected two lines: 'n=<int>' then the table")
+    return _read_table(*lines)
+
+
+def _read_table(head: str, body: str) -> BooleanFunction:
+    if not head.startswith("n="):
         raise ValueError("expected two lines: 'n=<int>' then the table")
     try:
-        n = int(lines[0][2:])
+        n = int(head[2:])
     except ValueError:
-        raise ValueError(f"bad arity line {lines[0]!r}") from None
+        raise ValueError(f"bad arity line {head!r}") from None
     gf2n.check_cap("n", n)  # before anything is sized by 1 << n
-    body = lines[1].lower()
+    body = body if body.isascii() else body.lower()  # a lower case can be longer
     size = 1 << n
     if size < 4:
         if len(body) != size or set(body) - set("01"):
@@ -501,7 +530,7 @@ def from_text(text: str) -> BooleanFunction:
         raw = b""
     if len(raw) != max(1, size // 8):
         raise ValueError("bad hex table")
-    return BooleanFunction(n, int.from_bytes(raw.translate(_BIT_REVERSE), "little"))
+    return BooleanFunction(n, int.from_bytes(raw.translate(_BYTE_SHIFTS[7]), "little"))
 
 
 def parse_bitstring(bits: str, expect: int | None = None) -> BooleanFunction:

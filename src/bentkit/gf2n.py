@@ -16,7 +16,7 @@ frobenius, trace_abs, ...) act on single ints and serve per-element work:
 searches, side conditions, basis images.  A GF(2)-linear map is carried by
 its n basis images: apply_linear evaluates it, pull_back composes a
 covector with it, and the Frobenius powers are such images, cached.  The
-array layer (mul_array, linear_table, frobenius_table) acts on numpy
+array layer (mul_array, linear_table, frobenius_array) acts on numpy
 uint32 arrays of elements, which hold every supported degree with room
 for the one-bit overflow of a shift; linear_table tabulates a map from its
 images by doubling, 2^k writes for k images, and the bit-sliced products
@@ -337,7 +337,15 @@ def linear_table(images) -> np.ndarray:
     return table
 
 
-def frobenius_table(k: int, spec: FieldSpec) -> np.ndarray:
-    """x -> x ** (2 ** (k mod n)) over the whole field, tabulated."""
-    return linear_table(frobenius_images(k, spec))
+@functools.lru_cache(maxsize=None)
+def _frobenius_bytes(k: int, spec: FieldSpec) -> tuple[np.ndarray, ...]:
+    return tuple(linear_table(frobenius_images(k, spec)[i : i + 8]) for i in range(0, spec.n, 8))
+
+
+def frobenius_array(xs: np.ndarray, k: int, spec: FieldSpec) -> np.ndarray:
+    """x -> x ** (2 ** (k mod n)) on a uint32 array of elements: by
+    linearity the XOR of one entry per byte of x, read from ceil(n/8) cached
+    tables of up to 256 entries."""
+    parts = xs.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4).T
+    return functools.reduce(operator.xor, map(operator.getitem, _frobenius_bytes(k % spec.n, spec), parts))
 

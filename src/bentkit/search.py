@@ -223,16 +223,18 @@ def find_gold_lambdas(spec: gf2n.FieldSpec, t: int, limit: int, cursor: int | No
     d = math.gcd(t, spec.n)
     if (spec.n // d) % 2:
         return []  # no lam gives a bent function
-    frob = gf2n.frobenius_table(d, spec)
     out: list[int] = []
     lo = 0 if cursor is None else cursor + 1
     while len(out) < limit and lo < 1 << spec.n:
         lam = np.arange(lo, min(lo + _LAMBDA_CHUNK, 1 << spec.n), dtype=np.uint32)
-        norm = conj = lam
-        for _ in range(spec.n // (2 * d) - 1):
-            conj = frob[frob[conj]]
-            norm = gf2n.mul_array(norm, conj, spec)
-        out += lam[(lam != 0) & (frob[norm] != norm)][: limit - len(out)].tolist()
+        # norm = lam^(1 + q + ... + q^(j-1)), q = 2^(2d), grown to j = n/(2d)
+        # over its binary digits by (j, 2j) and (j, j + 1) steps
+        norm, j = lam, 1
+        for digit in f"{spec.n // (2 * d):b}"[1:]:
+            norm, j = gf2n.mul_array(norm, gf2n.frobenius_array(norm, 2 * d * j, spec), spec), 2 * j
+            if digit == "1":
+                norm, j = gf2n.mul_array(lam, gf2n.frobenius_array(norm, 2 * d, spec), spec), j + 1
+        out += lam[(lam != 0) & (gf2n.frobenius_array(norm, d, spec) != norm)][: limit - len(out)].tolist()
         lo += _LAMBDA_CHUNK
     return out
 

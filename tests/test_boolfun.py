@@ -52,6 +52,7 @@ from util import (
     random_mm_bent,
     slow_walsh,
     sylvester,
+    translate_by_index,
 )
 
 
@@ -399,28 +400,58 @@ def test_translate_pointwise_involution():
         assert translate(f, a)(11) == f(11 ^ a)
 
 
+def _shift_classes(rng: random.Random, n: int) -> dict[str, int]:
+    # bit 0, bits 0-2, bits 0-8 (in-byte, in-word and in-block moves), the
+    # high half, the top bit, all ones and a random shift, cut to the domain
+    top = (1 << n) - 1
+    shifts = {"zero": 0, "bit 0": 1, "low 3": 7, "low 9": 0x1FF, "high half": top ^ ((1 << n // 2) - 1)}
+    shifts.update({"top": 1 << (n - 1), "all ones": top, "random": rng.randrange(1 << n)})
+    return {name: a & top for name, a in shifts.items()}
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_translate_matches_index_xor(data):
-    n = data.draw(st.integers(1, 12))
-    f = random_function(random.Random(data.draw(st.integers(0, 2**32))), n)
-    a = data.draw(st.integers(0, (1 << n) - 1))
-    bits = f.bits()
-    assert np.array_equal(translate(f, a).bits(), bits[np.arange(1 << n) ^ a])
+    n = data.draw(st.integers(1, 16))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    f = random_function(rng, n)
+    shifts = _shift_classes(rng, n)
+    a = shifts[data.draw(st.sampled_from(sorted(shifts)))]
+    assert translate(f, a) == translate_by_index(f, a)
     assert derivative(f, a).table == f.table ^ translate(f, a).table
+    if n <= 12:
+        bits = f.bits()
+        assert np.array_equal(translate(f, a).bits(), bits[np.arange(1 << n) ^ a])
+
+
+def test_translate_every_shift_at_small_n():
+    rng = random.Random(23)
+    for n in range(1, 9):
+        f = random_function(rng, n)
+        for a in range(1 << n):
+            assert translate(f, a) == translate_by_index(f, a)
+
+
+@pytest.mark.slow
+def test_translate_matches_the_gather_at_24():
+    rng = random.Random(24)
+    f = BooleanFunction(24, rng.getrandbits(1 << 24))
+    for name, a in _shift_classes(rng, 24).items():
+        assert translate(f, a) == translate_by_index(f, a), name
 
 
 def test_translate_memory_stays_near_the_table():
     # 128 KB of table; an int64 index as long as the table would be 8 MB
     f = BooleanFunction(20, random.Random(19).getrandbits(1 << 20))
-    tracemalloc.start()
-    try:
-        g = translate(f, 0xB5A3D)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert g(0) == f(0xB5A3D) and g(0xB5A3D) == f(0)
-    assert peak < 1 << 20
+    for a in (1, 7, 0xB5A3D, 0x80000, 0xFFFFF):
+        tracemalloc.start()
+        try:
+            g = translate(f, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g(0) == f(a) and g(a) == f(0)
+        assert peak < 1 << 20, hex(a)
 
 
 def test_anf_degree_frozen():
@@ -468,6 +499,7 @@ def test_anf_matches_copying_moebius(data):
     coeffs = moebius_with_copies(f.bits())
     form = anf(f)
     assert form == AnfForm(n, BooleanFunction.from_bits(n, coeffs).table)
+    assert algebraic_degree(f) == form.degree
     monomials = np.nonzero(coeffs)[0]
     assert form.degree == (int(np.bitwise_count(monomials).max()) if monomials.size else 0)
     assert form.function() == f
@@ -611,7 +643,7 @@ def test_text_roundtrip(data):
     assert from_text(f"{head}\n{body.upper()}\n") == f
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(malformed_table_texts())
 def test_text_malformed_bodies_match_the_oracle(text):
     with pytest.raises(ValueError) as want:

@@ -270,13 +270,25 @@ def test_find_gold_lambdas_matches_admissibility_at_every_small_degree():
             find_gold_lambdas(gf2n.make_field(6), 1, 4, bad)
 
 
+def test_find_gold_lambdas_memory_stays_small():
+    # byte tables of the Frobenius, not a whole-field table (4 MB at n = 20)
+    spec = gf2n.make_field(20)
+    tracemalloc.start()
+    try:
+        found = find_gold_lambdas(spec, 1, 48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 48 and peak < 1 << 20
+
+
 def test_find_gold_lambdas_odd_quotient_tests_no_candidate(monkeypatch):
     # n/gcd(t, n) odd: no lam is admissible, so nothing may be scanned
     def refuse(*args):
         raise AssertionError("candidate tested")
 
     monkeypatch.setattr(families, "gold_in_S", refuse)
-    monkeypatch.setattr(gf2n, "frobenius_table", refuse)
+    monkeypatch.setattr(gf2n, "frobenius_array", refuse)
     monkeypatch.setattr(gf2n, "mul_array", refuse)
     assert find_gold_lambdas(gf2n.make_field(15), 1, 16) == []
     assert find_gold_lambdas(gf2n.make_field(12), 4, 16) == []  # 12/gcd(4, 12) = 3

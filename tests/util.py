@@ -14,11 +14,12 @@ The last section holds the oracles that only the tests use: the
 direct-summation bent check, the batch re-verifier of construction
 reports, the odd-sum form of the companion property and the enumerated
 gold power image, and the helpers no package module calls (the
-elementwise power over mul_array, the elementwise trace through a
-covector and the trace monomial tables built on them, the relative
-trace, the hex element format, the permutation file
+elementwise power over mul_array, the whole-field Frobenius table, the
+elementwise trace through a covector and the trace monomial tables built
+on them, the relative trace, the hex element format, the permutation file
 writer).  After them come the package's earlier kernels, kept unchanged
-as references for the ones that replaced them: the copying butterfly,
+as references for the ones that replaced them: the index-gather
+translate, the copying butterfly,
 a strategy drawing malformed truth-table files with the nibble-mask
 wire-format reader, the every-omega certificate check, cornew's
 every-selector dual-shift check, the closed forms of the known builders
@@ -43,6 +44,7 @@ from hypothesis import strategies as st
 
 from bentkit import gf2n
 from bentkit.boolfun import (
+    _BYTE_SHIFTS,
     BooleanFunction,
     VectorialFunction,
     _derivative_degree_batches,
@@ -457,6 +459,13 @@ def power_array(a, e: int, spec: gf2n.FieldSpec) -> np.ndarray:
     return r
 
 
+def frobenius_table(k: int, spec: gf2n.FieldSpec) -> np.ndarray:
+    """x -> x ** (2 ** (k mod n)) over the whole field, tabulated from the
+    basis images by doubling: the 2^n-entry table gf2n built before its
+    Frobenius moved to byte tables, kept as the oracle of the subfield tests."""
+    return gf2n.linear_table(gf2n.frobenius_images(k, spec))
+
+
 def trace_array(a, spec: gf2n.FieldSpec, coeff: int = 1) -> np.ndarray:
     """Elementwise Tr(coeff * a) as uint8 0/1, through the covector of coeff."""
     counts = np.bitwise_count(np.asarray(a, np.uint32) & np.uint32(gf2n.covector(coeff, spec)))
@@ -535,6 +544,18 @@ def mm_bent_pair(seed: int, n: int) -> tuple[BooleanFunction, BooleanFunction]:
     return f, f_star
 
 
+def translate_by_index(f: BooleanFunction, a: int) -> BooleanFunction:
+    """The translate that boolfun.translate replaced: every byte through the
+    in-byte table of a & 7, then a gather at the byte index j ^ (a >> 3), an
+    array of 2^(n-3) entries."""
+    gf2n.check_domain(f.n, "shift", a)
+    raw = f.table.to_bytes(max(1, (1 << f.n) // 8), "little")
+    moved = np.frombuffer(raw.translate(_BYTE_SHIFTS[a & 7]), np.uint8)
+    idx = np.arange(moved.size, dtype=np.min_scalar_type(moved.size - 1))
+    idx ^= a >> 3
+    return BooleanFunction(f.n, int.from_bytes(moved[idx].tobytes(), "little"))
+
+
 def butterfly_with_copies(v: np.ndarray) -> np.ndarray:
     """The dot-pairing Walsh butterfly on a +-1 vector, copying one half
     at every stage; the package kernel it was replaced by is checked
@@ -552,21 +573,34 @@ def butterfly_with_copies(v: np.ndarray) -> np.ndarray:
     return a
 
 
+# line ends that keep a text's non-blank lines as they are, blank and
+# whitespace-only lines included, and the breaks and spaces put inside a body
+_LINE_ENDS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\n\n", " \n\t \n", "\r\n \r\n")
+_BREAKS = (" ", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\n\n", "\n \n")
+
+
 @st.composite
 def malformed_table_texts(draw) -> str:
     """A wire-format text at n = 1..10 whose body has one character that
     is no digit of its format, one or two inner spaces (two can leave the
-    hex digits in whole pairs), or the wrong length."""
+    hex digits in whole pairs), a line break, space or blank line strictly
+    inside it, or the wrong length; its lines end in any line break, with
+    blank lines and spaces around, after any leading blank line."""
     n = draw(st.integers(1, 10))
     body = to_text(BooleanFunction(n, draw(st.integers(0, (1 << (1 << n)) - 1)))).split("\n")[1]
     i, j = (draw(st.integers(0, len(body) - 1)) for _ in range(2))
-    kind = draw(st.sampled_from(["digit", "space", "length"]))
+    kind = draw(st.sampled_from(["digit", "space", "length", "break"]))
     if kind == "length":
-        return f"n={n}\n{draw(st.sampled_from([body[:i], body + body[i]]))}\n"
-    bad = " " if kind == "space" else draw(st.sampled_from("gzG-.\x1f\u0130"))
-    for k in {i, j} if kind == "space" else {i}:
-        body = body[:k] + bad + body[k + 1 :]
-    return f"n={n}\n{body}\n"
+        body = draw(st.sampled_from([body[:i], body + body[i]]))
+    elif kind == "break" and len(body) > 1:  # a third line, or a line too long
+        k = draw(st.integers(1, len(body) - 1))
+        body = body[:k] + draw(st.sampled_from(_BREAKS)) + body[k:]
+    else:
+        bad = draw(st.sampled_from("gzG-.\x1f\u0130")) if kind == "digit" else " "
+        for k in {i} if kind == "digit" else {i, j}:
+            body = body[:k] + bad + body[k + 1 :]
+    lead, end = draw(st.sampled_from(["", "\n", " \r\n", "\x0c\t\n"])), draw(st.sampled_from(_LINE_ENDS))
+    return f"{lead}n={n}{end}{body}{end}"
 
 
 def from_text_by_nibbles(text: str) -> BooleanFunction:
