@@ -4,6 +4,9 @@ Conventions, used everywhere downstream:
 
 * a function on n variables is a single int with bit x = f(x), for truth
   table indices x in [0, 2^n);
+* packed, the table is max(1, 2^n / 8) little-endian bytes, f(x) bit x % 8
+  of byte x // 8, padding clear below n = 3; BooleanFunction.raw (cached)
+  and from_raw (seeding it) are the only crossings between int and bytes;
 * bit i of the index is the value of variable x_(i+1), so the index is at
   once a vector in F_2^n and (through gf2n) a field element;
 * the Walsh transform and the dual default to the canonical dot pairing
@@ -23,17 +26,6 @@ import numpy as np
 
 from . import gf2n
 from .errors import ArityMismatch, NotBent
-
-
-def _unpack(table: int, n: int) -> np.ndarray:
-    size = 1 << n
-    raw = table.to_bytes((size + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")[:size]
-
-
-def _pack(bits: np.ndarray) -> int:
-    packed = np.packbits(bits, bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
 
 
 # _BYTE_BITS[b, j] = bit j of byte b, the point j of an 8-point table
@@ -71,6 +63,22 @@ class BooleanFunction:
         if self.table < 0 or self.table.bit_length() > 1 << self.n:
             raise ValueError("truth table does not fit 2^n bits")
 
+    @functools.cached_property
+    def raw(self) -> bytes:
+        """The packed table, built from table once unless from_raw seeded it."""
+        return self.table.to_bytes(max(1, (1 << self.n) // 8), "little")
+
+    @classmethod
+    def from_raw(cls, n: int, raw) -> "BooleanFunction":
+        """The function whose packed table is the bytes-like raw, which seeds
+        its raw; a wrong length or a set padding bit raises ValueError."""
+        raw = bytes(raw)
+        f = cls(n, int.from_bytes(raw, "little"))
+        if len(raw) != max(1, (1 << n) // 8):
+            raise ValueError(f"{len(raw)} bytes do not pack a 2^{n}-bit table")
+        f.__dict__["raw"] = raw
+        return f
+
     @classmethod
     def const(cls, n: int, bit: int) -> "BooleanFunction":
         return cls(n, ((1 << (1 << n)) - 1) if bit & 1 else 0)
@@ -80,10 +88,10 @@ class BooleanFunction:
         arr = np.asarray(list(bits) if not isinstance(bits, np.ndarray) else bits)
         if arr.size != 1 << n:
             raise ValueError(f"expected {1 << n} bits, got {arr.size}")
-        return cls(n, _pack(arr.astype(np.uint8) & 1))
+        return cls.from_raw(n, np.packbits(arr.astype(np.uint8) & 1, bitorder="little"))
 
     def bits(self) -> np.ndarray:
-        return _unpack(self.table, self.n)
+        return np.unpackbits(np.frombuffer(self.raw, np.uint8), bitorder="little")[: 1 << self.n]
 
     def weight(self) -> int:
         return self.table.bit_count()
@@ -126,15 +134,18 @@ class AnfForm:
     n: int
     coeffs: int
 
+    def __post_init__(self):
+        BooleanFunction(self.n, self.coeffs)  # n's cap and the fit, checked as for a truth table
+
     @property
     def degree(self) -> int:
         """Largest popcount of a monomial with a nonzero coefficient; the
         zero polynomial has degree 0 by convention."""
-        return int(_degrees(_table_bytes(self.coeffs, self.n)))
+        return int(_degrees(np.frombuffer(BooleanFunction(self.n, self.coeffs).raw, np.uint8)))
 
     def function(self) -> "BooleanFunction":
         # the Moebius transform is an involution
-        return BooleanFunction(self.n, _moebius_table(self.coeffs, self.n))
+        return _moebius_of(BooleanFunction(self.n, self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -209,8 +220,8 @@ def _butterfly(f: BooleanFunction, dtype) -> np.ndarray:
     workspace up to n = 18."""
     size = 1 << f.n
     if f.n < 4:
-        return ((1 - 2 * _unpack(f.table, f.n).astype(np.int32)) @ _H8[:size, :size]).astype(dtype)
-    words = np.frombuffer(f.table.to_bytes(size // 8, "little"), "<u2")
+        return ((1 - 2 * f.bits().astype(np.int32)) @ _H8[:size, :size]).astype(dtype)
+    words = np.frombuffer(f.raw, "<u2")
     k = min(f.n, 18)
     block, mid = 1 << k, 1 << min(k - 4, k // 2 - 1)
     ws, out = _WORKSPACE.buffers, None if dtype == np.int16 and size == block else np.empty(size, dtype)
@@ -280,7 +291,8 @@ def bent_dual(f: BooleanFunction, spec: gf2n.FieldSpec | None = None) -> Boolean
     values = _flat_spectrum(f)
     if values is None:
         return None
-    return BooleanFunction(f.n, _pack((values < 0)[... if spec is None else _covector_permutation(spec)]))
+    signs = (values < 0)[... if spec is None else _covector_permutation(spec)]
+    return BooleanFunction.from_raw(f.n, np.packbits(signs, bitorder="little"))
 
 
 def dual(f: BooleanFunction, spec: gf2n.FieldSpec | None = None) -> BooleanFunction:
@@ -300,7 +312,7 @@ def translate(f: BooleanFunction, a: int) -> BooleanFunction:
     byteswaps: widths 2, 4, 8 send j to j ^ 1, j ^ 3, j ^ 7, so bit i of the
     Gray code of c = (a >> 3) & 7 picks width 2 << i."""
     gf2n.check_domain(f.n, "shift", a)
-    raw = f.table.to_bytes(max(1, (1 << f.n) // 8), "little")
+    raw = f.raw
     if a & 7:
         raw = raw.translate(_BYTE_SHIFTS[a & 7])
     if a >> 3:
@@ -311,18 +323,12 @@ def translate(f: BooleanFunction, a: int) -> BooleanFunction:
         for i, word in enumerate(_WORDS):
             if (c ^ c >> 1) >> i & 1:
                 raw.view(word).byteswap(inplace=True)
-    return BooleanFunction(f.n, int.from_bytes(raw, "little"))
+    return BooleanFunction.from_raw(f.n, raw)
 
 
 def derivative(f: BooleanFunction, mu: int) -> BooleanFunction:
     """D_mu f(x) = f(x) + f(x + mu)."""
     return f ^ translate(f, mu)
-
-
-def _table_bytes(table: int, n: int) -> np.ndarray:
-    # writable little-endian bytes of a 2^n-bit table, bit x % 8 of byte
-    # x // 8 being the point x; one byte, high bits clear, below n = 3
-    return np.frombuffer(bytearray(table.to_bytes(max(1, (1 << n) // 8), "little")), np.uint8)
 
 
 def _moebius(a: np.ndarray, n: int, in_byte: bool = True) -> np.ndarray:
@@ -350,8 +356,9 @@ def _moebius(a: np.ndarray, n: int, in_byte: bool = True) -> np.ndarray:
     return a
 
 
-def _moebius_table(table: int, n: int) -> int:
-    return int.from_bytes(_moebius(_table_bytes(table, n), n).tobytes(), "little")
+def _moebius_of(f: BooleanFunction) -> BooleanFunction:
+    # the table whose packed bytes are the Moebius transform of f's
+    return BooleanFunction.from_raw(f.n, _moebius(np.frombuffer(bytearray(f.raw), np.uint8), f.n))
 
 
 def _degrees(coeffs: np.ndarray) -> np.ndarray:
@@ -373,12 +380,12 @@ def _degrees(coeffs: np.ndarray) -> np.ndarray:
 
 
 def anf(f: BooleanFunction) -> AnfForm:
-    return AnfForm(f.n, _moebius_table(f.table, f.n))
+    return AnfForm(f.n, _moebius_of(f).table)
 
 
 def algebraic_degree(f: BooleanFunction) -> int:
     """anf(f).degree, from one transformed copy of the table bytes."""
-    return int(_degrees(_moebius(_table_bytes(f.table, f.n), f.n)))
+    return int(_degrees(_moebius(np.frombuffer(bytearray(f.raw), np.uint8), f.n)))
 
 
 def _derivative_degree_batches(f: BooleanFunction, batches):
@@ -387,8 +394,7 @@ def _derivative_degree_batches(f: BooleanFunction, batches):
     # uint16 shifts (n <= 16) the working memory is three bytes per table
     # byte per row.  The in-byte Moebius stages, linear and commuting with
     # byte gathers, run once on f's translates
-    table = f.table.to_bytes(max(1, (1 << f.n) // 8), "little")
-    moved = _BYTE_MOEBIUS[np.frombuffer(b"".join(map(table.translate, _BYTE_SHIFTS)), np.uint8).reshape(8, -1)]
+    moved = _BYTE_MOEBIUS[np.frombuffer(b"".join(map(f.raw.translate, _BYTE_SHIFTS)), np.uint8).reshape(8, -1)]
     raw = moved[0]  # the translate by 0, f itself
     for shifts in batches:
         # row a reads byte j ^ (a >> 3) of the copy translated by a & 7, an
@@ -435,14 +441,14 @@ def compose(F: BooleanFunction, phi: VectorialFunction) -> BooleanFunction:
     if phi.r <= _MUX_MAX_R:
         ones = (1 << (1 << phi.n)) - 1
         return BooleanFunction(phi.n, _mux_tree(F.table, phi.r, [c.table for c in phi.components], ones))
-    values, width, step = _unpack(F.table, F.n), max(1, (1 << phi.n) // 8), 1 << 13
-    comps = [np.frombuffer(c.table.to_bytes(width, "little"), np.uint8) for c in phi.components]
+    values, step = F.bits(), 1 << 13
+    comps = [np.frombuffer(c.raw, np.uint8) for c in phi.components]
     dtype, out = np.min_scalar_type(values.size - 1), bytearray()
-    for lo in range(0, width, step):
+    for lo in range(0, comps[0].size, step):
         block = (np.unpackbits(c[lo : lo + step], bitorder="little") for c in comps)
         idx = sum(np.left_shift(bits, i, dtype=dtype) for i, bits in enumerate(block))
-        out += np.packbits(values[idx], bitorder="little").tobytes()
-    return BooleanFunction(phi.n, int.from_bytes(out, "little") & ((1 << (1 << phi.n)) - 1))
+        out += np.packbits(values[idx[: 1 << phi.n]], bitorder="little").tobytes()  # below n = 3 the padding stays clear
+    return BooleanFunction.from_raw(phi.n, out)
 
 
 def quadratic_form(n: int, linear: int, covectors=(), const: int = 0) -> BooleanFunction:
@@ -483,34 +489,18 @@ def to_text(f: BooleanFunction) -> str:
     """
     size = 1 << f.n
     # below n = 3 the one byte is part padding, read as binary below n = 2
-    raw = f.table.to_bytes(max(1, size // 8), "little").translate(_BYTE_SHIFTS[7])
+    raw = f.raw.translate(_BYTE_SHIFTS[7])
     body = raw.hex()[: size // 4] if size >= 4 else f"{raw[0]:08b}"[:size]
     return f"n={f.n}\n{body}\n"
 
 
 def from_text(text: str) -> BooleanFunction:
     """Inverse of to_text: the non-blank lines of text, stripped, must be
-    "n=<int>" and the table, in hex digits of either case.
-
-    The usual shape is cut at its first two newlines, so that only
-    bytes.fromhex scans the table.  A table read from that cut holds digits
-    only, hence no line break, so the full line split reads the same one;
-    every other shape and every error go through that split."""
-    head, body, tail = (text.split("\n", 2) + ["", ""])[:3]
-    if len(head.splitlines()) == 1 and not tail.strip():
-        try:
-            return _read_table(head.strip(), body.strip())
-        except ValueError:
-            pass
+    "n=<int>" and the table, in hex digits of either case."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 2:
+    if len(lines) != 2 or not lines[0].startswith("n="):
         raise ValueError("expected two lines: 'n=<int>' then the table")
-    return _read_table(*lines)
-
-
-def _read_table(head: str, body: str) -> BooleanFunction:
-    if not head.startswith("n="):
-        raise ValueError("expected two lines: 'n=<int>' then the table")
+    head, body = lines
     try:
         n = int(head[2:])
     except ValueError:
@@ -524,13 +514,10 @@ def _read_table(head: str, body: str) -> BooleanFunction:
         return BooleanFunction(n, int(body[::-1], 2))
     if len(body) != size // 4:
         raise ValueError(f"expected {size // 4} hex chars, got {len(body)}")
-    try:  # with a padding nibble at n = 2; inner whitespace, skipped, leaves raw short
-        raw = bytes.fromhex(body + "0" * (size == 4))
+    try:  # with a padding nibble at n = 2; inner whitespace, skipped, leaves from_raw too few bytes
+        return BooleanFunction.from_raw(n, bytes.fromhex(body + "0" * (size == 4)).translate(_BYTE_SHIFTS[7]))
     except ValueError:
-        raw = b""
-    if len(raw) != max(1, size // 8):
-        raise ValueError("bad hex table")
-    return BooleanFunction(n, int.from_bytes(raw.translate(_BYTE_SHIFTS[7]), "little"))
+        raise ValueError("bad hex table") from None
 
 
 def parse_bitstring(bits: str, expect: int | None = None) -> BooleanFunction:

@@ -192,7 +192,7 @@ def _write_anf(form, write) -> None:
     h, sep = form.n // 2, ""
     low, high = (["".join(f"x{i + 1}" for i in range(a, b) if v >> (i - a) & 1) for v in range(1 << (b - a))]
                  for a, b in ((0, h), (h, form.n)))
-    raw = np.frombuffer(form.coeffs.to_bytes(max(1, (1 << form.n) // 8), "little"), np.uint8)
+    raw = np.frombuffer(BooleanFunction(form.n, form.coeffs).raw, np.uint8)
     for lo in range(0, raw.size, 8192):
         if us := (np.flatnonzero(np.unpackbits(raw[lo : lo + 8192], bitorder="little")) + 8 * lo).tolist():
             write(sep + " + ".join(low[u & ((1 << h) - 1)] + high[u >> h] or "1" for u in us))

@@ -5,10 +5,12 @@ Sylvester matrix built by doubling; neither oracle shares code with the
 package butterfly.
 """
 
+import ast
 import random
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +96,47 @@ def test_wht_agrees_with_sylvester_matrix():
 def _drawn_function(data, n: int) -> BooleanFunction:
     raw = data.draw(st.binary(min_size=(1 << n) // 8 + 1, max_size=(1 << n) // 8 + 1))
     return BooleanFunction(n, int.from_bytes(raw, "little") & ((1 << (1 << n)) - 1))
+
+
+def _packs_its_int(g: BooleanFunction) -> bool:
+    # the raw a producer seeded, or raw built from the int, is the packing of g's int
+    return type(g.raw) is bytes and g.raw == BooleanFunction(g.n, g.table).raw
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_from_raw_inverts_raw(data):
+    n = data.draw(st.integers(1, 12))
+    f = _drawn_function(data, n)
+    assert BooleanFunction.from_raw(n, f.raw) == f
+    g = BooleanFunction.from_bits(n, f.bits())
+    assert g == f and _packs_its_int(g)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_from_raw_refuses_a_wrong_length_or_set_padding(n):
+    # a byte too many or too few; below n = 3 each padding bit of the one byte
+    raw = random_function(random.Random(n), n).raw
+    for bad in [raw + b"\0", raw[:-1]] + [bytes([raw[0] | 1 << bit]) for bit in range(1 << n, 8)]:
+        with pytest.raises(ValueError):
+            BooleanFunction.from_raw(n, bad)
+
+
+def test_only_raw_and_from_raw_cross_between_int_and_bytes():
+    # a to_bytes or from_bytes anywhere else in the package is a second copy of the packed format
+    def crossings(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope + (child.name,) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
+            if isinstance(child, ast.Attribute) and child.attr in ("to_bytes", "from_bytes"):
+                yield ".".join(scope), child.attr
+            yield from crossings(child, inner)
+
+    found = [
+        (path.name, *site)
+        for path in sorted(Path(boolfun.__file__).parent.glob("*.py"))
+        for site in crossings(ast.parse(path.read_text()), ())
+    ]
+    assert found == [("boolfun.py", "BooleanFunction.raw", "to_bytes"), ("boolfun.py", "BooleanFunction.from_raw", "from_bytes")]
 
 
 @settings(max_examples=80, deadline=None)
@@ -210,10 +253,10 @@ def test_is_bent_packs_no_dual(monkeypatch):
     # the verdict alone: is_bent returns before any sign table is packed
     f, _ = mm_bent_pair(18, 18)
 
-    def refuse(bits):
+    def refuse(n, raw):
         raise AssertionError("is_bent packed a dual it does not return")
 
-    monkeypatch.setattr(boolfun, "_pack", refuse)
+    monkeypatch.setattr(BooleanFunction, "from_raw", refuse)
     assert is_bent(f)
     assert not is_bent(_flipped(f, random.Random(18), 1))
 
@@ -356,6 +399,7 @@ def test_dual_reindexing_between_pairings(data):
     wd, wt = wht(f).values, wht(f, spec).values
     dd, dt = bent_dual(f), bent_dual(f, spec)
     assert (dd is None) == (dt is None)
+    assert dd is None or _packs_its_int(dd) and _packs_its_int(dt)
     for mu in data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=16)):
         cov = gf2n.covector(mu, spec)
         assert wt[mu] == wd[cov]
@@ -419,6 +463,7 @@ def test_translate_matches_index_xor(data):
     a = shifts[data.draw(st.sampled_from(sorted(shifts)))]
     assert translate(f, a) == translate_by_index(f, a)
     assert derivative(f, a).table == f.table ^ translate(f, a).table
+    assert _packs_its_int(translate(f, a)) and _packs_its_int(derivative(f, a))
     if n <= 12:
         bits = f.bits()
         assert np.array_equal(translate(f, a).bits(), bits[np.arange(1 << n) ^ a])
@@ -470,6 +515,15 @@ def test_anf_degree_frozen():
         assert form.degree == anf_degree_walk(form.coeffs)
 
 
+@pytest.mark.parametrize(
+    "n, coeffs, message",
+    [(0, 1, r"n must be in 1\.\.24"), (25, 1, r"n must be in 1\.\.24"), (3, 1 << 20, "does not fit"), (3, -1, "does not fit")],
+)
+def test_anf_form_checks_its_input(n, coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        AnfForm(n, coeffs)
+
+
 def test_anf_roundtrip_is_involution():
     rng = random.Random(19)
     for _ in range(100):
@@ -502,7 +556,7 @@ def test_anf_matches_copying_moebius(data):
     assert algebraic_degree(f) == form.degree
     monomials = np.nonzero(coeffs)[0]
     assert form.degree == (int(np.bitwise_count(monomials).max()) if monomials.size else 0)
-    assert form.function() == f
+    assert form.function() == f and _packs_its_int(form.function())
 
 
 def test_degree_bound_for_bent_functions():
@@ -559,6 +613,7 @@ def test_compose_matches_unpacked_oracle(data):
     phi = VectorialFunction(n, r, tuple(BooleanFunction(n, rng.getrandbits(1 << n)) for _ in range(r)))
     F = BooleanFunction(r, _structured_table(kind, r, rng))
     assert compose(F, phi) == compose_unpacked(F, phi)
+    assert _packs_its_int(compose(F, phi))
 
 
 def test_compose_memory_stays_near_the_tables():
@@ -639,6 +694,7 @@ def test_text_roundtrip(data):
     f = _drawn_function(data, n)
     text = to_text(f)
     assert from_text(text) == f and from_text_by_nibbles(text) == f
+    assert _packs_its_int(from_text(text))
     head, body, _ = text.split("\n")
     assert from_text(f"{head}\n{body.upper()}\n") == f
 
