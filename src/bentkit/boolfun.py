@@ -180,9 +180,11 @@ def _word_wht() -> np.ndarray:
 
 
 class _Workspace(threading.local):
-    # three int16 buffers of 2^18 points per thread, never resized; smaller blocks use prefixes
+    # three int16 buffers of 2^18 points per thread, never resized; smaller blocks use prefixes;
+    # held is (f, its flat spectrum or None) as is_bent left it for the next bent_dual
     def __init__(self):
         self.buffers = tuple(np.empty(1 << 18, np.int16) for _ in range(3))
+        self.held = None
 
 
 _WORKSPACE = _Workspace()
@@ -218,6 +220,7 @@ def _butterfly(f: BooleanFunction, dtype) -> np.ndarray:
     place.  A stage at most doubles max |W|: int16 is exact through the 4 + m
     <= 12 word and mid stages, then wraps (see _flat_spectrum), aliasing the
     workspace up to n = 18."""
+    _WORKSPACE.held = None  # its spectrum may alias the buffers reused below
     size = 1 << f.n
     if f.n < 4:
         return ((1 - 2 * f.bits().astype(np.int32)) @ _H8[:size, :size]).astype(dtype)
@@ -279,16 +282,21 @@ def _flat_spectrum(f: BooleanFunction) -> np.ndarray | None:
 
 
 def is_bent(f: BooleanFunction) -> bool:
-    """Flat spectrum test; pairing-independent, so no spec is needed."""
-    return _flat_spectrum(f) is not None
+    """Flat spectrum test; pairing-independent, so no spec is needed.  It packs
+    no dual, but leaves (f, its flat spectrum or None) until the next bent_dual
+    or transform on this thread."""
+    _WORKSPACE.held = f, _flat_spectrum(f)
+    return _WORKSPACE.held[1] is not None
 
 
 def bent_dual(f: BooleanFunction, spec: gf2n.FieldSpec | None = None) -> BooleanFunction | None:
     """The dual f~ with W[mu] = 2^(n/2) * (-1)^f~(mu), the signs of one
-    transform; None when f is not bent, odd arity included."""
+    transform; None when f is not bent, odd arity included.  It reuses what
+    is_bent(f) left if f is the same object, and always drops it."""
+    held, _WORKSPACE.held = _WORKSPACE.held, None
     if spec is not None and spec.n != f.n:
         raise ArityMismatch(f"field degree {spec.n} != function arity {f.n}")
-    values = _flat_spectrum(f)
+    values = held[1] if held is not None and held[0] is f else _flat_spectrum(f)
     if values is None:
         return None
     signs = (values < 0)[... if spec is None else _covector_permutation(spec)]

@@ -209,6 +209,7 @@ def check_property_pr(
     """
     if phi.n != f.n:
         raise ArityMismatch(f"phi is on {phi.n} variables, f on {f.n}")
+    gf2n.check_cap("certificate n + r", f.n + phi.r)  # before any transform
     f_star = bent_dual(f, spec)
     if f_star is None:
         return PrCertificate(False, None, witness_omega=0, spec=spec)

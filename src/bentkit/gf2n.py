@@ -53,6 +53,7 @@ CAPS = {
     "n of the second-derivative search": 16,  # one transform per element
     "n of the fingerprint": 14,  # 2^n derivatives
     "r of phi": 16,  # 2^r + r + 1 transforms per certificate
+    "certificate n + r": 28,  # 2^r transforms of 2^n points per certificate
 }
 
 

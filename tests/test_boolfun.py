@@ -270,14 +270,20 @@ def test_verification_is_thread_safe():
     assert [e[1] for e in expected[:3]] == [f_star for _, f_star in pairs]
     wrong = []
 
-    def check(order):
+    def check(order, between):
+        # between: whether a wht of another table runs between is_bent(f) and bent_dual(f)
         for _ in range(5):
-            wrong.extend(i for i in order if (is_bent(fs[i]), bent_dual(fs[i])) != expected[i])
+            for i in order:
+                verdict = is_bent(fs[i])
+                if between:
+                    wht(fs[i - 1])
+                if (verdict, bent_dual(fs[i])) != expected[i]:
+                    wrong.append(i)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threads = [threading.Thread(target=check, args=(order,)) for order in ([0, 4, 2], [1, 5, 3, 2])]
+        threads = [threading.Thread(target=check, args=args) for args in (([0, 4, 2], False), ([1, 5, 3, 2], True))]
         for t in threads:
             t.start()
         for t in threads:
@@ -300,6 +306,84 @@ def test_bent_dual_memory_stays_near_its_output():
     finally:
         tracemalloc.stop()
     assert g == f_star and peak < 3.5 * 2**20
+
+
+_VERIFY_CALLS = ("is_bent", "bent_dual", "dual", "wht")
+
+
+def _verify_call(name: str, f: BooleanFunction, spec):
+    # one of _VERIFY_CALLS on f; dual's NotBent is returned, not raised
+    if name == "dual":
+        try:
+            return dual(f, spec)
+        except NotBent:
+            return NotBent
+    return is_bent(f) if name == "is_bent" else {"bent_dual": bent_dual, "wht": wht}[name](f, spec)
+
+
+def _fresh_results(f: BooleanFunction, spec) -> dict:
+    # each call's result on a fresh copy of f, which no handover can reach
+    return {name: _verify_call(name, BooleanFunction(f.n, f.table), spec) for name in _VERIFY_CALLS}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_handed_over_spectrum_is_never_stale(data):
+    # is_bent hands its spectrum to the next bent_dual of the same object: over
+    # drawn call sequences on an MM bent table (a random one at odd n), one or
+    # two more tables and up to two equal but distinct copies, every call gives
+    # what it gives on a fresh copy.  Each group of calls is is_bent(f), up to
+    # two calls on any function, then one on f
+    n = data.draw(st.integers(1, 12))
+    spec = gf2n.make_field(n) if data.draw(st.booleans()) else None
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    fs = []
+    for kind in ["bent"] + data.draw(st.lists(st.sampled_from(["bent", "const", "random"]), min_size=1, max_size=2)):
+        if kind == "const":
+            fs.append(BooleanFunction.const(n, rng.getrandbits(1)))
+        else:
+            fs.append(mm_bent_pair(rng.getrandbits(32), n)[0] if kind == "bent" and n % 2 == 0 else _drawn_function(data, n))
+    fs += [BooleanFunction(f.n, f.table) for f in data.draw(st.lists(st.sampled_from(fs), max_size=2))]
+    expected = [_fresh_results(f, spec) for f in fs]
+    index = st.integers(0, len(fs) - 1)
+    calls = st.sampled_from(_VERIFY_CALLS)
+    groups = st.tuples(index, st.lists(st.tuples(calls, index), max_size=2), calls)
+    for i, between, last in data.draw(st.lists(groups, min_size=1, max_size=4)):
+        for name, j in [("is_bent", i), *between, (last, i)]:
+            assert _verify_call(name, fs[j], spec) == expected[j][name], (name, j)
+
+
+def test_handed_over_spectrum_outside_the_workspace():
+    # at n = 20 the int16 spectrum is its own array, not a workspace buffer
+    f = mm_bent_pair(20, 20)[0]
+    g, copy, spec = _flipped(f, random.Random(20), 1), BooleanFunction(f.n, f.table), gf2n.make_field(20)
+    expected = {id(h): _fresh_results(h, spec) for h in (f, g)}
+    expected[id(copy)] = expected[id(f)]
+    steps = [("is_bent", f), ("bent_dual", f), ("is_bent", f), ("wht", g), ("bent_dual", f), ("is_bent", g),
+             ("bent_dual", f), ("is_bent", f), ("dual", copy), ("is_bent", copy), ("dual", copy), ("bent_dual", copy)]
+    for name, h in steps:
+        assert _verify_call(name, h, spec) == expected[id(h)][name], name
+
+
+@pytest.mark.slow
+def test_is_bent_then_bent_dual_memory_stays_near_bent_dual_alone():
+    # the handed-over 2 MB spectrum stands in for bent_dual's own; afterwards
+    # only the dual itself is held, its 128 KB bytes and its 128 KB int
+    f, f_star = mm_bent_pair(20, 20)
+    bent_dual(f)
+    tracemalloc.start()
+    try:
+        bent_dual(f)
+        alone = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert is_bent(f)
+        g = bent_dual(f)
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g == f_star and peak - start <= alone + 2**18
+    assert now - start <= sys.getsizeof(g.raw) + sys.getsizeof(g.table) + 2**16
 
 
 @st.composite

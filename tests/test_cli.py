@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bentkit import boolfun, gf2n
+from bentkit import boolfun, constructions, gf2n
 from bentkit.boolfun import (
     BooleanFunction,
     anf,
@@ -516,6 +516,24 @@ def test_verify_pr_both_verdicts(tmp_path):
     assert "witness-omega: 1" in out
 
 
+def test_certificate_size_cap_exits_2_before_any_transform(tmp_path, monkeypatch):
+    # n = 16 and r one over the `certificate n + r` row: both commands exit 2 with its message
+    def no_butterfly(f, dtype):
+        raise AssertionError("a transform ran before the certificate cap")
+
+    monkeypatch.delenv("BENT_MAX_N", raising=False)
+    cap = gf2n.CAPS["certificate n + r"]
+    f_path = write_fn(tmp_path / "f.tt", dot_form(16, 3))
+    phi = [write_fn(tmp_path / "p.tt", dot_form(16, 1))] * (cap - 15)
+    outs = ["--out-h", str(tmp_path / "h.tt"), "--out-dual", str(tmp_path / "d.tt")]
+    monkeypatch.setattr(boolfun, "_butterfly", no_butterfly)
+    for argv in (["verify", "pr", "--f", f_path, "--phi", *phi],
+                 ["construct", "generic", "--f", f_path, "--phi", *phi, "--F", "0" * (1 << cap - 15), *outs]):
+        code, out, err = run_cli(argv)
+        assert code == 2 and f"certificate n + r must be in 1..{cap}, got {cap + 1}" in err
+        assert "holds" not in out and not (tmp_path / "h.tt").exists()
+
+
 def test_search_mus_stream(tmp_path):
     d_path = write_fn(tmp_path / "d.tt", dual(F6))
     code, out, _ = run_cli(
@@ -956,6 +974,35 @@ def golden():
 def test_construct_golden(case, golden, golden_dir, monkeypatch):
     monkeypatch.chdir(golden_dir)
     assert golden_record(case) == golden[case]
+
+
+def test_each_build_verifies_h_with_one_transform(golden, golden_dir, monkeypatch):
+    # _finish's is_bent hands its spectrum to dual: one butterfly per even-arity h,
+    # counted inside every _finish of every passing golden case
+    monkeypatch.chdir(golden_dir)
+    finish, butterfly = constructions._finish, boolfun._butterfly
+    transforms, per_build = [], []
+
+    def counting_butterfly(f, dtype):
+        transforms.append(f.n)
+        return butterfly(f, dtype)
+
+    def counting_finish(h, *rest):
+        before = len(transforms)
+        report = finish(h, *rest)
+        per_build.append((h.n, len(transforms) - before))
+        return report
+
+    monkeypatch.setattr(boolfun, "_butterfly", counting_butterfly)
+    binders = [m for name, m in sys.modules.items() if name.startswith("bentkit.") and getattr(m, "_finish", None) is finish]
+    assert {m.__name__ for m in binders} >= {"bentkit.constructions", "bentkit.families"}
+    for module in binders:
+        monkeypatch.setattr(module, "_finish", counting_finish)
+    for case in GOLDEN_CASES:
+        if golden[case]["code"] == 0:
+            per_build.clear()
+            assert golden_record(case) == golden[case]
+            assert per_build and all(count == 1 - n % 2 for n, count in per_build), (case, per_build)
 
 
 def test_golden_passes_and_fails_every_shape(golden):

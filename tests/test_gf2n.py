@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from bentkit import cli, gf2n
 from bentkit.boolfun import BooleanFunction, VectorialFunction, dot_form, from_text, translate
 from bentkit.cli import _guard
+from bentkit.constructions import check_property_pr
 from bentkit.errors import (
     NonIrreducible,
     NotADivisor,
@@ -84,6 +85,13 @@ def _phi_from_components(v):
     return VectorialFunction.from_components((BooleanFunction(1, 0),) * v)
 
 
+def _certificate_of_size(v):
+    # a certificate with n + r = v, r = 16 where v allows; f = 0 is not bent, so it stops at omega = 0
+    r = min(gf2n.CAPS["r of phi"], max(v - 1, 0))
+    zero = BooleanFunction(v - r, 0)
+    return check_property_pr(zero, VectorialFunction(zero.n, r, (zero,) * r))
+
+
 # every site that checks each row of gf2n.CAPS (a new row needs an entry), the
 # first one cheap enough to run at the cap itself (the fingerprint at n = 14
 # takes about 0.3 s)
@@ -100,6 +108,7 @@ CAP_SITES = {
         _phi_from_components,
         lambda v: MuSearchSpec("second-derivative", v, 0, f_star=BooleanFunction(1, 0)),
     ),
+    "certificate n + r": (_certificate_of_size,),
 }
 
 
