@@ -219,21 +219,14 @@ def check_property_pr(
         if g_star is None:
             return PrCertificate(False, None, witness_omega=1 << i, spec=spec)
         companions.append(f_star ^ g_star)
-    # omega = 0 and the weight-one omegas hold by the choice of companions
-    for omega in range(1 << phi.r):
+    # the weight-one omegas hold by the choice of companions; the rest walk the span
+    members = zip(gf2n.span([c.table for c in phi.components]), gf2n.span([c.table for c in companions]))
+    for omega, (g, expected) in enumerate(members):
         if omega & (omega - 1) == 0:
             continue
-        g, expected = f, f_star
-        for i in range(phi.r):
-            if omega >> i & 1:
-                g ^= phi.components[i]
-                expected ^= companions[i]
-        got = bent_dual(g, spec)
-        if got is None:
-            return PrCertificate(False, None, witness_omega=omega, spec=spec)
-        if got != expected:
-            diff = got.table ^ expected.table
-            x = (diff & -diff).bit_length() - 1
+        got = bent_dual(BooleanFunction(f.n, f.table ^ g), spec)
+        if got is None or (diff := got.table ^ f_star.table ^ expected):
+            x = None if got is None else (diff & -diff).bit_length() - 1
             return PrCertificate(False, None, witness_omega=omega, witness_x=x, spec=spec)
     varphi = VectorialFunction(f.n, phi.r, tuple(companions))
     return PrCertificate(True, varphi, spec=spec, f_star=f_star)

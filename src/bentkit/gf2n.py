@@ -27,18 +27,20 @@ Whole-field truth tables need no field product per point: `boolfun` and
 GF(2)-linear systems have one kernel solver, nullspace, the reduced
 echelon kernel of a list of rows: it spans the searches' subspaces, the
 subfield GF(2^r) (the kernel of x -> x^(2^r) + x) and, as the kernel of
-[L^T | I], the inverse of a map L (solve_linearized).  The mu search keeps
-two reductions of its own, each cheaper than a kernel where it runs: an
-echelon basis grown by one vector per candidate for its independence
-test, and a numpy reduction of a Walsh support, up to 2^n vectors, to
-period rows.  check_domain is the one range check of elements and shifts,
-check_cap the one check of sizes, each job's cap being a row of the table
-CAPS.
+[L^T | I], the inverse of a map L (solve_linearized).  span walks any
+span member by member, one XOR a step: the searches' kernels and a
+certificate's omega tables.  The mu search keeps two reductions of its
+own, each cheaper than a kernel where it runs: an echelon basis grown by
+one vector per candidate for its independence test, and a numpy
+reduction of a Walsh support, up to 2^n vectors, to period rows.
+check_domain is the one range check of elements and shifts, check_cap
+the one check of sizes, each job's cap being a row of the table CAPS.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -52,7 +54,7 @@ CAPS = {
     "n under BENT_MAX_N": 16,  # the CLI's default cap, which BENT_MAX_N moves within 1..CAPS["n"]
     "n of the second-derivative search": 16,  # one transform per element
     "n of the fingerprint": 14,  # 2^n derivatives
-    "r of phi": 16,  # 2^r + r + 1 transforms per certificate
+    "r of phi": 16,  # 2^r transforms per certificate, one more in construct generic
     "certificate n + r": 28,  # 2^r transforms of 2^n points per certificate
 }
 
@@ -231,6 +233,17 @@ def apply_linear(images, v: int) -> int:
             out ^= image
         v >>= 1
     return out
+
+
+def span(vectors, i: int = 0):
+    """Members i, i + 1, ... of span(vectors), member k being the XOR of the
+    vectors at the set bits of k.  One XOR a step, so the vectors may be any
+    ints: field elements or whole truth tables."""
+    v, flips = apply_linear(vectors, i), [*itertools.accumulate(vectors, operator.xor), 0]
+    while i < 1 << len(vectors):
+        yield v
+        i += 1
+        v ^= flips[(i & -i).bit_length() - 1]  # the vectors up to i's lowest set bit flip
 
 
 def pull_back(images, w: int) -> int:

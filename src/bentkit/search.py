@@ -31,7 +31,6 @@ import bisect
 import functools
 import itertools
 import math
-import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -128,13 +127,7 @@ def _reduce(basis: dict[int, int], v: int) -> int:
 def _ascending(space: list[int], start: int):
     """span(space) from start upward, ascending; space as gf2n.nullspace gives."""
     i = bisect.bisect_left(range(1 << len(space)), start, key=lambda i: gf2n.apply_linear(space, i))
-    v = gf2n.apply_linear(space, i)
-    # from member i to i + 1, the vectors up to the lowest set bit of i + 1 flip
-    flips = [*itertools.accumulate(space, operator.xor), 0]
-    while i < 1 << len(space):
-        yield v
-        i += 1
-        v ^= flips[(i & -i).bit_length() - 1]
+    return gf2n.span(space, i)
 
 
 def find_mu_tuples(ms: MuSearchSpec, cursor: tuple[int, ...] | None = None) -> list[tuple[int, ...]]:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bentkit import gf2n
+from bentkit import constructions, gf2n
 from bentkit.boolfun import (
     BooleanFunction,
     VectorialFunction,
@@ -41,7 +41,15 @@ from bentkit.constructions import (
     zlj_build,
 )
 from bentkit.errors import ArityMismatch, CertificateInvalid, SideConditionFailed
-from bentkit.families import GoldParams, MMParams, corn4t_build, cort_m_build, thfromgold_build, thmm_build
+from bentkit.families import (
+    GoldParams,
+    MMParams,
+    corn4t_build,
+    cort_m_build,
+    gold_function,
+    thfromgold_build,
+    thmm_build,
+)
 from bentkit.search import MuSearchSpec, find_alphas, find_gold_lambdas, find_mu_tuples
 from util import (
     carlet_closed_form,
@@ -143,7 +151,7 @@ def test_certificate_matches_every_omega_oracle(pairing, g64):
     for trial in range(60):
         f = random_function(rng, 6) if trial % 3 == 0 else F6
         comps = []
-        for _ in range(3):
+        for _ in range(rng.randint(1, 6)):
             c = rng.random()
             if c < 0.15:
                 comps.append(random_function(rng, 6))
@@ -160,6 +168,149 @@ def test_certificate_matches_every_omega_oracle(pairing, g64):
         assert cert == expected
         kinds.add(_certificate_kind(cert))
     assert {"holds", "f-not-bent", "g-not-bent", "weight-2-not-bent", "dual-mismatch"} <= kinds
+
+
+@pytest.mark.parametrize("pairing", ["dot", "trace"])
+def test_certificate_walk_keeps_the_oracle_witness_at_every_row(pairing, g64):
+    # one failing pair planted at omega = 3 and at the last weight-two row
+    # 2^(r-1) + 2^(r-2), every other component 0, so every lower row holds:
+    # the walk reaches the pair's row one XOR at a time and must fail there
+    spec = g64 if pairing == "trace" else None
+    lin_ = (lambda mu: linear_form(spec, mu)) if spec else lin
+    rng = random.Random(43)
+    zero = BooleanFunction(6, 0)
+    for f in (F6, random_mm_bent(rng, 6)):
+        f_star = dual(f, spec)
+        # f + l_a + l_b is bent with dual f~ + D_a f~ + D_b f~ + D_a D_b f~
+        a, b = next((a, b) for a in range(64) for b in range(64) if derivative(derivative(f_star, a), b).table)
+        second = derivative(derivative(f_star, a), b).table
+        # f + (f + g) + (f + h) = f + g + h, with g and h bent
+        g, h = random_mm_bent(rng, 6), random_mm_bent(rng, 6)
+        while is_bent(f ^ g ^ h):
+            h = random_mm_bent(rng, 6)
+        for r in range(2, 7):
+            for i in {0, r - 2}:
+                for pair, kind in (((lin_(a), lin_(b)), "dual-mismatch"), ((f ^ g, f ^ h), "weight-2-not-bent")):
+                    comps = [zero] * r
+                    comps[i : i + 2] = pair
+                    phi = VectorialFunction.from_components(comps)
+                    cert = check_property_pr(f, phi, spec)
+                    assert (cert.witness_omega, _certificate_kind(cert)) == (3 << i, kind)
+                    if kind == "dual-mismatch":
+                        assert cert.witness_x == (second & -second).bit_length() - 1
+                    assert cert == check_property_pr_every_omega(f, phi, spec)
+
+
+@pytest.mark.parametrize("pairing", ["dot", "trace"])
+def test_certificate_makes_no_function_xor_after_its_weight_one_pass(pairing, g64, monkeypatch):
+    # a holding certificate at n = 6, r = 8 (linear forms on the low half of
+    # the inner product, a repeated one and 0 among them): one transform per
+    # omega, and the walk steps on plain ints, so the only BooleanFunction
+    # XORs are the weight-one pass's f + phi_i and f~ + (f + phi_i)~
+    spec = g64 if pairing == "trace" else None
+    r = 8
+    phi = VectorialFunction(6, r, tuple(lin(mu) for mu in (1, 2, 4, 3, 5, 6, 7, 1)))
+    events = []
+    xor, bent_dual = BooleanFunction.__xor__, constructions.bent_dual
+
+    def spy_xor(a, b):
+        events.append("xor")
+        return xor(a, b)
+
+    def spy_bent_dual(g, spec=None):
+        events.append("transform")
+        return bent_dual(g, spec)
+
+    monkeypatch.setattr(BooleanFunction, "__xor__", spy_xor)
+    monkeypatch.setattr(constructions, "bent_dual", spy_bent_dual)
+    assert check_property_pr(F6, phi, spec).holds
+    transforms = [k for k, event in enumerate(events) if event == "transform"]
+    assert len(transforms) == 1 << r
+    assert events.count("xor") <= 2 * r
+    # the walk starts at the (r + 2)-th transform, the first of weight two
+    assert "xor" not in events[transforms[r + 1] :]
+
+
+def _bent_seed(rng, n, spec, gold):
+    """A Gold bent function of the field, or a random MM one."""
+    if gold:
+        t = rng.choice([t for t in range(1, n) if n // math.gcd(t, n) % 2 == 0] or [1])
+        lams = find_gold_lambdas(spec, t, 1, rng.randrange(1 << n)) or find_gold_lambdas(spec, t, 1)
+        return gold_function(GoldParams(spec, lams[0], t))
+    return random_mm_bent(rng, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_affine_certificate_is_the_pairwise_second_derivative_law(data):
+    # the source paper's characterization of P_r for phi_i = l_mu_i + c_i:
+    # it holds iff every D_mu_i D_mu_j f~ vanishes, the companions being
+    # D_mu_i f~ + c_i.  A failing omega of weight >= 3 contains a failing
+    # pair, so the witness is the least failing 2^i + 2^j, at the lowest x
+    # of that pair's second derivative
+    n = data.draw(st.sampled_from([2, 4, 6, 8, 10]))
+    field = gf2n.make_field(n)
+    spec = data.draw(st.sampled_from([None, field]))
+    f = _bent_seed(random.Random(data.draw(st.integers(0, 2**32))), n, field, data.draw(st.booleans()))
+    mus, cs = [], []
+    for _ in range(data.draw(st.integers(1, 5))):
+        mus.append(data.draw(st.integers(0, (1 << n) - 1) | st.sampled_from([0, *mus])))
+        cs.append(data.draw(st.integers(0, 1)))
+    lin_ = (lambda mu: linear_form(spec, mu)) if spec else (lambda mu: dot_form(n, mu))
+    phi = VectorialFunction.from_components(lin_(mu) ^ BooleanFunction.const(n, c) for mu, c in zip(mus, cs))
+    f_star = dual(f, spec)
+    fails = sorted(
+        (1 << i | 1 << j, second)
+        for j in range(len(mus))
+        for i in range(j)
+        if (second := derivative(derivative(f_star, mus[i]), mus[j]).table)
+    )
+    cert = check_property_pr(f, phi, spec)
+    assert cert.holds == (not fails)
+    if cert.holds:
+        assert cert.varphi.components == tuple(
+            derivative(f_star, mu) ^ BooleanFunction.const(n, c) for mu, c in zip(mus, cs)
+        )
+    else:
+        omega, second = fails[0]
+        assert (cert.witness_omega, cert.witness_x) == (omega, (second & -second).bit_length() - 1)
+
+
+def test_certificate_is_the_fiber_identity():
+    # N_u(v), the sum of (-1)^(f(x) + <u, x>) over phi(x) = v, is 2^-r times
+    # the sum over omega of (-1)^(omega.v) W_{f + omega.phi}(u): P_r holds iff
+    # every N_u vanishes but at v = phi'(u), where it is (-1)^f~(u) 2^(n/2)
+    rng = random.Random(47)
+    seen = set()
+    for trial in range(48):
+        n = rng.choice([2, 4, 6, 8])
+        field = gf2n.make_field(n)
+        spec = rng.choice([None, field])
+        f = inner_product_fn(n) if trial % 2 else _bent_seed(rng, n, field, rng.random() < 0.3)
+        # low-half linear forms keep the inner product's certificate holding
+        comps = []
+        for _ in range(rng.randint(1, 4)):
+            c = rng.random()
+            if c < 0.6:
+                comps.append(dot_form(n, rng.randrange(1 << n // 2)) ^ BooleanFunction.const(n, rng.randrange(2)))
+            elif c < 0.8:
+                comps.append(f ^ random_mm_bent(rng, n))
+            else:
+                comps.append(random_function(rng, n))
+        phi = VectorialFunction.from_components(comps)
+        xs = np.arange(1 << n)
+        pairing = xs if spec is None else np.array([gf2n.covector(u, spec) for u in xs])
+        signs = 1 - 2 * ((np.bitwise_count(pairing[:, None] & xs) ^ f.bits()) & 1).astype(np.int64)
+        v = sum(c.bits().astype(np.int64) << i for i, c in enumerate(comps))
+        fibers = signs @ (v[:, None] == np.arange(1 << phi.r))  # N[u, v]
+        single = (np.count_nonzero(fibers, axis=1) == 1) & (np.abs(fibers).max(axis=1) == 1 << n // 2)
+        cert = check_property_pr(f, phi, spec)
+        assert cert.holds == single.all()
+        if cert.holds:
+            at = sum(c.bits().astype(np.int64) << i for i, c in enumerate(cert.varphi.components))
+            assert (fibers[xs, at] == (1 - 2 * cert.f_star.bits().astype(np.int64)) << n // 2).all()
+        seen.add(cert.holds)
+    assert seen == {True, False}
 
 
 def test_build_generic_identities():

@@ -388,6 +388,20 @@ def test_nullspace_is_the_kernel_in_reduced_echelon_form(case):
     assert all(sum(bool(v & lead) for v in basis) == 1 for lead in leads)
 
 
+@given(st.lists(st.integers(0, (1 << 4096) - 1) | st.integers(0, 255), max_size=8), st.data())
+def test_span_walks_the_members_from_any_start(vectors, data):
+    # field elements and 4,096-bit truth tables alike: member k is the XOR
+    # of the vectors at the set bits of k
+    size = 1 << len(vectors)
+    i = data.draw(st.integers(0, size + 1))
+    members = [0] * size
+    for k in range(size):
+        for j, v in enumerate(vectors):
+            if k >> j & 1:
+                members[k] ^= v
+    assert list(gf2n.span(vectors, i)) == members[i:]
+
+
 def test_hex_helpers_roundtrip():
     for a in (0, 1, 0x2A, 0x11B):
         assert from_hex(to_hex(a)) == a
