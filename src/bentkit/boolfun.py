@@ -31,19 +31,21 @@ from .errors import ArityMismatch, NotBent
 # _BYTE_BITS[b, j] = bit j of byte b, the point j of an 8-point table
 _BYTE_BITS = np.arange(256, dtype=np.uint8)[:, None] >> np.arange(8, dtype=np.uint8) & 1
 
-# _BYTE_SCORE[b] = 1 + the largest popcount(j) over set bits j of byte b;
-# -64 for the empty byte, which no index popcount (<= 21) lifts above 0
-_BYTE_SCORE = (_BYTE_BITS * (1 + np.bitwise_count(np.arange(8, dtype=np.uint8)))).max(axis=1).astype(np.int8)
-_BYTE_SCORE[0] = -64
-
 # _H8[u, j] = (-1)^popcount(u & j), the 8-point Sylvester-Hadamard matrix
 _H8 = 1 - 2 * (np.bitwise_count(np.arange(8)[:, None] & np.arange(8)).astype(np.int32) & 1)
 
-# _BYTE_MOEBIUS[b] is the 8-point Moebius transform of byte b: bit u is the
-# XOR of the bits j of b with j a subset of u
+# _BYTE_MOEBIUS is the bytes.translate table of the 8-point Moebius transform:
+# bit u of the image of byte b is the XOR of the bits j of b with j a subset of u
 _BYTE_MOEBIUS = np.packbits(
     _BYTE_BITS @ (np.arange(8)[:, None] & ~np.arange(8) == 0) & 1, axis=1, bitorder="little"
-).ravel()
+).tobytes()
+
+# _UPPER[i] marks the positions of a 64-bit word with bit i set, which
+# Moebius stage i XORs from 2^i positions lower
+_UPPER = np.packbits(np.arange(64) >> np.arange(6)[:, None] & 1, axis=1, bitorder="little").view("<u8").ravel()
+
+# _REACH[k] marks the positions j of a 64-bit word with popcount(j) >= k
+_REACH = np.packbits(np.bitwise_count(np.arange(64)) >= np.arange(7)[:, None], axis=1, bitorder="little").view("<u8").ravel()
 
 # _BYTE_SHIFTS[s] is the bytes.translate table moving bit j of a byte to bit
 # j ^ s, i.e. b to the 8-point table x -> b(x + s); s = 7 reverses the bit
@@ -141,7 +143,7 @@ class AnfForm:
     def degree(self) -> int:
         """Largest popcount of a monomial with a nonzero coefficient; the
         zero polynomial has degree 0 by convention."""
-        return int(_degrees(np.frombuffer(BooleanFunction(self.n, self.coeffs).raw, np.uint8)))
+        return int(_degrees(_words(BooleanFunction(self.n, self.coeffs).raw)))
 
     def function(self) -> "BooleanFunction":
         # the Moebius transform is an involution
@@ -311,26 +313,33 @@ def dual(f: BooleanFunction, spec: gf2n.FieldSpec | None = None) -> BooleanFunct
     return g
 
 
-def translate(f: BooleanFunction, a: int) -> BooleanFunction:
-    """x -> f(x + a); index XOR is both vector and field addition.
+def _move_bytes(raw, c: int, rows: int = 1) -> np.ndarray:
+    """The rows equal-length packed tables in the bytes-like raw, byte j of
+    each moved to j ^ c < their length, as a fresh array of words of up to
+    8 bytes, with no index array: the words by axis flips of a (rows, 2,
+    ..., 2) view, bytes inside a word by byteswaps: widths 2, 4, 8 send j to
+    j ^ 1, j ^ 3, j ^ 7, so bit i of the Gray code of c & 7 picks width 2 << i."""
+    size = len(raw) // rows
+    k = max(0, size.bit_length() - 4)
+    words = np.ndarray((rows,) + (2,) * k, _WORDS[min(size, 8).bit_length() - 2], raw)
+    # the first of the k + 1 binary digits keeps the rows axis
+    moved, c = words[tuple(map(_FLIPS.get, bin(c >> 3 | 2 << k)[3:]))].copy(), c & 7
+    for i, word in enumerate(_WORDS):
+        if (c ^ c >> 1) >> i & 1:
+            moved.view(word).byteswap(inplace=True)
+    return moved
 
-    Bit i of packed byte j comes from bit i ^ (a & 7) of byte j ^ (a >> 3),
-    moved with no index array: inside each byte by bytes.translate, words of
-    up to 8 bytes by axis flips of a word view, and bytes inside a word by
-    byteswaps: widths 2, 4, 8 send j to j ^ 1, j ^ 3, j ^ 7, so bit i of the
-    Gray code of c = (a >> 3) & 7 picks width 2 << i."""
+
+def translate(f: BooleanFunction, a: int) -> BooleanFunction:
+    """x -> f(x + a); index XOR is both vector and field addition.  Bit i of
+    packed byte j comes from bit i ^ (a & 7) of byte j ^ (a >> 3), moved
+    inside each byte by bytes.translate, the bytes by _move_bytes."""
     gf2n.check_domain(f.n, "shift", a)
     raw = f.raw
     if a & 7:
         raw = raw.translate(_BYTE_SHIFTS[a & 7])
     if a >> 3:
-        # 2^k words viewed as (1, 2, ..., 2), flipped by the k + 1 binary digits of a >> 6
-        k, c = max(0, len(raw).bit_length() - 4), a >> 3 & 7
-        words = np.ndarray((1,) + (2,) * k, _WORDS[min(len(raw), 8).bit_length() - 2], raw)
-        raw = words[tuple(map(_FLIPS.get, bin(a >> 6 | 2 << k)[3:]))].copy()
-        for i, word in enumerate(_WORDS):
-            if (c ^ c >> 1) >> i & 1:
-                raw.view(word).byteswap(inplace=True)
+        raw = _move_bytes(raw, a >> 3)
     return BooleanFunction.from_raw(f.n, raw)
 
 
@@ -339,52 +348,60 @@ def derivative(f: BooleanFunction, mu: int) -> BooleanFunction:
     return f ^ translate(f, mu)
 
 
-def _moebius(a: np.ndarray, n: int, in_byte: bool = True) -> np.ndarray:
-    """Moebius transform of packed n-variable tables along the last axis of
-    the C-contiguous uint8 array a, in place; returns a.
+def _words(raw: bytes) -> np.ndarray:
+    # a packed table as little-endian uint64 words, zero bytes padding it to one word
+    return np.frombuffer(raw.ljust(8, b"\0"), "<u8")
 
-    It is an involution: it maps a truth table to its ANF coefficients
-    and back.  The first three stages act inside each byte, so they are
-    read from _BYTE_MOEBIUS unless in_byte is false; every later stage XORs
-    each lower half-block of h bytes into the upper one, on a view of a in
-    words of min(h, 8) bytes.  Below n = 3 the 8-point table sets the
-    padding bits above 2^n, so they are masked off.
-    """
-    if in_byte:
-        np.take(_BYTE_MOEBIUS, a, out=a)
+
+def _moebius(words: np.ndarray, n: int) -> np.ndarray:
+    """Moebius stages 3 .. n - 1 along the last axis of uint64 packed-table
+    words, in place; returns words.  After stages 0-2, bytes.translate
+    through _BYTE_MOEBIUS, it completes the involution from truth tables to
+    ANF coefficients; below n = 3 those set padding bits above 2^n, masked
+    here.  Stages 3-5 shift and mask inside each word, later ones XOR each
+    lower half-block of words into the upper one."""
     if n < 3:
-        a &= (1 << (1 << n)) - 1
-    h = 1
-    while h < a.shape[-1]:
-        width = min(h, 8)
-        words = a.view(f"u{width}")
-        pairs = words.reshape(*words.shape[:-1], -1, 2, h // width)
+        words &= (1 << (1 << n)) - 1
+    spare = np.empty_like(words) if n > 3 else None
+    for i in range(3, min(n, 6)):
+        np.left_shift(words, 1 << i, out=spare)
+        spare &= _UPPER[i]
+        words ^= spare
+    for i in range(6, n):
+        pairs = words.reshape(*words.shape[:-1], -1, 2, 1 << i - 6)
         pairs[..., 1, :] ^= pairs[..., 0, :]
-        h *= 2
-    return a
+    return words
+
+
+def _anf_words(f: BooleanFunction) -> np.ndarray:
+    # f's ANF coefficients, as the words of a packed table
+    return _moebius(_words(f.raw.translate(_BYTE_MOEBIUS)).copy(), f.n)
 
 
 def _moebius_of(f: BooleanFunction) -> BooleanFunction:
     # the table whose packed bytes are the Moebius transform of f's
-    return BooleanFunction.from_raw(f.n, _moebius(np.frombuffer(bytearray(f.raw), np.uint8), f.n))
+    return BooleanFunction.from_raw(f.n, _anf_words(f).view(np.uint8)[: len(f.raw)])
 
 
-def _degrees(coeffs: np.ndarray) -> np.ndarray:
-    """Degree of each ANF along the last axis of packed coefficient bytes,
-    the zero polynomial counting as degree 0.
+@functools.cache
+def _weight_classes(count: int):
+    # word indices below count by ascending popcount, the offset where each
+    # popcount c starts, and score[c, k] = 1 + c + k
+    weights = np.bitwise_count(np.arange(count))
+    order = np.argsort(weights, kind="stable")
+    classes = np.arange(count.bit_length())
+    return order, np.searchsorted(weights[order], classes), (1 + classes[:, None] + np.arange(7)).astype(np.int8)
 
-    Monomial u is bit u % 8 of byte u // 8 and popcount(u) = popcount(u // 8)
-    + popcount(u % 8), so the bytes are scored with _BYTE_SCORE, whose
-    negative empty-byte score needs no mask.  Viewed as rows of 256
-    bytes, a byte index splits the same way again, so no index array of
-    the table's length is formed.
-    """
-    rows = coeffs.reshape(*coeffs.shape[:-1], -1, min(coeffs.shape[-1], 256))
-    score = _BYTE_SCORE[rows]
-    score += np.bitwise_count(np.arange(rows.shape[-1], dtype=np.uint8)).astype(np.int8)
-    best = score.max(axis=-1)
-    best += np.bitwise_count(np.arange(best.shape[-1], dtype=np.uint32)).astype(np.int8)
-    return np.maximum(best.max(axis=-1), 1) - 1
+
+def _degrees(words: np.ndarray) -> np.ndarray:
+    """Degree of each ANF along the last axis of uint64 coefficient words,
+    0 for the zero polynomial.  Monomial u is bit u % 64 of word u // 64, so
+    the words whose index has popcount c are ORed into one class word, whose
+    largest in-word popcount is the number of _REACH masks it meets, less 1."""
+    order, starts, score = _weight_classes(words.shape[-1])
+    classes = np.bitwise_or.reduceat(words[..., order], starts, axis=-1)
+    best = (((classes[..., None] & _REACH) != 0) * score).max(axis=(-2, -1))
+    return np.maximum(best, 1) - 1
 
 
 def anf(f: BooleanFunction) -> AnfForm:
@@ -392,28 +409,35 @@ def anf(f: BooleanFunction) -> AnfForm:
 
 
 def algebraic_degree(f: BooleanFunction) -> int:
-    """anf(f).degree, from one transformed copy of the table bytes."""
-    return int(_degrees(_moebius(np.frombuffer(bytearray(f.raw), np.uint8), f.n)))
+    """anf(f).degree, from one transformed copy of the table's words."""
+    return int(_degrees(_anf_words(f)))
 
 
-def _derivative_degree_batches(f: BooleanFunction, batches):
-    # the algebraic degree of D_a f for each a, per array of shifts, in one
-    # batched Moebius transform of the derivatives' packed tables; with
-    # uint16 shifts (n <= 16) the working memory is three bytes per table
-    # byte per row.  The in-byte Moebius stages, linear and commuting with
-    # byte gathers, run once on f's translates
-    moved = _BYTE_MOEBIUS[np.frombuffer(b"".join(map(f.raw.translate, _BYTE_SHIFTS)), np.uint8).reshape(8, -1)]
-    raw = moved[0]  # the translate by 0, f itself
-    for shifts in batches:
-        # row a reads byte j ^ (a >> 3) of the copy translated by a & 7, an
-        # index below 2^n; indexing casts it in chunks, np.take to int64
-        idx = np.arange(raw.size, dtype=shifts.dtype) ^ (shifts >> 3)[:, None]
-        idx += ((shifts & 7) * raw.size)[:, None]
-        rows = moved.reshape(-1)[idx]
-        del idx
-        rows ^= raw
-        yield _degrees(_moebius(rows, f.n, in_byte=False))
-        del rows  # before the next index is built
+def _derivative_degrees(f: BooleanFunction) -> np.ndarray:
+    """deg D_a f at index a, for every shift a.  The in-byte Moebius stages
+    commute with byte moves, so they act once, on f's eight in-byte
+    translates.  In aligned blocks [8 lo, 8 lo + 8h) of shifts, row a reads
+    byte j ^ (a >> 3) of the translate by a & 7: the eight with byte j moved
+    to j ^ lo by _move_bytes, then log2(h) doublings, each swapping byte
+    half-blocks of d bytes, give rows a ^ 8d.  XORed with f's own row, they
+    take the rest of the transform.  h keeps a block's tables within 512 KB;
+    rows are padded to one word, and below n = 3 those past 2^n dropped."""
+    span = len(f.raw)  # values of a >> 3
+    width = max(span, 8)
+    eight = b"".join(f.raw.translate(s).translate(_BYTE_MOEBIUS).ljust(8, b"\0") for s in _BYTE_SHIFTS)
+    h = min(span, max(1, (1 << 16) // width))
+    block, out = np.empty((h, 8, width), np.uint8), np.empty(8 * span, np.int8)
+    for lo in range(0, span, h):
+        block[0] = np.frombuffer(_move_bytes(eight, lo, 8) if lo else eight, np.uint8).reshape(8, width)
+        d = 1
+        while d < h:
+            word = f"u{min(d, 8)}"
+            half = (d, 8, -1, 2, max(1, d // 8))
+            block[d : 2 * d].view(word).reshape(half)[...] = block[:d].view(word).reshape(half)[..., ::-1, :]
+            d *= 2
+        block ^= np.frombuffer(eight, np.uint8, width)
+        out[8 * lo : 8 * (lo + h)] = _degrees(_moebius(block.reshape(8 * h, width).view("<u8"), f.n))
+    return out[: 1 << f.n]
 
 
 # compose's largest r for the mux tree; its up to 2^r - 1 muxes lose to the gather beyond
@@ -537,4 +561,4 @@ def parse_bitstring(bits: str, expect: int | None = None) -> BooleanFunction:
         raise ValueError(f"length {size} is not a power of two")
     if expect is not None and size != 1 << expect:
         raise ValueError(f"expected {1 << expect} bits, got {size}")
-    return BooleanFunction.from_bits(size.bit_length() - 1, [int(c) for c in bits])
+    return BooleanFunction(size.bit_length() - 1, int(bits[::-1], 2))

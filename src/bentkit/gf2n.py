@@ -19,8 +19,9 @@ covector with it, and the Frobenius powers are such images, cached.  The
 array layer (mul_array, linear_table, frobenius_array) acts on numpy
 uint32 arrays of elements, which hold every supported degree with room
 for the one-bit overflow of a shift; linear_table tabulates a map from its
-images by doubling, 2^k writes for k images, and the bit-sliced products
-of mul_array serve subfields and batches of candidates.
+images by doubling, 2^k writes for k images, and the carry-less products
+of mul_array, reduced through byte tables, serve subfields and batches of
+candidates.
 Whole-field truth tables need no field product per point: `boolfun` and
 `families` build them from basis images and covectors.
 
@@ -320,22 +321,23 @@ def subfield_elements(r: int, spec: FieldSpec) -> tuple[int, ...]:
 # ------------------------------------------------------------ array layer
 
 
+@functools.lru_cache(maxsize=None)
+def _reduction_bytes(spec: FieldSpec) -> tuple[np.ndarray, ...]:
+    # table i reduces bits n + 8i .. n + 8i + 7 of a carry-less product: byte v to v X^(n + 8i) mod the modulus
+    return tuple(linear_table([_poly_mod(1 << spec.n + i, spec.modulus) for i in range(k, k + 8)]) for k in range(0, spec.n - 1, 8))
+
+
 def mul_array(a, b, spec: FieldSpec) -> np.ndarray:
     """Elementwise product of two uint32 element arrays, or of an array and
-    a scalar: bit-sliced shift-and-reduce, one pass per bit of b."""
+    a scalar: the XOR of the shifts of a by the set bits of b, one broadcast
+    of n uint64 words per element, reduced through _reduction_bytes."""
     a, b = np.broadcast_arrays(np.asarray(a, np.uint32), np.asarray(b, np.uint32))
-    x, r, tmp = a.copy(), np.zeros(a.shape, np.uint32), np.empty(a.shape, np.uint32)
-    n, mod = spec.n, np.uint32(spec.modulus)
-    for i in range(n):
-        np.right_shift(b, i, out=tmp)
-        tmp &= 1
-        tmp *= x
-        r ^= tmp
-        x <<= 1
-        np.right_shift(x, n, out=tmp)
-        tmp *= mod
-        x ^= tmp
-    return r
+    shifts = np.arange(spec.n, dtype=np.uint64)
+    prod = np.bitwise_xor.reduce((a[..., None] << shifts) * (b[..., None] >> shifts & 1), axis=-1)
+    out = np.array(prod & (1 << spec.n) - 1, np.uint32)
+    for k, table in enumerate(_reduction_bytes(spec)):
+        out ^= table[prod >> spec.n + 8 * k & 255]
+    return out
 
 
 def linear_table(images) -> np.ndarray:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2n
-from .boolfun import BooleanFunction, _derivative_degree_batches, algebraic_degree, derivative, wht
+from .boolfun import BooleanFunction, _derivative_degrees, algebraic_degree, derivative, wht
 from .families import GoldParams, _gold_partner, _norm_gold
 
 
@@ -252,12 +252,5 @@ class EaFingerprint:
 
 def ea_fingerprint(h: BooleanFunction) -> EaFingerprint:
     gf2n.check_cap("n of the fingerprint", h.n)
-    size = 1 << h.n
-    # 512 KB of derivative tables per batch: with their uint16 index, two
-    # bytes per table byte, the working memory stays under 2 MB
-    step = max(1, (1 << 19) // max(1, size // 8))
-    batches = (np.arange(lo, min(lo + step, size), dtype=np.uint16) for lo in range(0, size, step))
-    counts = np.zeros(h.n + 1, np.int64)
-    for degrees in _derivative_degree_batches(h, batches):
-        counts += np.bincount(degrees, minlength=h.n + 1)
+    counts = np.bincount(_derivative_degrees(h), minlength=h.n + 1)
     return EaFingerprint(algebraic_degree(h), tuple((d, int(c)) for d, c in enumerate(counts) if c))

@@ -36,6 +36,7 @@ from bentkit.families import (
 from bentkit.search import find_gold_lambdas
 from util import (
     from_trace_monomial,
+    mul_array_bit_sliced,
     power_array,
     scalar_cor9_slot,
     scalar_cor9_tables,
@@ -69,6 +70,24 @@ def test_mul_array_exhaustive(n):
     assert np.array_equal(gf2n.mul_array(a, b, spec), expected)
     for c in (0, 1, (1 << n) - 1):
         assert np.array_equal(gf2n.mul_array(elements(spec), c, spec), expected[c])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mul_array_matches_scalar_mul(data):
+    # 1-D and 2-D arrays, a scalar on either side, 0 and all-ones drawn often
+    n = data.draw(st.integers(9, 24))
+    spec = gf2n.make_field(n)
+    element = st.one_of(st.sampled_from([0, 1, (1 << n) - 1]), st.integers(0, (1 << n) - 1))
+    shape = data.draw(st.sampled_from([(12,), (3, 4)]))
+    a, b = (np.array(data.draw(st.lists(element, min_size=12, max_size=12)), np.uint32).reshape(shape) for _ in "ab")
+    c = data.draw(element)
+    xs = a.ravel().tolist()
+    cases = [(gf2n.mul_array(a, b, spec), [gf2n.mul(x, y, spec) for x, y in zip(xs, b.ravel().tolist())])]
+    cases += [(got, [gf2n.mul(x, c, spec) for x in xs]) for got in (gf2n.mul_array(a, c, spec), gf2n.mul_array(c, a, spec))]
+    for got, expected in cases:
+        assert got.dtype == np.uint32 and got.shape == shape and got.ravel().tolist() == expected
+    assert np.array_equal(cases[0][0], mul_array_bit_sliced(a, b, spec))
 
 
 @pytest.mark.parametrize("n", SMALL)

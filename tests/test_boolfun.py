@@ -43,12 +43,14 @@ from util import (
     anf_degree_walk,
     butterfly_with_copies,
     compose_unpacked,
+    degrees_bytes,
     dual_int32,
     from_text_by_nibbles,
     from_trace_monomial,
     inner_product_fn,
     malformed_table_texts,
     mm_bent_pair,
+    moebius_bytes,
     moebius_with_copies,
     random_function,
     random_mm_bent,
@@ -643,6 +645,53 @@ def test_anf_matches_copying_moebius(data):
     assert form.function() == f and _packs_its_int(form.function())
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_word_moebius_matches_the_byte_kernel(data):
+    # stacked rows of drawn tables, padded to one word, with the in-byte
+    # stages run first by bytes.translate or left out on both sides
+    n, in_byte = data.draw(st.integers(1, 14)), data.draw(st.booleans())
+    rows = [_drawn_function(data, n).raw for _ in range(data.draw(st.integers(1, 4)))]
+    size = len(rows[0])
+    words = np.zeros((len(rows), max(size, 8)), np.uint8)
+    words[:, :size] = [np.frombuffer(r.translate(boolfun._BYTE_MOEBIUS) if in_byte else r, np.uint8) for r in rows]
+    got = boolfun._moebius(words.view("<u8"), n).view(np.uint8)
+    expected = moebius_bytes(np.array([np.frombuffer(r, np.uint8) for r in rows]), n, in_byte)
+    assert np.array_equal(got[:, :size], expected) and not got[:, size:].any()
+
+
+def _byte_kernel_degrees(f: BooleanFunction) -> tuple[int, int]:
+    # (algebraic_degree(f), AnfForm(n, f.table).degree) by the byte kernels of util
+    coeffs = moebius_bytes(np.frombuffer(bytearray(f.raw), np.uint8), f.n)
+    return int(degrees_bytes(coeffs)), int(degrees_bytes(np.frombuffer(f.raw, np.uint8)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_word_degrees_match_the_byte_kernel(data):
+    n = data.draw(st.integers(1, 16))
+    kind = data.draw(st.sampled_from(["random", "zero", "one", "top", "sparse"]))
+    if kind == "random":
+        f = _drawn_function(data, n)
+    elif kind in ("zero", "one"):
+        f = BooleanFunction.const(n, kind == "one")
+    elif kind == "top":
+        f = BooleanFunction(n, 1 << (1 << n) - 1)  # x1 ... xn, as a table and as an ANF
+    else:
+        f = BooleanFunction(n, sum({1 << data.draw(st.integers(0, (1 << n) - 1)) for _ in range(3)}))
+    assert (algebraic_degree(f), AnfForm(n, f.table).degree) == _byte_kernel_degrees(f)
+
+
+@pytest.mark.parametrize("n", range(1, 4))
+def test_word_degrees_of_every_padded_table(n):
+    # below n = 6 a table is padded to one word, below n = 3 inside its byte
+    for table in range(1 << (1 << n)):
+        f = BooleanFunction(n, table)
+        assert (algebraic_degree(f), AnfForm(n, table).degree) == _byte_kernel_degrees(f)
+    assert algebraic_degree(BooleanFunction.const(n, 1)) == 0
+    assert AnfForm(n, (1 << (1 << n)) - 1).degree == n == algebraic_degree(BooleanFunction(n, 1 << (1 << n) - 1))
+
+
 def test_degree_bound_for_bent_functions():
     rng = random.Random(20)
     for n in (4, 6, 8):
@@ -816,6 +865,9 @@ def test_parse_bitstring():
         parse_bitstring("00x1")
     with pytest.raises(ValueError):
         parse_bitstring("000")  # not a power of two
+    # one base-2 int per string, which Python's int-digit limit exempts
+    bits = random_function(random.Random(16), 16).bits()
+    assert parse_bitstring("".join(map(str, bits.tolist()))) == BooleanFunction.from_bits(16, bits)
 
 
 def test_walsh_spectrum_equality():

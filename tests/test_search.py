@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from bentkit import families, gf2n, search
 from bentkit.boolfun import (
     BooleanFunction,
+    _derivative_degrees,
     algebraic_degree,
     derivative,
     dot_form,
@@ -605,7 +606,7 @@ def test_fingerprint_separates_degrees():
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_fingerprint_matches_per_derivative_oracle(data):
-    n = data.draw(st.integers(1, 9))
+    n = data.draw(st.integers(1, 10))
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     # a random function of the first k variables plus a random quadratic,
     # so the derivative degrees spread out
@@ -617,10 +618,12 @@ def test_fingerprint_matches_per_derivative_oracle(data):
 
 
 def test_fingerprint_batches_match_one_call_and_the_oracle():
-    # at n = 12 the fingerprint runs four batches of 1,024 derivatives
+    # at n = 12 the fingerprint runs four blocks of 1,024 derivatives; the
+    # byte kernel's one batch of every shift gives each a its degree
     h = random_function(random.Random(54), 12)
     fp = ea_fingerprint(h)
-    degrees = derivative_degrees(h, np.arange(1 << 12, dtype=np.uint16))
+    degrees = _derivative_degrees(h)
+    assert np.array_equal(degrees, derivative_degrees(h, np.arange(1 << 12, dtype=np.uint16)))
     counts = np.bincount(degrees)
     assert fp.derivative_degrees == tuple((d, int(c)) for d, c in enumerate(counts) if c)
     assert fp == ea_fingerprint_per_derivative(h)
@@ -628,12 +631,13 @@ def test_fingerprint_batches_match_one_call_and_the_oracle():
 
 def test_fingerprint_memory_is_bounded_by_its_chunk():
     # an all-pairs index array would take 128 MB at n = 12 in int64
-    h = random_function(random.Random(53), 12)
-    tracemalloc.start()
-    try:
-        fp = ea_fingerprint(h)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sum(c for _, c in fp.derivative_degrees) == 1 << 12
-    assert peak < 2 << 20
+    for n in (12, 14):
+        h = random_function(random.Random(53), n)
+        tracemalloc.start()
+        try:
+            fp = ea_fingerprint(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(c for _, c in fp.derivative_degrees) == 1 << n
+        assert peak < 2 << 20

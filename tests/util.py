@@ -18,15 +18,15 @@ elementwise power over mul_array, the whole-field Frobenius table, the
 elementwise trace through a covector and the trace monomial tables built
 on them, the relative trace, the hex element format, the permutation file
 writer).  After them come the package's earlier kernels, kept unchanged
-as references for the ones that replaced them: the index-gather
-translate, the copying butterfly,
+as references for the ones that replaced them: the bit-sliced mul_array,
+the index-gather translate, the copying butterfly,
 a strategy drawing malformed truth-table files with the nibble-mask
 wire-format reader, the every-omega certificate check, cornew's
 every-selector dual-shift check, the closed forms of the known builders
 carlet, mesnager1 and mesnager2 (majorities and linear-factor
 corrections), the copying Moebius transform, the
-per-derivative fingerprint with the one-batch derivative degrees it is
-checked beside, the unpacked second-derivative predicate and
+per-derivative fingerprint, the byte Moebius and degree kernels with the
+index-gather derivative batches built on them, the unpacked second-derivative predicate and
 composition, and the depth-first mu search with the scalar gold and cor9
 trace conditions it tests pairs by (also the oracles of the families'
 partner covector) and the sort-based alpha listing over the
@@ -44,10 +44,11 @@ from hypothesis import strategies as st
 
 from bentkit import gf2n
 from bentkit.boolfun import (
+    _BYTE_BITS,
+    _BYTE_MOEBIUS,
     _BYTE_SHIFTS,
     BooleanFunction,
     VectorialFunction,
-    _derivative_degree_batches,
     dual,
     is_bent,
     to_text,
@@ -444,6 +445,24 @@ def check_odd_sum_condition(
     return True
 
 
+def mul_array_bit_sliced(a, b, spec: gf2n.FieldSpec) -> np.ndarray:
+    """The elementwise product as gf2n.mul_array formed it before its one
+    broadcast: bit-sliced shift-and-reduce, one pass per bit of b."""
+    a, b = np.broadcast_arrays(np.asarray(a, np.uint32), np.asarray(b, np.uint32))
+    x, r, tmp = a.copy(), np.zeros(a.shape, np.uint32), np.empty(a.shape, np.uint32)
+    n, mod = spec.n, np.uint32(spec.modulus)
+    for i in range(n):
+        np.right_shift(b, i, out=tmp)
+        tmp &= 1
+        tmp *= x
+        r ^= tmp
+        x <<= 1
+        np.right_shift(x, n, out=tmp)
+        tmp *= mod
+        x ^= tmp
+    return r
+
+
 def power_array(a, e: int, spec: gf2n.FieldSpec) -> np.ndarray:
     """Elementwise a ** e by square-and-multiply over mul_array."""
     if e < 0:
@@ -755,10 +774,65 @@ def ea_fingerprint_per_derivative(h: BooleanFunction) -> EaFingerprint:
     return EaFingerprint(own_deg, tuple(sorted(degs.items())))
 
 
+# _BYTE_SCORE[b] = 1 + the largest popcount(j) over set bits j of byte b;
+# -64 for the empty byte, which no index popcount (<= 21) lifts above 0
+_BYTE_SCORE = (_BYTE_BITS * (1 + np.bitwise_count(np.arange(8, dtype=np.uint8)))).max(axis=1).astype(np.int8)
+_BYTE_SCORE[0] = -64
+_BYTE_MOEBIUS_ARRAY = np.frombuffer(_BYTE_MOEBIUS, np.uint8)
+
+
+def moebius_bytes(a: np.ndarray, n: int, in_byte: bool = True) -> np.ndarray:
+    """The byte Moebius kernel: packed n-variable tables along the last axis
+    of the C-contiguous uint8 array a, transformed in place; returns a.
+    The first three stages are read per byte from the 256-entry table
+    unless in_byte is false, every later stage XORs each lower half-block
+    of h bytes into the upper one on a view in words of min(h, 8) bytes,
+    and below n = 3 the padding bits are masked off."""
+    if in_byte:
+        np.take(_BYTE_MOEBIUS_ARRAY, a, out=a)
+    if n < 3:
+        a &= (1 << (1 << n)) - 1
+    h = 1
+    while h < a.shape[-1]:
+        width = min(h, 8)
+        words = a.view(f"u{width}")
+        pairs = words.reshape(*words.shape[:-1], -1, 2, h // width)
+        pairs[..., 1, :] ^= pairs[..., 0, :]
+        h *= 2
+    return a
+
+
+def degrees_bytes(coeffs: np.ndarray) -> np.ndarray:
+    """Degree of each ANF along the last axis of packed coefficient bytes,
+    the zero polynomial counting as degree 0: each byte scored from
+    _BYTE_SCORE plus the popcount of its index, split in rows of 256."""
+    rows = coeffs.reshape(*coeffs.shape[:-1], -1, min(coeffs.shape[-1], 256))
+    score = _BYTE_SCORE[rows]
+    score += np.bitwise_count(np.arange(rows.shape[-1], dtype=np.uint8)).astype(np.int8)
+    best = score.max(axis=-1)
+    best += np.bitwise_count(np.arange(best.shape[-1], dtype=np.uint32)).astype(np.int8)
+    return np.maximum(best.max(axis=-1), 1) - 1
+
+
+def derivative_degree_batches(f: BooleanFunction, batches):
+    """The algebraic degree of D_a f for each a, per array of shifts, in one
+    batched byte Moebius transform of the derivatives' packed tables, each
+    row gathered through an index array from f's eight in-byte translates."""
+    moved = _BYTE_MOEBIUS_ARRAY[np.frombuffer(b"".join(map(f.raw.translate, _BYTE_SHIFTS)), np.uint8).reshape(8, -1)]
+    raw = moved[0]  # the translate by 0, f itself
+    for shifts in batches:
+        # row a reads byte j ^ (a >> 3) of the copy translated by a & 7
+        idx = np.arange(raw.size, dtype=shifts.dtype) ^ (shifts >> 3)[:, None]
+        idx += ((shifts & 7) * raw.size)[:, None]
+        rows = moved.reshape(-1)[idx]
+        rows ^= raw
+        yield degrees_bytes(moebius_bytes(rows, f.n, in_byte=False))
+
+
 def derivative_degrees(f: BooleanFunction, shifts: np.ndarray) -> np.ndarray:
     """Algebraic degree of D_a f for each a in shifts, as one batch of the
-    kernel behind ea_fingerprint."""
-    return next(_derivative_degree_batches(f, [shifts]))
+    byte kernel that ea_fingerprint ran before its doubling build."""
+    return next(derivative_degree_batches(f, [shifts]))
 
 
 def d2_nonzero_unpacked(f_star: BooleanFunction):
