@@ -453,8 +453,8 @@ def cmd_search_mus(args) -> int:
         if args.n is None or args.theta is None:
             raise ValueError("cor9-trace mode needs --n and --theta")
         kwargs.update(theta=args.theta, spec=_field(args.n, args.modulus))
-    for tup in find_mu_tuples(MuSearchSpec(**kwargs), args.cursor):
-        sys.stdout.write(",".join(map(_hx, tup)) + "\n")
+    tuples = find_mu_tuples(MuSearchSpec(**kwargs), args.cursor)
+    sys.stdout.write("".join(",".join(map(_hx, tup)) + "\n" for tup in tuples))
     return 0
 
 
@@ -469,9 +469,8 @@ def cmd_search_alphas(args) -> int:
 
 
 def cmd_search_lambdas(args) -> int:
-    spec = _field(args.n, args.modulus)
-    for lam in find_gold_lambdas(spec, args.t, args.limit, args.cursor):
-        sys.stdout.write(f"{lam:x}\n")
+    lams = find_gold_lambdas(_field(args.n, args.modulus), args.t, args.limit, args.cursor)
+    sys.stdout.write("".join(f"{lam:x}\n" for lam in lams))
     return 0
 
 

@@ -26,14 +26,15 @@ Whole-field truth tables need no field product per point: `boolfun` and
 `families` build them from basis images and covectors.
 
 GF(2)-linear systems have one kernel solver, nullspace, the reduced
-echelon kernel of a list of rows: it spans the searches' subspaces, the
-subfield GF(2^r) (the kernel of x -> x^(2^r) + x) and, as the kernel of
-[L^T | I], the inverse of a map L (solve_linearized).  span walks any
-span member by member, one XOR a step: the searches' kernels and a
-certificate's omega tables.  The mu search keeps two reductions of its
-own, each cheaper than a kernel where it runs: an echelon basis grown by
-one vector per candidate for its independence test, and a numpy
-reduction of a Walsh support, up to 2^n vectors, to period rows.
+echelon kernel of a list of rows: find_alphas' subspace, the radical of
+the mu search's isotropic bound, the subfield GF(2^r) (the kernel of
+x -> x^(2^r) + x) and, as the kernel of [L^T | I], the inverse of a
+map L (solve_linearized).  span walks a span one XOR a member: the
+searches' kernels and a certificate's omega tables.  The mu search
+keeps three reductions, each cheaper there than a kernel: its kernel
+basis, cut in nullspace's form by each chosen element's rows; an echelon
+basis grown by one vector per candidate for its independence test; and
+a numpy reduction of a Walsh support, up to 2^n vectors, to period rows.
 check_domain is the one range check of elements and shifts, check_cap
 the one check of sizes, each job's cap being a row of the table CAPS.
 """
@@ -159,9 +160,16 @@ def power(a: int, e: int, spec: FieldSpec) -> int:
 
 
 def inverse(a: int, spec: FieldSpec) -> int:
+    """a^-1 by the extended Euclidean algorithm in GF(2)[X]: u = g1 a, v = g2 a mod the modulus."""
+    check_domain(spec.n, "element", a)
     if a == 0:
         raise ZeroDivisionError("0 has no inverse")
-    return power(a, (1 << spec.n) - 2, spec)
+    u, v, g1, g2 = a, spec.modulus, 1, 0
+    while u != 1:
+        if (j := u.bit_length() - v.bit_length()) < 0:
+            u, v, g1, g2, j = v, u, g2, g1, -j
+        u, g1 = u ^ v << j, g1 ^ g2 << j
+    return g1
 
 
 @functools.lru_cache(maxsize=None)

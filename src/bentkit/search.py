@@ -16,18 +16,18 @@ covectors MuSearchSpec.partners gives: the Walsh support of D_a f_star,
 or in both trace modes the one partner covector `families._gold_partner`
 of the dual's gold parameters.  Enumeration walks the intersection of
 the chosen prefix's partner spaces in ascending order, tuples in
-lexicographic order, testing no candidate; a tuple is at most the
-`r of phi` row of gf2n.CAPS long, the arity of any F it can feed.  Every
-search takes an optional cursor, the last tuple already emitted, and
-resumes strictly after it.  The trace modes do no work of size 2^n, so
-they take every field degree; the second-derivative mode, one transform
-per element, and the fingerprint, 2^n derivatives, stop at their own
-rows of gf2n.CAPS.
+lexicographic order, testing no candidate: a node cuts its parent's
+kernel basis by the new element's rows and ranks its start in one pass
+over it.  A tuple is at most the `r of phi` row of gf2n.CAPS long, the
+arity of any F it can feed.  Every search takes an optional cursor, the
+last tuple already emitted, and resumes strictly after it.  The trace
+modes do no work of size 2^n, so they take every field degree; the
+second-derivative mode, one transform per element, and the fingerprint,
+2^n derivatives, stop at their own rows of gf2n.CAPS.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -124,10 +124,25 @@ def _reduce(basis: dict[int, int], v: int) -> int:
     return v
 
 
+def _cut(space: list[int], rows: list[int]) -> list[int]:
+    # the kernel of rows in span(space), in gf2n.nullspace's form: per row, the first vector
+    # pairing to 1 leaves and is XORed into the later ones that do, below their leading bits
+    for row in rows:
+        for k, p in enumerate(space):
+            if (p & row).bit_count() & 1:
+                space = space[:k] + [v ^ p if (v & row).bit_count() & 1 else v for v in space[k + 1 :]]
+                break
+    return space
+
+
 def _ascending(space: list[int], start: int):
     """span(space) from start upward, ascending; space as gf2n.nullspace gives."""
-    i = bisect.bisect_left(range(1 << len(space)), start, key=lambda i: gf2n.apply_linear(space, i))
-    return gf2n.span(space, i)
+    # top down, vector k joins while the member stays below start: i ranks the largest one below
+    i = v = 0
+    for k in range(len(space) - 1, -1, -1):
+        if v ^ space[k] < start:
+            v, i = v ^ space[k], i | 1 << k
+    return gf2n.span(space, i + (start > 0))
 
 
 def find_mu_tuples(ms: MuSearchSpec, cursor: tuple[int, ...] | None = None) -> list[tuple[int, ...]]:
@@ -153,30 +168,26 @@ def find_mu_tuples(ms: MuSearchSpec, cursor: tuple[int, ...] | None = None) -> l
         if ms.r > (m if ms.require_independent else (1 << m) - 1):
             return []
 
-    def walk(chosen: tuple[int, ...], rows: list[int], basis: dict[int, int], start: int):
-        # the next element ranges over the kernel of the chosen ones' rows;
-        # basis, as in _reduce, spans the chosen ones
+    def walk(chosen: tuple[int, ...], space: list[int], basis: dict[int, int], start: int):
+        # the next element ranges over space, the kernel of the chosen
+        # ones' rows; basis, as in _reduce, spans the chosen ones
         last = len(chosen) == ms.r - 1
         if cursor is not None and chosen == tuple(cursor[: len(chosen)]):
             # on the cursor's own path nothing below its next entry, and in
             # the last slot nothing up to it, gives a tuple beyond the cursor
             start = max(start, cursor[len(chosen)] + last)
-        space = gf2n.nullspace(rows, ms.n)
-        # each element is its own period and pairs are mutual, so the whole
-        # tuple lies in this kernel: r independent ones need r dimensions
-        if ms.require_independent and len(space) < ms.r:
-            return
         for cand in _ascending(space, start):
             red = _reduce(basis, cand)
             if red == 0 and ms.require_independent:
                 continue
             if last:
                 yield (*chosen, cand)
-            else:
+            elif len(cut := _cut(space, ms.partners(cand))) >= ms.r or not ms.require_independent:
+                # elements are their own periods and pairs mutual, so the whole tuple lies in cut
                 grown = {**basis, red.bit_length() - 1: red} if red else basis
-                yield from walk((*chosen, cand), rows + ms.partners(cand), grown, cand + 1)
+                yield from walk((*chosen, cand), cut, grown, cand + 1)
 
-    return list(itertools.islice(walk((), [], {}, 1), ms.limit))
+    return list(itertools.islice(walk((), [1 << j for j in range(ms.n)], {}, 1), ms.limit))
 
 
 def find_alphas(mus, limit: int, *, n: int | None = None, spec: gf2n.FieldSpec | None = None) -> list[int]:

@@ -26,7 +26,7 @@ from bentkit.errors import (
 )
 from bentkit.families import GoldParams, MMParams, _smallest_omega
 from bentkit.search import MuSearchSpec, ea_fingerprint, find_alphas
-from util import frobenius_table, from_hex, to_hex, trace_rel, xor_rank, xor_span
+from util import frobenius_table, from_hex, inverse_fermat, to_hex, trace_rel, xor_rank, xor_span
 
 
 def ref_clmul(a: int, b: int) -> int:
@@ -190,6 +190,25 @@ def test_power_and_inverse(g64):
         assert gf2n.power(a, 2, g64) == gf2n.frobenius(a, 1, g64)
     with pytest.raises(ZeroDivisionError):
         gf2n.inverse(0, g64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_inverse_is_the_fermat_power(data):
+    # the extended Euclidean algorithm against a^(2^n - 2) at every degree
+    n = data.draw(st.integers(1, gf2n.CAPS["n"]))
+    spec = gf2n.make_field(n)
+    a = data.draw(st.integers(1, (1 << n) - 1))
+    inv = gf2n.inverse(a, spec)
+    assert inv == inverse_fermat(a, spec)
+    assert gf2n.mul(a, inv, spec) == 1
+    with pytest.raises(ZeroDivisionError):
+        gf2n.inverse(0, spec)
+    # an element outside the field, the modulus itself included, raises
+    # instead of running the Euclidean loop forever
+    bad = data.draw(st.sampled_from([spec.modulus, 1 << n, -1]) | st.integers(1 << n, 1 << (n + 2)))
+    with pytest.raises(ValueError, match=f"outside the {n}-variable domain"):
+        gf2n.inverse(bad, spec)
 
 
 def test_frobenius_is_additive_field_automorphism(g256):

@@ -12,7 +12,9 @@ search implicates the walk's subspace bookkeeping.
 """
 
 import dataclasses
+import functools
 import itertools
+import operator
 import random
 import re
 import time
@@ -41,6 +43,7 @@ from bentkit.families import GoldParams, gold_bent_admissible, gold_function
 from bentkit.search import (
     MuSearchSpec,
     _ascending,
+    _cut,
     ea_fingerprint,
     find_alphas,
     find_gold_lambdas,
@@ -50,6 +53,7 @@ from util import (
     BatchSummary,
     _cor9_pair_condition,
     _gold_pair_condition,
+    ascending_by_bisect,
     batch_verify,
     brute_force_bent_check,
     d2_nonzero_unpacked,
@@ -352,6 +356,56 @@ def test_ascending_walk_is_the_sorted_span(data):
     row = data.draw(st.integers(0, (1 << n) - 1))
     cut = gf2n.nullspace(rows + [row], n)
     assert list(_ascending(cut, 0)) == [v for v in members if (v & row).bit_count() % 2 == 0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cut_kernel_is_the_kernel_of_every_row(data):
+    # the walk's carried kernel: a parent's basis cut by new rows is the
+    # kernel nullspace solves from all rows, in the same reduced form
+    n = data.draw(st.integers(1, 10))
+    prev = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 1))
+    row = st.just(0) | st.integers(0, (1 << n) - 1)
+    if prev:
+        # repeats, and sums of earlier rows, which cut nothing
+        row |= st.lists(st.sampled_from(prev), min_size=1, max_size=3).map(lambda rs: functools.reduce(operator.xor, rs))
+    rows = data.draw(st.lists(row, max_size=n + 1))
+    cut = _cut(gf2n.nullspace(prev, n), rows)
+    assert cut == gf2n.nullspace(prev + rows, n)
+    assert _cut(cut, prev + rows) == cut
+    units = [1 << j for j in range(n)]  # rows that empty every kernel
+    assert _cut(cut, rows + units) == gf2n.nullspace(prev + rows + units, n) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_start_rank_matches_the_bisect_oracle(data):
+    # the walk's first member is the span member at the start rank, so
+    # equal first members (or both walks empty) mean equal ranks
+    n = data.draw(st.integers(1, 10))
+    space = gf2n.nullspace(data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 1)), n)
+    members = sorted(xor_span(space))
+    past = members[-1] + data.draw(st.integers(1, 1 << n))
+    for start in {0, past, *members, *(v + 1 for v in members)}:
+        assert next(_ascending(space, start), None) == next(ascending_by_bisect(space, start), None)
+
+
+@pytest.mark.parametrize("mode", ["second-derivative", "gold-trace", "cor9-trace"])
+def test_walk_solves_at_most_one_kernel(monkeypatch, mode):
+    # nodes cut their parent's kernel; nullspace serves only the isotropic
+    # bound, which r = 3 > n / 2 at n = 4 brings on in both trace modes
+    spec = gf2n.make_field(4)
+    kw = {
+        "second-derivative": {"f_star": CUBIC6},
+        "gold-trace": {"gold": GoldParams(spec, 1, 1)},
+        "cor9-trace": {"theta": gf2n.subfield_elements(2, spec)[2], "spec": spec},
+    }[mode]
+    ms = MuSearchSpec(mode, 3, 1000, False, **kw)
+    calls, solve = [], gf2n.nullspace
+    monkeypatch.setattr(gf2n, "nullspace", lambda rows, n: calls.append(n) or solve(rows, n))
+    found = find_mu_tuples(ms)
+    assert len(calls) == (mode != "second-derivative")
+    assert len(found) > 1 and found == find_mu_tuples_dfs(ms)
 
 
 def _draw_search(data, n_max):

@@ -29,12 +29,14 @@ per-derivative fingerprint, the byte Moebius and degree kernels with the
 index-gather derivative batches built on them, the unpacked second-derivative predicate and
 composition, and the depth-first mu search with the scalar gold and cor9
 trace conditions it tests pairs by (also the oracles of the families'
-partner covector) and the sort-based alpha listing over the
-trace-orthogonal complement.
+partner covector), the sort-based alpha listing over the
+trace-orthogonal complement, the ascending walk's bisect start and the
+Fermat inverse a^(2^n - 2), which the scalar oracles above invert by.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 from collections import Counter
 from dataclasses import dataclass
@@ -223,7 +225,7 @@ def scalar_cor9_tables(spec: gf2n.FieldSpec, theta: int):
     """(f, base of h~) of the cor9 build: Tr_m(theta N(x)) + 1 and
     Tr_m(theta^(-1) N(x)) for the norm N(x) = x^(2^m + 1)."""
     m = spec.n // 2
-    th_inv = gf2n.inverse(theta, spec)
+    th_inv = inverse_fermat(theta, spec)
     norm = _power_table(spec, (1 << m) + 1)
     size = 1 << spec.n
     one = BooleanFunction.const(spec.n, 1)
@@ -310,7 +312,7 @@ def scalar_mm_function(p) -> BooleanFunction:
 def scalar_mm_u_table(p) -> list[int]:
     """u(x) = pi^(-1)(Lam^(-1) * (x + x^(2^m))^(2^t)) as field elements."""
     spec, m = p.spec, p.m
-    lam_inv = gf2n.inverse(p.lam ^ gf2n.frobenius(p.lam, m, spec), spec)
+    lam_inv = inverse_fermat(p.lam ^ gf2n.frobenius(p.lam, m, spec), spec)
     frob_m = _power_table(spec, 1 << m)
     frob_t = _power_table(spec, 1 << p.t)
     _, back = _pi_maps(p)
@@ -879,7 +881,7 @@ def _pair_oracle(ms: MuSearchSpec):
         return d2_nonzero_unpacked(ms.f_star)
     if ms.mode == "gold-trace":
         return functools.partial(_gold_pair_condition, ms.gold)
-    return functools.partial(_cor9_pair_condition, ms.spec, gf2n.inverse(ms.theta, ms.spec))
+    return functools.partial(_cor9_pair_condition, ms.spec, inverse_fermat(ms.theta, ms.spec))
 
 
 def _reduce(basis: dict[int, int], v: int) -> int:
@@ -970,3 +972,18 @@ def find_alphas_sorted(
         members += [m ^ b for m in members]
     members.sort()
     return members[:limit]
+
+
+def ascending_by_bisect(space: list[int], start: int):
+    """search._ascending as it found its start before the one-pass rank:
+    a bisect over the ranks, each member formed by apply_linear."""
+    i = bisect.bisect_left(range(1 << len(space)), start, key=lambda i: gf2n.apply_linear(space, i))
+    return gf2n.span(space, i)
+
+
+def inverse_fermat(a: int, spec: gf2n.FieldSpec) -> int:
+    """gf2n.inverse as it was before the extended Euclidean algorithm:
+    a^(2^n - 2), the inverse of a in the unit group of order 2^n - 1."""
+    if a == 0:
+        raise ZeroDivisionError("0 has no inverse")
+    return gf2n.power(a, (1 << spec.n) - 2, spec)
